@@ -1,8 +1,8 @@
 //! Campaign execution throughput: full def/use scans, sequential vs
-//! parallel, plus the brute-force scan used for pruning validation.
+//! parallel, the brute-force scan used for pruning validation, and the
+//! default executor against the naive-replay oracle.
 
 use sofi::campaign::{Campaign, CampaignConfig, FaultDomain};
-use sofi::machine::MachineConfig;
 use sofi::workloads::{fib, hi, Variant};
 use sofi_bench::harness::{Criterion, Throughput};
 use sofi_bench::{criterion_group, criterion_main};
@@ -47,39 +47,23 @@ fn bench_brute_force(c: &mut Criterion) {
     group.finish();
 }
 
-/// One `BENCH_campaign.json` record: a (workload, domain) ablation over
-/// the executor modes (naive replay, pristine forking, forking +
-/// convergence termination, all of that + ungated fault-equivalence
-/// memoization, the same memoization behind the adaptive cost gate
-/// (`+memo2`) — each on the single-step interpreter — and finally the
-/// full stack on the pre-decoded block engine), all sequential so
-/// speedups isolate the algorithmic change. The memo/memo2/blocks
-/// timings reset the cache before every sample so they measure a
-/// cold-cache campaign, not a warm replay.
-struct AblationRow {
+/// One `BENCH_campaign.json` record: a (workload, domain) comparison of
+/// the default executor (pristine forking, checkpoint convergence,
+/// cost-gated fault-equivalence memoization, µop engine) against the
+/// naive-replay oracle, both sequential on the default machine, plus the
+/// default executor's telemetry-enabled twin. The default timings reset
+/// the memo before every sample so they measure a cold-cache campaign,
+/// not a warm replay.
+struct BenchRow {
     workload: String,
     domain: String,
     experiments: u64,
     golden_cycles: u64,
     naive_secs: f64,
-    fork_secs: f64,
-    converge_secs: f64,
-    memo_secs: f64,
-    memo2_secs: f64,
-    blocks_secs: f64,
+    default_secs: f64,
     naive_exp_per_sec: f64,
-    fork_exp_per_sec: f64,
-    converge_exp_per_sec: f64,
-    memo_exp_per_sec: f64,
-    memo2_exp_per_sec: f64,
-    blocks_exp_per_sec: f64,
-    speedup_fork_vs_naive: f64,
-    speedup_converge_vs_naive: f64,
-    speedup_memo_vs_naive: f64,
-    speedup_memo2_vs_naive: f64,
-    speedup_memo2_vs_memo: f64,
-    speedup_blocks_vs_naive: f64,
-    speedup_blocks_vs_memo: f64,
+    default_exp_per_sec: f64,
+    speedup_default_vs_naive: f64,
     pristine_cycles: u64,
     faulted_cycles: u64,
     converged_early: u64,
@@ -89,39 +73,24 @@ struct AblationRow {
     memo_misses: u64,
     memo_hit_rate: f64,
     memoized_cycles_saved: u64,
-    memo2_gate_shards_on: u64,
-    memo2_gate_shards_off: u64,
-    memo2_memo_hit_rate: f64,
+    gate_shards_on: u64,
+    gate_shards_off: u64,
     block_cycles: u64,
     step_cycles: u64,
     block_cycle_fraction: f64,
     telemetry_secs: f64,
     telemetry_overhead_pct: f64,
 }
-sofi::report::impl_to_json!(AblationRow {
+sofi::report::impl_to_json!(BenchRow {
     workload,
     domain,
     experiments,
     golden_cycles,
     naive_secs,
-    fork_secs,
-    converge_secs,
-    memo_secs,
-    memo2_secs,
-    blocks_secs,
+    default_secs,
     naive_exp_per_sec,
-    fork_exp_per_sec,
-    converge_exp_per_sec,
-    memo_exp_per_sec,
-    memo2_exp_per_sec,
-    blocks_exp_per_sec,
-    speedup_fork_vs_naive,
-    speedup_converge_vs_naive,
-    speedup_memo_vs_naive,
-    speedup_memo2_vs_naive,
-    speedup_memo2_vs_memo,
-    speedup_blocks_vs_naive,
-    speedup_blocks_vs_memo,
+    default_exp_per_sec,
+    speedup_default_vs_naive,
     pristine_cycles,
     faulted_cycles,
     converged_early,
@@ -131,9 +100,8 @@ sofi::report::impl_to_json!(AblationRow {
     memo_misses,
     memo_hit_rate,
     memoized_cycles_saved,
-    memo2_gate_shards_on,
-    memo2_gate_shards_off,
-    memo2_memo_hit_rate,
+    gate_shards_on,
+    gate_shards_off,
     block_cycles,
     step_cycles,
     block_cycle_fraction,
@@ -174,14 +142,9 @@ fn time_min_pair(samples: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f
     (min_a, min_b)
 }
 
-fn bench_campaign_ablation(_c: &mut Criterion) {
-    // Ablation of the executor optimizations, recorded machine-readably:
-    // naive replay-from-zero vs pristine forking vs forking + golden-state
-    // convergence termination vs all of that + fault-equivalence outcome
-    // memoization (all four on the single-step interpreter, preserving
-    // the PR 2–4 baselines), and finally `+blocks`: the same full stack
-    // executing through the pre-decoded µop engine (the default
-    // configuration). `SOFI_BENCH_SMOKE=1` restricts the sweep to the
+fn bench_campaign_executor(_c: &mut Criterion) {
+    // The default executor against the naive-replay oracle, recorded
+    // machine-readably. `SOFI_BENCH_SMOKE=1` restricts the sweep to the
     // smallest workload so CI can exercise the whole path in seconds.
     let smoke = std::env::var_os("SOFI_BENCH_SMOKE").is_some();
     let workloads = if smoke {
@@ -191,62 +154,14 @@ fn bench_campaign_ablation(_c: &mut Criterion) {
     };
     let samples = if smoke { 3 } else { 5 };
 
-    let stepping_machine = MachineConfig {
-        block_engine: false,
-        ..MachineConfig::default()
-    };
-    println!("campaign/ablation (sequential; times are min of {samples} runs)");
+    println!("campaign/executor (sequential; times are min of {samples} runs)");
     let mut rows = Vec::new();
     for program in workloads {
-        let plain = Campaign::with_config(
-            &program,
-            CampaignConfig {
-                convergence: false,
-                memoization: false,
-                machine: stepping_machine,
-                ..CampaignConfig::sequential()
-            },
-        )
-        .unwrap();
-        let converging = Campaign::with_config(
-            &program,
-            CampaignConfig {
-                memoization: false,
-                machine: stepping_machine,
-                ..CampaignConfig::sequential()
-            },
-        )
-        .unwrap();
-        // `+memo`: memoization v1 semantics — probing unconditionally on
-        // (the adaptive gate disabled), preserving the PR 3 baseline
-        // including its losses on tiny and RAM-heavy workloads.
-        let memoed = Campaign::with_config(
-            &program,
-            CampaignConfig {
-                memo_gate: false,
-                machine: stepping_machine,
-                ..CampaignConfig::sequential()
-            },
-        )
-        .unwrap();
-        // `+memo2`: the same memoization behind the adaptive cost gate
-        // (the default), which switches probing off per shard when its
-        // measured cost cannot pay for itself.
-        let memoed2 = Campaign::with_config(
-            &program,
-            CampaignConfig {
-                machine: stepping_machine,
-                ..CampaignConfig::sequential()
-            },
-        )
-        .unwrap();
-        // The full optimization stack on the block engine — exactly
-        // `CampaignConfig::sequential()`, since the engine is the default.
-        let blocked = Campaign::with_config(&program, CampaignConfig::sequential()).unwrap();
-        // Telemetry-enabled twin of `blocked`: the default executor with
-        // every counter/histogram/span record site live. `blocks_secs`
-        // doubles as the telemetry-disabled baseline — identical config
-        // except for one never-taken branch per record site.
+        let default = Campaign::with_config(&program, CampaignConfig::sequential()).unwrap();
+        // Telemetry-enabled twin of `default`: every counter, histogram
+        // and span record site live. `default_secs` doubles as the
+        // telemetry-disabled baseline — identical config except for one
+        // never-taken branch per record site.
         let telemetered = Campaign::with_config(
             &program,
             CampaignConfig {
@@ -256,37 +171,18 @@ fn bench_campaign_ablation(_c: &mut Criterion) {
         )
         .unwrap();
         for domain in [FaultDomain::Memory, FaultDomain::RegisterFile] {
-            let experiments = &plain.plan_for(domain).experiments;
+            let experiments = &default.plan_for(domain).experiments;
             let naive_secs = time_min(samples, || {
-                drop(plain.run_experiments_naive(domain, experiments))
-            });
-            let fork_secs = time_min(samples, || {
-                drop(plain.run_experiments_stats(domain, experiments))
-            });
-            let converge_secs = time_min(samples, || {
-                drop(converging.run_experiments_stats(domain, experiments))
+                drop(default.run_experiments_naive(domain, experiments))
             });
             // Cold-cache timings, interleaved: the memo survives between
             // samples (and between domains) otherwise, which would
-            // measure a warm replay instead of a fresh campaign — and
-            // the `+memo2` guard below compares these two figures, so
-            // they must not be biased by when each happened to run.
-            let (memo_secs, memo2_secs) = time_min_pair(
+            // measure a warm replay instead of a fresh campaign.
+            let (default_secs, telemetry_secs) = time_min_pair(
                 samples,
                 || {
-                    memoed.reset_memo();
-                    drop(memoed.run_experiments_stats(domain, experiments))
-                },
-                || {
-                    memoed2.reset_memo();
-                    drop(memoed2.run_experiments_stats(domain, experiments))
-                },
-            );
-            let (blocks_secs, telemetry_secs) = time_min_pair(
-                samples,
-                || {
-                    blocked.reset_memo();
-                    drop(blocked.run_experiments_stats(domain, experiments))
+                    default.reset_memo();
+                    drop(default.run_experiments_stats(domain, experiments))
                 },
                 || {
                     telemetered.reset_memo();
@@ -299,19 +195,16 @@ fn bench_campaign_ablation(_c: &mut Criterion) {
             // show double-digit swings between back-to-back identical
             // runs); the 10ms absolute slack keeps sub-millisecond smoke
             // workloads (where 5% is far below timer noise) meaningful.
-            let overhead_budget = blocks_secs * 1.05 + 0.010;
+            let overhead_budget = default_secs * 1.05 + 0.010;
             assert!(
                 telemetry_secs <= overhead_budget,
                 "telemetry overhead guard: {} {:?} enabled {telemetry_secs:.4}s vs \
-                 disabled {blocks_secs:.4}s (budget {overhead_budget:.4}s)",
+                 disabled {default_secs:.4}s (budget {overhead_budget:.4}s)",
                 program.name,
                 domain,
             );
-            let (_, stats) = converging.run_experiments_stats(domain, experiments);
-            memoed.reset_memo();
-            let (_, memo_stats) = memoed.run_experiments_stats(domain, experiments);
-            memoed2.reset_memo();
-            let (_, memo2_stats) = memoed2.run_experiments_stats(domain, experiments);
+            default.reset_memo();
+            let (_, stats) = default.run_experiments_stats(domain, experiments);
             // Engine dispatch mix, accumulated by the telemetered twin
             // across its timed samples (evidence that faulted work
             // actually retires through the µop loop).
@@ -320,42 +213,27 @@ fn bench_campaign_ablation(_c: &mut Criterion) {
             let step_cycles = engine.counter(sofi::campaign::telemetry_names::STEP_CYCLES);
 
             let n = experiments.len() as f64;
-            let row = AblationRow {
+            let row = BenchRow {
                 workload: program.name.clone(),
                 domain: format!("{domain:?}"),
                 experiments: experiments.len() as u64,
-                golden_cycles: converging.golden().cycles,
+                golden_cycles: default.golden().cycles,
                 naive_secs,
-                fork_secs,
-                converge_secs,
-                memo_secs,
-                memo2_secs,
-                blocks_secs,
+                default_secs,
                 naive_exp_per_sec: n / naive_secs,
-                fork_exp_per_sec: n / fork_secs,
-                converge_exp_per_sec: n / converge_secs,
-                memo_exp_per_sec: n / memo_secs,
-                memo2_exp_per_sec: n / memo2_secs,
-                blocks_exp_per_sec: n / blocks_secs,
-                speedup_fork_vs_naive: naive_secs / fork_secs,
-                speedup_converge_vs_naive: naive_secs / converge_secs,
-                speedup_memo_vs_naive: naive_secs / memo_secs,
-                speedup_memo2_vs_naive: naive_secs / memo2_secs,
-                speedup_memo2_vs_memo: memo_secs / memo2_secs,
-                speedup_blocks_vs_naive: naive_secs / blocks_secs,
-                speedup_blocks_vs_memo: memo_secs / blocks_secs,
+                default_exp_per_sec: n / default_secs,
+                speedup_default_vs_naive: naive_secs / default_secs,
                 pristine_cycles: stats.pristine_cycles,
                 faulted_cycles: stats.faulted_cycles,
                 converged_early: stats.converged_early,
                 faulted_cycles_saved: stats.faulted_cycles_saved,
                 early_termination_rate: stats.early_termination_rate(),
-                memo_hits: memo_stats.memo_hits,
-                memo_misses: memo_stats.memo_misses,
-                memo_hit_rate: memo_stats.memo_hit_rate(),
-                memoized_cycles_saved: memo_stats.memoized_cycles_saved,
-                memo2_gate_shards_on: memo2_stats.gate_shards_on,
-                memo2_gate_shards_off: memo2_stats.gate_shards_off,
-                memo2_memo_hit_rate: memo2_stats.memo_hit_rate(),
+                memo_hits: stats.memo_hits,
+                memo_misses: stats.memo_misses,
+                memo_hit_rate: stats.memo_hit_rate(),
+                memoized_cycles_saved: stats.memoized_cycles_saved,
+                gate_shards_on: stats.gate_shards_on,
+                gate_shards_off: stats.gate_shards_off,
                 block_cycles,
                 step_cycles,
                 block_cycle_fraction: if block_cycles + step_cycles > 0 {
@@ -364,65 +242,29 @@ fn bench_campaign_ablation(_c: &mut Criterion) {
                     0.0
                 },
                 telemetry_secs,
-                telemetry_overhead_pct: (telemetry_secs / blocks_secs - 1.0) * 100.0,
+                telemetry_overhead_pct: (telemetry_secs / default_secs - 1.0) * 100.0,
             };
-            // Gated-memoization guard, both halves of ROADMAP item 2:
-            // the gate must eliminate the v1 losses (hi-class tiny
-            // workloads, RAM-heavy plans with short tails) without
-            // giving up the wins. ≥0.9× naive everywhere, and strictly
-            // faster than ungated `+memo` wherever v1 lost to naive.
-            // The 10ms absolute slack keeps sub-millisecond smoke
-            // workloads (where timer noise dwarfs 10%) meaningful.
+            // The default path must never lose to the oracle it replaces:
+            // ≥0.9× naive everywhere. The 10ms absolute slack keeps
+            // sub-millisecond smoke workloads (where timer noise dwarfs
+            // 10%) meaningful.
             assert!(
-                row.memo2_secs <= row.naive_secs / 0.9 + 0.010,
-                "memo2 bench guard: {} {} gated memo {:.4}s is below 0.9x naive ({:.4}s)",
+                row.default_secs <= row.naive_secs / 0.9 + 0.010,
+                "executor bench guard: {} {} default {:.4}s is below 0.9x naive ({:.4}s)",
                 row.workload,
                 row.domain,
-                row.memo2_secs,
+                row.default_secs,
                 row.naive_secs,
             );
-            if row.speedup_memo_vs_naive < 1.0 {
-                assert!(
-                    row.memo2_secs < row.memo_secs + 0.010,
-                    "memo2 bench guard: {} {} is a workload where ungated memo loses \
-                     ({:.2}x naive) but gated memo did not beat it ({:.4}s vs {:.4}s)",
-                    row.workload,
-                    row.domain,
-                    row.speedup_memo_vs_naive,
-                    row.memo2_secs,
-                    row.memo_secs,
-                );
-            }
             println!(
-                "  {:<12} {:<12} naive {:>9.1} exp/s  fork {:>9.1} exp/s  converge {:>9.1} exp/s  \
-                 +memo {:>9.1} exp/s  +memo2 {:>9.1} exp/s  +blocks {:>9.1} exp/s  \
-                 ({:.2}x / {:.2}x / {:.2}x / {:.2}x / {:.2}x, blocks vs memo {:.2}x)",
+                "  {:<12} {:<12} naive {:>9.1} exp/s  default {:>9.1} exp/s ({:.2}x), \
+                 gate {}",
                 row.workload,
                 row.domain,
                 row.naive_exp_per_sec,
-                row.fork_exp_per_sec,
-                row.converge_exp_per_sec,
-                row.memo_exp_per_sec,
-                row.memo2_exp_per_sec,
-                row.blocks_exp_per_sec,
-                row.speedup_fork_vs_naive,
-                row.speedup_converge_vs_naive,
-                row.speedup_memo_vs_naive,
-                row.speedup_memo2_vs_naive,
-                row.speedup_blocks_vs_naive,
-                row.speedup_blocks_vs_memo,
-            );
-            println!(
-                "  {:<12} {:<12} memo2 gate: {} (memo2 vs memo {:.2}x, {:.0}% hits when probing)",
-                row.workload,
-                row.domain,
-                if row.memo2_gate_shards_off > 0 {
-                    "off"
-                } else {
-                    "on"
-                },
-                row.speedup_memo2_vs_memo,
-                row.memo2_memo_hit_rate * 100.0,
+                row.default_exp_per_sec,
+                row.speedup_default_vs_naive,
+                if row.gate_shards_off > 0 { "off" } else { "on" },
             );
             println!(
                 "  {:<12} {:<12} {:.0}% early, {:.0}% memo hits, {:.0}% µop cycles, \
@@ -447,6 +289,6 @@ criterion_group!(
     bench_full_scan,
     bench_parallelism,
     bench_brute_force,
-    bench_campaign_ablation
+    bench_campaign_executor
 );
 criterion_main!(benches);

@@ -3,7 +3,7 @@
 //! corollaries — re-estimated from sampling with *different* sample sizes
 //! per variant (extrapolation makes them comparable anyway).
 
-use sofi::campaign::{Campaign, SamplingMode};
+use sofi::campaign::{Campaign, FaultDomain, SamplingMode};
 use sofi::metrics::{compare_failures, exact_failures, extrapolated_failures};
 use sofi::report::Table;
 use sofi_bench::save_artifact;
@@ -35,8 +35,8 @@ fn main() {
         eprintln!("evaluating {name} ...");
         let cb = Campaign::new(&base).expect("golden run");
         let ch = Campaign::new(&hard).expect("golden run");
-        let (fb, sb_stats) = cb.run_full_defuse_stats();
-        let (fh, sh_stats) = ch.run_full_defuse_stats();
+        let (fb, sb_stats) = cb.run_plan_stats(FaultDomain::Memory, cb.plan());
+        let (fh, sh_stats) = ch.run_plan_stats(FaultDomain::Memory, ch.plan());
         exec_rows.push((format!("{name} (base)"), sb_stats));
         exec_rows.push((format!("{name} (hard)"), sh_stats));
         let exact = compare_failures(&exact_failures(&fb), &exact_failures(&fh));

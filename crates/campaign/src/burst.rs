@@ -22,7 +22,6 @@ use sofi_space::{ClassIndex, ClassRef, FaultCoord};
 
 /// Result of a burst-fault sampling campaign.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BurstSampledResult {
     /// Benchmark name.
     pub benchmark: String,

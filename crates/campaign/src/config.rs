@@ -14,37 +14,6 @@ pub struct CampaignConfig {
     /// Constant slack added to the cycle budget (covers very short
     /// benchmarks where a small absolute overrun is plausible).
     pub timeout_slack: u64,
-    /// Early-terminate faulted runs that converge back onto a pristine
-    /// checkpoint (see `Campaign::run_experiments_stats`). Outcomes are
-    /// provably identical either way; the knob exists for ablation
-    /// benchmarks and for debugging the executor itself.
-    pub convergence: bool,
-    /// Memoize experiment outcomes by post-injection architectural state
-    /// (dynamic fault equivalence): two injections producing the same
-    /// machine state at the same cycle must — on a deterministic machine
-    /// — have the same outcome, so the second is recorded from the
-    /// per-campaign cache without simulating. Lookups and insertions
-    /// also happen at every pristine-checkpoint crossing, so runs that
-    /// converge *into* an already-explored trajectory hit too. Outcomes
-    /// are provably identical either way (oracle:
-    /// `tests/memoization_oracle.rs`); the knob exists for ablation and
-    /// debugging, like [`CampaignConfig::convergence`].
-    pub memoization: bool,
-    /// Adaptively disable memo probing per worker shard when it cannot
-    /// pay for itself (the cost-model gate). Probing costs one state
-    /// digest plus a shared-map lookup at the injection point and at
-    /// every checkpoint crossing; it pays back only when enough lookups
-    /// hit and each hit skips a long enough simulation tail. The gate
-    /// samples both sides at runtime — measured probe latency against
-    /// observed hit savings — and switches probing off for the rest of
-    /// the shard when the cost clearly dominates (plus an a-priori cut
-    /// for programs whose whole runtime is shorter than one probe).
-    /// Outcomes are identical either way (the gate only skips lookups,
-    /// never invents results); decisions are surfaced per shard in
-    /// [`crate::ExecutorStats`] and executor telemetry. On by default;
-    /// the knob exists for ablation (`+memo` vs `+memo2` bench columns)
-    /// and for tests that pin ungated memo mechanics.
-    pub memo_gate: bool,
     /// Record runtime telemetry (`sofi-telemetry` counters, histograms
     /// and phase spans) while the campaign runs. Off by default: the
     /// disabled registry hands out no-op handles, so the executor's hot
@@ -60,9 +29,6 @@ impl Default for CampaignConfig {
             threads: 0,
             timeout_factor: 3,
             timeout_slack: 1_000,
-            convergence: true,
-            memoization: true,
-            memo_gate: true,
             telemetry: false,
             machine: MachineConfig::default(),
         }
@@ -99,37 +65,30 @@ impl CampaignConfig {
 
     /// Packs the configuration into a fixed array of words for wire and
     /// journal serialization (`sofi-serve` job specs). [`CampaignConfig::unpack`]
-    /// is the exact inverse; the field order is part of the `sofi-serve`
-    /// protocol version, so append new fields rather than reordering
-    /// (`telemetry` was appended for protocol version 2,
-    /// `machine.block_engine` for version 3, `memo_gate` for version 4).
-    pub fn pack(&self) -> [u64; 9] {
+    /// is its inverse on these words; the field order is part of the
+    /// `sofi-serve` protocol version. Only fields a client chooses travel:
+    /// [`MachineConfig::block_engine`] is an in-process hook for the
+    /// engine oracles, so it is not packed and unpacks to the default.
+    pub fn pack(&self) -> [u64; 5] {
         [
             self.threads as u64,
             self.timeout_factor,
             self.timeout_slack,
-            u64::from(self.convergence),
-            u64::from(self.memoization),
             self.machine.serial_limit as u64,
             u64::from(self.telemetry),
-            u64::from(self.machine.block_engine),
-            u64::from(self.memo_gate),
         ]
     }
 
     /// Rebuilds a configuration from [`CampaignConfig::pack`]ed words.
-    pub fn unpack(words: [u64; 9]) -> CampaignConfig {
+    pub fn unpack(words: [u64; 5]) -> CampaignConfig {
         CampaignConfig {
             threads: words[0] as usize,
             timeout_factor: words[1],
             timeout_slack: words[2],
-            convergence: words[3] != 0,
-            memoization: words[4] != 0,
-            memo_gate: words[8] != 0,
-            telemetry: words[6] != 0,
+            telemetry: words[4] != 0,
             machine: MachineConfig {
-                serial_limit: words[5] as usize,
-                block_engine: words[7] != 0,
+                serial_limit: words[3] as usize,
+                ..MachineConfig::default()
             },
         }
     }
@@ -166,18 +125,23 @@ mod tests {
                 threads: 7,
                 timeout_factor: 9,
                 timeout_slack: 123,
-                convergence: false,
-                memoization: false,
-                memo_gate: false,
                 telemetry: true,
                 machine: MachineConfig {
                     serial_limit: 42,
-                    block_engine: false,
+                    ..MachineConfig::default()
                 },
             },
         ];
         for c in configs {
             assert_eq!(CampaignConfig::unpack(c.pack()), c);
         }
+    }
+
+    #[test]
+    fn block_engine_stays_off_the_wire() {
+        let mut stepping = CampaignConfig::default();
+        stepping.machine.block_engine = false;
+        assert_eq!(stepping.pack(), CampaignConfig::default().pack());
+        assert!(CampaignConfig::unpack(stepping.pack()).machine.block_engine);
     }
 }

@@ -20,7 +20,7 @@ use std::time::Instant;
 const GOLDEN_CYCLE_LIMIT: u64 = 50_000_000;
 
 /// Instrumentation from one executor invocation, used by scheduling
-/// regression tests, the ablation benches, and the EXPERIMENTS.md bench
+/// regression tests, the campaign bench, and the EXPERIMENTS.md bench
 /// evidence.
 ///
 /// `pristine_cycles` counts only forward simulation of *pristine*
@@ -64,8 +64,7 @@ pub struct ExecutorStats {
     pub memoized_cycles_saved: u64,
     /// Worker shards that finished with memo probing still enabled (the
     /// cost-model gate judged probing profitable, or
-    /// [`CampaignConfig::memo_gate`] is off). Counted only when
-    /// memoization itself is on.
+    /// [`Campaign::set_memo_harvest`] locked it on).
     pub gate_shards_on: u64,
     /// Worker shards where the cost-model gate disabled memo probing —
     /// a priori (program too short for a probe to ever pay) or after
@@ -88,8 +87,7 @@ impl ExecutorStats {
         }
     }
 
-    /// Fraction of memo lookups that hit (`0.0` when memoization never
-    /// ran).
+    /// Fraction of memo lookups that hit (`0.0` when no lookup ran).
     pub fn memo_hit_rate(&self) -> f64 {
         let lookups = self.memo_hits + self.memo_misses;
         if lookups == 0 {
@@ -258,8 +256,7 @@ pub struct Campaign {
     /// cycle 0, and faulted runs compare against the snapshots to
     /// early-terminate once they have converged back onto the golden run.
     checkpoints: OnceLock<Vec<Checkpoint>>,
-    /// Fault-equivalence outcome memo (see [`MemoCache`]); populated and
-    /// consulted only when [`CampaignConfig::memoization`] is on.
+    /// Fault-equivalence outcome memo (see [`MemoCache`]).
     memo: Arc<MemoCache>,
     /// Set via [`Campaign::set_memo_harvest`] when this campaign feeds a
     /// persistent warm store: the cost gate then keeps probing locked on
@@ -313,8 +310,8 @@ impl WorkerTel {
 
     /// Runs one faulted-run dispatch, latency-sampled (1 in
     /// [`PROBE_SAMPLE`]) into [`names::DISPATCH_NS`] when telemetry is
-    /// enabled — the per-experiment wall-clock the `+blocks` ablation
-    /// drives down.
+    /// enabled — the per-experiment wall-clock the block engine drives
+    /// down.
     fn timed_dispatch(&self, f: impl FnOnce() -> Outcome) -> Outcome {
         if self.dispatch_ns.is_enabled() {
             let tick = self.dispatch_tick.get();
@@ -403,9 +400,8 @@ const GATE_MIN_GOLDEN_CYCLES: u64 = 64;
 /// cost-vs-savings rule (reviews happen at every power of two).
 const GATE_FULL_REVIEW: u64 = 32;
 
-/// Cost-model gate state for one worker shard (see
-/// [`CampaignConfig::memo_gate`]). The gate decides whether memo
-/// probing — one state digest plus a shared-map lookup at the injection
+/// Cost-model gate state for one worker shard. The gate decides whether
+/// memo probing — one state digest plus a shared-map lookup at the injection
 /// point and at every checkpoint crossing — pays for itself on this
 /// shard, by sampling the wall-clock cost of probes and of faulted
 /// simulation and comparing measured probe spend against the simulation
@@ -415,8 +411,8 @@ const GATE_FULL_REVIEW: u64 = 32;
 struct MemoGate {
     /// Memo probing currently enabled for this shard.
     probing: bool,
-    /// The gate is sampling and may still switch probing off. False
-    /// when the gate knob or memoization is off, or after a decision.
+    /// The gate is sampling and may still switch probing off. False in
+    /// harvest mode, after an a-priori cut, or after a decision.
     deciding: bool,
     /// Probes issued so far while probing.
     probes: u64,
@@ -443,21 +439,11 @@ impl MemoGate {
     /// outcome facts a persistent warm store amortizes across future
     /// submissions, so "does probing pay within this one campaign" is
     /// the wrong question to ask.
-    fn new(
-        memoize: bool,
-        adaptive: bool,
-        golden_cycles: u64,
-        warm_cache: bool,
-        harvest: bool,
-    ) -> MemoGate {
-        let a_priori_off = memoize
-            && adaptive
-            && !harvest
-            && !warm_cache
-            && golden_cycles < GATE_MIN_GOLDEN_CYCLES;
+    fn new(golden_cycles: u64, warm_cache: bool, harvest: bool) -> MemoGate {
+        let a_priori_off = !harvest && !warm_cache && golden_cycles < GATE_MIN_GOLDEN_CYCLES;
         MemoGate {
-            probing: memoize && !a_priori_off,
-            deciding: memoize && adaptive && !harvest && !a_priori_off,
+            probing: !a_priori_off,
+            deciding: !harvest && !a_priori_off,
             probes: 0,
             sampled_probe_ns: 0,
             sampled_probes: 0,
@@ -669,26 +655,16 @@ impl Campaign {
         &self.golden
     }
 
-    /// The def/use analysis of the golden run.
+    /// The def/use analysis of the golden run (memory domain; the
+    /// shorthand for `analysis_for(FaultDomain::Memory)`).
     pub fn analysis(&self) -> &DefUseAnalysis {
         &self.analysis
     }
 
-    /// The pruned injection plan (memory domain).
+    /// The pruned injection plan (memory domain; the shorthand for
+    /// `plan_for(FaultDomain::Memory)`).
     pub fn plan(&self) -> &InjectionPlan {
         &self.plan
-    }
-
-    /// The def/use analysis of the register-file fault space (§VI-B:
-    /// `Δt cycles × 480 register bits`, with accesses recorded exactly as
-    /// the datapath performs them).
-    pub fn register_analysis(&self) -> &DefUseAnalysis {
-        &self.reg_analysis
-    }
-
-    /// The pruned injection plan for the register-file domain.
-    pub fn register_plan(&self) -> &InjectionPlan {
-        &self.reg_plan
     }
 
     /// The lazily built (analysis, plan) pair of a control-flow domain.
@@ -715,7 +691,9 @@ impl Campaign {
     }
 
     /// The equivalence analysis for `domain` (def/use for the data
-    /// domains, trace-based for the control-flow domains; the latter are
+    /// domains — the register file's covers `Δt cycles × 480 register
+    /// bits` with accesses recorded exactly as the datapath performs them,
+    /// §VI-B — trace-based for the control-flow domains; the latter are
     /// built lazily on first use).
     pub fn analysis_for(&self, domain: FaultDomain) -> &DefUseAnalysis {
         match domain {
@@ -751,39 +729,24 @@ impl Campaign {
         &self.events
     }
 
-    /// Executes the def/use-pruned full fault-space scan: one experiment
-    /// per equivalence class, covering the entire space exactly.
+    /// Executes the def/use-pruned full scan of the memory fault space:
+    /// one experiment per equivalence class, covering the entire space
+    /// exactly (the shorthand for `run_full_defuse_in(FaultDomain::Memory)`).
     pub fn run_full_defuse(&self) -> CampaignResult {
-        self.run_plan(&self.plan)
+        self.run_full_defuse_in(FaultDomain::Memory)
     }
 
-    /// Executes the full def/use scan of the *register-file* fault space
-    /// (§VI-B). Coordinates are `(cycle, (reg − 1)·32 + bit)` over
-    /// `r1..r15`.
-    pub fn run_full_defuse_registers(&self) -> CampaignResult {
-        self.run_plan_in(FaultDomain::RegisterFile, &self.reg_plan)
-    }
-
-    /// Brute-force scan of the register file (tiny programs only; used to
-    /// validate register-domain pruning).
-    pub fn run_brute_force_registers(&self) -> CampaignResult {
-        let plan = InjectionPlan::full_scan(self.reg_analysis.space);
-        self.run_plan_in(FaultDomain::RegisterFile, &plan)
-    }
-
-    /// Executes a brute-force scan: one experiment for *every* raw
-    /// coordinate, no pruning. Exponentially more experiments than
-    /// [`Campaign::run_full_defuse`] — only for tiny programs and for
-    /// validating that pruning is outcome-preserving.
+    /// Executes a brute-force scan of the memory fault space: one
+    /// experiment for *every* raw coordinate, no pruning. Exponentially
+    /// more experiments than [`Campaign::run_full_defuse`] — only for tiny
+    /// programs and for validating that pruning is outcome-preserving.
     pub fn run_brute_force(&self) -> CampaignResult {
-        let plan = InjectionPlan::full_scan(self.analysis.space);
-        self.run_plan(&plan)
+        self.run_brute_force_in(FaultDomain::Memory)
     }
 
-    /// Executes the pruned full scan of `domain`'s fault space (the
-    /// generic form of [`Campaign::run_full_defuse`] /
-    /// [`Campaign::run_full_defuse_registers`], covering the control-flow
-    /// domains too).
+    /// Executes the pruned full scan of `domain`'s fault space. Register
+    /// file coordinates are `(cycle, (reg − 1)·32 + bit)` over `r1..r15`
+    /// (§VI-B).
     pub fn run_full_defuse_in(&self, domain: FaultDomain) -> CampaignResult {
         self.run_plan_in(domain, self.plan_for(domain))
     }
@@ -795,12 +758,6 @@ impl Campaign {
     pub fn run_brute_force_in(&self, domain: FaultDomain) -> CampaignResult {
         let plan = InjectionPlan::full_scan(self.analysis_for(domain).space);
         self.run_plan_in(domain, &plan)
-    }
-
-    /// Executes an arbitrary plan against this campaign's program
-    /// (memory-domain injections).
-    pub fn run_plan(&self, plan: &InjectionPlan) -> CampaignResult {
-        self.run_plan_in(FaultDomain::Memory, plan)
     }
 
     /// Executes an arbitrary plan with injections into the given domain.
@@ -842,25 +799,9 @@ impl Campaign {
         }
     }
 
-    /// [`Campaign::run_full_defuse`] plus executor instrumentation.
-    pub fn run_full_defuse_stats(&self) -> (CampaignResult, ExecutorStats) {
-        self.run_plan_stats(FaultDomain::Memory, &self.plan)
-    }
-
-    /// [`Campaign::run_full_defuse_registers`] plus executor
-    /// instrumentation.
-    pub fn run_full_defuse_registers_stats(&self) -> (CampaignResult, ExecutorStats) {
-        self.run_plan_stats(FaultDomain::RegisterFile, &self.reg_plan)
-    }
-
-    /// Executes a list of memory-domain experiments (any order) and
-    /// returns their outcomes (unordered; callers sort as needed).
-    pub fn run_experiments(&self, experiments: &[Experiment]) -> Vec<ExperimentResult> {
-        self.run_experiments_in(FaultDomain::Memory, experiments)
-    }
-
-    /// Executes a list of experiments with injections into the given
-    /// domain.
+    /// Executes a list of experiments (any order) with injections into
+    /// the given domain and returns their outcomes (unordered; callers
+    /// sort as needed).
     pub fn run_experiments_in(
         &self,
         domain: FaultDomain,
@@ -879,23 +820,22 @@ impl Campaign {
     /// therefore stays within a small factor of the sequential executor
     /// instead of growing linearly with the worker count.
     ///
-    /// When [`CampaignConfig::convergence`] is on (the default), each
-    /// faulted run additionally pauses at every pristine checkpoint cycle
-    /// it crosses and compares its architectural state against the stored
+    /// Each faulted run pauses at every pristine checkpoint cycle it
+    /// crosses and compares its architectural state against the stored
     /// snapshot ([`Machine::converged_with`]): on a match the rest of the
     /// run is provably identical to golden, so the outcome is classified
     /// immediately instead of simulating the tail.
     ///
-    /// When [`CampaignConfig::memoization`] is on (the default), each
-    /// experiment's post-injection state digest is additionally looked up
-    /// in the campaign's fault-equivalence memo — two injections that
-    /// produce the identical architectural state at the same cycle have
-    /// the identical outcome on a deterministic machine, so the second
-    /// one is free. Lookups and insertions also happen at every
-    /// checkpoint crossing, so runs converging *into* an explored
-    /// trajectory hit mid-flight. Results are `assert_eq!`-identical to
-    /// [`Campaign::run_experiments_naive`] with any combination of the
-    /// two knobs.
+    /// Each experiment's post-injection state digest is also looked up in
+    /// the campaign's fault-equivalence memo — two injections that produce
+    /// the identical architectural state at the same cycle have the
+    /// identical outcome on a deterministic machine, so the second one is
+    /// free. Lookups and insertions also happen at every checkpoint
+    /// crossing, so runs converging *into* an explored trajectory hit
+    /// mid-flight; the per-shard cost gate ([`MemoGate`]) skips probing
+    /// where it cannot pay. Results are `assert_eq!`-identical to
+    /// [`Campaign::run_experiments_naive`] (`tests/convergence_oracle.rs`,
+    /// `tests/memoization_oracle.rs`).
     pub fn run_experiments_stats(
         &self,
         domain: FaultDomain,
@@ -905,12 +845,7 @@ impl Campaign {
             .config
             .effective_threads()
             .min(experiments.len().max(1));
-        let checkpoints: &[Checkpoint] =
-            if self.config.convergence || self.config.memoization || threads > 1 {
-                self.checkpoints()
-            } else {
-                &[]
-            };
+        let checkpoints = self.checkpoints();
         if threads <= 1 {
             let tel = WorkerTel::new(&self.telemetry);
             return self.run_worker(
@@ -978,18 +913,12 @@ impl Campaign {
     /// over the golden access traces) and is amortized over every
     /// subsequent run. Convergence termination wants a reasonably dense
     /// grid (a faulted run keeps simulating until the next checkpoint
-    /// even after its fault is masked), so the count floors at 64 when
-    /// the optimization is enabled; snapshots are cheap because RAM pages
-    /// are copy-on-write shared between them.
+    /// even after its fault is masked), so the count floors at 64;
+    /// snapshots are cheap because RAM pages are copy-on-write shared
+    /// between them. Building them also pre-seeds the memo.
     fn checkpoints(&self) -> &[Checkpoint] {
         self.checkpoints.get_or_init(|| {
-            let base = 8 * self.config.effective_threads() as u64;
-            let floor = if self.config.convergence || self.config.memoization {
-                64
-            } else {
-                16
-            };
-            let count = base.clamp(floor, 256);
+            let count = (8 * self.config.effective_threads() as u64).clamp(64, 256);
             let spacing = (self.golden.cycles / count).max(1);
             let mut machine = self.fresh_machine();
             let mut snapshots = Vec::new();
@@ -1016,9 +945,7 @@ impl Campaign {
                     digest,
                 })
                 .collect();
-            if self.config.memoization {
-                self.seed_memo(&checkpoints);
-            }
+            self.seed_memo(&checkpoints);
             checkpoints
         })
     }
@@ -1048,8 +975,7 @@ impl Campaign {
     /// runs included, because the probes' outcome facts are exported
     /// ([`Campaign::export_memo`]) and amortized across future
     /// submissions over the same context — even when probing cannot pay
-    /// for itself within this single campaign. No-op when
-    /// [`CampaignConfig::memoization`] is off.
+    /// for itself within this single campaign.
     pub fn set_memo_harvest(&self) {
         self.memo_harvest.store(true, Ordering::Relaxed);
     }
@@ -1082,13 +1008,13 @@ impl Campaign {
     /// [`Campaign::export_memo`]) into the memo. Existing entries win;
     /// preloaded entries are tagged [`MemoOrigin::Store`] so hits on
     /// them are counted separately ([`ExecutorStats::store_hits`]) and
-    /// they are not re-exported. No-op when memoization is off.
+    /// they are not re-exported.
     ///
     /// Soundness is the caller's contract: records must come from a
     /// campaign over the same program, event schedule, cycle budget and
     /// serial limit (the daemon keys its store by exactly that context).
     pub fn preload_memo(&self, records: &[MemoRecord]) {
-        if !self.config.memoization || records.is_empty() {
+        if records.is_empty() {
             return;
         }
         let mut map = self.memo.entries.lock().unwrap();
@@ -1103,13 +1029,11 @@ impl Campaign {
 
     /// Clears the fault-equivalence memo (re-seeding the pristine
     /// checkpoint states). Outcomes never depend on cache contents; this
-    /// exists so ablation benchmarks can time cold-cache campaigns.
+    /// exists so benchmarks and oracles can run cold-cache campaigns.
     pub fn reset_memo(&self) {
         self.memo.clear();
-        if self.config.memoization {
-            if let Some(checkpoints) = self.checkpoints.get() {
-                self.seed_memo(checkpoints);
-            }
+        if let Some(checkpoints) = self.checkpoints.get() {
+            self.seed_memo(checkpoints);
         }
     }
 
@@ -1169,9 +1093,10 @@ impl Campaign {
 
     /// Naive reference executor: replays every experiment from cycle 0
     /// instead of forking a forward-running pristine machine. Costs
-    /// `O(Σ cycle_i)` extra work — kept as the ablation baseline for the
-    /// fork optimization (`benches/campaign.rs`) and as an oracle in
-    /// tests; results are identical by construction.
+    /// `O(Σ cycle_i)` extra work, with no checkpoint, convergence or memo
+    /// involved — the single oracle every executor optimization is held
+    /// to (`tests/*_oracle.rs`) and the baseline of
+    /// `benches/campaign.rs`.
     pub fn run_experiments_naive(
         &self,
         domain: FaultDomain,
@@ -1221,8 +1146,6 @@ impl Campaign {
         // any program length).
         let warm_cache = self.memo.len() > checkpoints.len();
         let mut gate = MemoGate::new(
-            self.config.memoization,
-            self.config.memo_gate,
             self.golden.cycles,
             warm_cache,
             self.memo_harvest.load(Ordering::Relaxed),
@@ -1252,7 +1175,7 @@ impl Campaign {
                 "golden-derived plan outlived the program (cycle {})",
                 e.coord.cycle
             );
-            if self.config.memoization && gate.probing {
+            if gate.probing {
                 // Warm the pristine machine's page-hash cache so the
                 // fork's injection-point digest below only re-hashes the
                 // page the bit-flip dirties (none, for register faults).
@@ -1285,12 +1208,10 @@ impl Campaign {
                 outcome,
             });
         }
-        if self.config.memoization {
-            if gate.probing {
-                stats.gate_shards_on = 1;
-            } else {
-                stats.gate_shards_off = 1;
-            }
+        if gate.probing {
+            stats.gate_shards_on = 1;
+        } else {
+            stats.gate_shards_off = 1;
         }
         tel.flush(&stats, &block_totals);
         shard_span.finish();
@@ -1299,7 +1220,7 @@ impl Campaign {
 
     /// Runs one faulted machine to its classification.
     ///
-    /// With convergence enabled, the run pauses at every pristine
+    /// The run pauses at every pristine
     /// checkpoint cycle it crosses. If the faulted machine's architectural
     /// state matches the snapshot there ([`Machine::converged_with`]),
     /// determinism makes the remaining tail identical to the golden run:
@@ -1319,7 +1240,7 @@ impl Campaign {
     /// again) are excluded, so faults that simply go dormant for the rest
     /// of the run also terminate early.
     ///
-    /// With memoization enabled, the run first looks up its
+    /// While the shard's gate keeps probing on, the run first looks up its
     /// post-injection `(cycle, state digest)` in the campaign memo and
     /// returns the cached outcome on a hit; on a miss it simulates,
     /// repeating the lookup at every checkpoint crossing (before the
@@ -1339,7 +1260,7 @@ impl Campaign {
         // The cost-model gate masks memoization for the rest of the
         // shard once probing demonstrably cannot pay (see [`MemoGate`]);
         // a gated-off run neither looks up nor records trajectories.
-        let memoize = self.config.memoization && gate.probing;
+        let memoize = gate.probing;
         // State digests this run passes through; on completion every one
         // of them maps to the run's outcome, so later injections that
         // converge *into* this trajectory hit at their next checkpoint.
@@ -1364,7 +1285,7 @@ impl Campaign {
         // Early termination is only sound if a converged run's tail — the
         // rest of the golden run — fits the budget; with any sane timeout
         // configuration it does (budget ≥ golden runtime).
-        if (self.config.convergence || memoize) && self.golden.cycles <= budget {
+        if self.golden.cycles <= budget {
             let first = checkpoints.partition_point(|c| c.machine.cycle() <= m.cycle());
             for ckpt in &checkpoints[first..] {
                 if let Some(status) = m.run_to(ckpt.machine.cycle()) {
@@ -1409,7 +1330,7 @@ impl Campaign {
                     }
                     waypoints.push(key);
                 }
-                if self.config.convergence && m.converged_with_masked(&ckpt.machine, &ckpt.mask) {
+                if m.converged_with_masked(&ckpt.machine, &ckpt.mask) {
                     stats.faulted_cycles += m.cycle() - start_cycle;
                     tel.faulted_run_cycles.record(m.cycle() - start_cycle);
                     stats.converged_early += 1;
@@ -1566,7 +1487,7 @@ mod tests {
     #[test]
     fn naive_replay_agrees_with_forking_executor() {
         let c = Campaign::with_config(&hi_program(), CampaignConfig::sequential()).unwrap();
-        let fast = c.run_experiments(&c.plan().experiments);
+        let fast = c.run_experiments_in(FaultDomain::Memory, &c.plan().experiments);
         let naive = c.run_experiments_naive(crate::FaultDomain::Memory, &c.plan().experiments);
         assert_eq!(fast, naive);
     }
@@ -1606,15 +1527,16 @@ mod tests {
             "memory plan too small ({}) to exercise chunking",
             seq.plan().experiments.len()
         );
+        let registers = FaultDomain::RegisterFile;
         assert!(
-            seq.register_plan().experiments.len() >= 64,
+            seq.plan_for(registers).experiments.len() >= 64,
             "register plan too small ({}) to exercise chunking",
-            seq.register_plan().experiments.len()
+            seq.plan_for(registers).experiments.len()
         );
         assert_eq!(seq.run_full_defuse(), par.run_full_defuse());
         assert_eq!(
-            seq.run_full_defuse_registers(),
-            par.run_full_defuse_registers()
+            seq.run_full_defuse_in(registers),
+            par.run_full_defuse_in(registers)
         );
     }
 
@@ -1696,49 +1618,18 @@ mod tests {
     fn convergence_agrees_with_naive_and_saves_work() {
         for domain in [FaultDomain::Memory, FaultDomain::RegisterFile] {
             let p = sofi_workloads::fib(sofi_workloads::Variant::Baseline);
-            // Memoization off on both sides: this test isolates the
-            // convergence optimization against the plain fork executor.
-            let with = Campaign::with_config(
-                &p,
-                CampaignConfig {
-                    memoization: false,
-                    ..CampaignConfig::sequential()
-                },
-            )
-            .unwrap();
-            let without = Campaign::with_config(
-                &p,
-                CampaignConfig {
-                    convergence: false,
-                    memoization: false,
-                    ..CampaignConfig::sequential()
-                },
-            )
-            .unwrap();
-            let experiments = with.plan_for(domain).experiments.clone();
-
-            let naive = with.run_experiments_naive(domain, &experiments);
-            let (converged, on_stats) = with.run_experiments_stats(domain, &experiments);
-            let (plain, off_stats) = without.run_experiments_stats(domain, &experiments);
-            assert_eq!(converged, naive, "{domain:?}: convergence changed outcomes");
-            assert_eq!(plain, naive, "{domain:?}: fork executor changed outcomes");
-
-            assert_eq!(off_stats.converged_early, 0);
-            assert_eq!(off_stats.faulted_cycles_saved, 0);
+            let c = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
+            let experiments = c.plan_for(domain).experiments.clone();
+            let naive = c.run_experiments_naive(domain, &experiments);
+            let (results, stats) = c.run_experiments_stats(domain, &experiments);
+            assert_eq!(results, naive, "{domain:?}: convergence changed outcomes");
             assert!(
-                on_stats.converged_early > 0,
-                "{domain:?}: no experiment converged early"
+                stats.converged_early > 0,
+                "{domain:?}: no experiment converged early ({stats:?})"
             );
-            assert!(on_stats.faulted_cycles_saved > 0);
-            assert!(
-                on_stats.faulted_cycles < off_stats.faulted_cycles,
-                "{domain:?}: convergence did not reduce faulted simulation \
-                 ({} vs {})",
-                on_stats.faulted_cycles,
-                off_stats.faulted_cycles
-            );
-            assert!(on_stats.early_termination_rate() > 0.0);
-            assert_eq!(on_stats.experiments, experiments.len() as u64);
+            assert!(stats.faulted_cycles_saved > 0);
+            assert!(stats.early_termination_rate() > 0.0);
+            assert_eq!(stats.experiments, experiments.len() as u64);
         }
     }
 
@@ -1774,17 +1665,10 @@ mod tests {
 
     #[test]
     fn memoized_executor_agrees_with_naive_and_hits() {
-        // Memoization alone (convergence off, so the memo is the only
-        // early-termination mechanism).
+        // The memo lookup precedes the convergence comparison at every
+        // checkpoint crossing, so collapsing trajectories resolve as hits.
         let p = scrub_program();
-        let c = Campaign::with_config(
-            &p,
-            CampaignConfig {
-                convergence: false,
-                ..CampaignConfig::sequential()
-            },
-        )
-        .unwrap();
+        let c = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
         let experiments = c.plan().experiments.clone();
         let naive = c.run_experiments_naive(FaultDomain::Memory, &experiments);
         let (results, stats) = c.run_experiments_stats(FaultDomain::Memory, &experiments);
@@ -1811,52 +1695,11 @@ mod tests {
         assert_eq!(warm.memo_misses, 0);
         assert_eq!(warm.faulted_cycles, 0, "warm cache: zero simulation");
 
-        // reset_memo restores cold-cache behaviour (for ablation timing).
+        // reset_memo restores cold-cache behaviour.
         c.reset_memo();
         let (cold, cold_stats) = c.run_experiments_stats(FaultDomain::Memory, &experiments);
         assert_eq!(cold, naive);
         assert!(cold_stats.memo_misses > 0, "reset did not clear the memo");
-    }
-
-    #[test]
-    fn memoization_composes_with_convergence() {
-        // Both optimizations on (the default): results still match naive
-        // replay, and the memo lookup ordering (before the convergence
-        // comparison) still produces hits.
-        let p = scrub_program();
-        let c = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
-        for domain in [FaultDomain::Memory, FaultDomain::RegisterFile] {
-            let experiments = c.plan_for(domain).experiments.clone();
-            let naive = c.run_experiments_naive(domain, &experiments);
-            let (results, stats) = c.run_experiments_stats(domain, &experiments);
-            assert_eq!(
-                results, naive,
-                "{domain:?}: memo+convergence changed outcomes"
-            );
-            assert_eq!(stats.experiments, experiments.len() as u64);
-            if domain == FaultDomain::Memory {
-                assert!(stats.memo_hits > 0, "{domain:?}: expected hits ({stats:?})");
-            }
-        }
-    }
-
-    #[test]
-    fn memoization_off_is_inert() {
-        let p = scrub_program();
-        let c = Campaign::with_config(
-            &p,
-            CampaignConfig {
-                memoization: false,
-                ..CampaignConfig::sequential()
-            },
-        )
-        .unwrap();
-        let (results, stats) = c.run_experiments_stats(FaultDomain::Memory, &c.plan().experiments);
-        assert_eq!(stats.memo_hits, 0);
-        assert_eq!(stats.memo_misses, 0);
-        assert_eq!(stats.memoized_cycles_saved, 0);
-        let naive = c.run_experiments_naive(FaultDomain::Memory, &c.plan().experiments);
-        assert_eq!(results, naive);
     }
 
     #[test]
@@ -1868,19 +1711,12 @@ mod tests {
         // so running the memory domain first must produce hits in the
         // register domain (cross-domain dynamic equivalence).
         let p = scrub_program();
-        let c = Campaign::with_config(
-            &p,
-            CampaignConfig {
-                convergence: false,
-                ..CampaignConfig::sequential()
-            },
-        )
-        .unwrap();
+        let c = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
         let (_, mem_stats) = c.run_experiments_stats(FaultDomain::Memory, &c.plan().experiments);
+        let registers = &c.plan_for(FaultDomain::RegisterFile).experiments;
         let (reg_results, reg_stats) =
-            c.run_experiments_stats(FaultDomain::RegisterFile, &c.register_plan().experiments);
-        let naive =
-            c.run_experiments_naive(FaultDomain::RegisterFile, &c.register_plan().experiments);
+            c.run_experiments_stats(FaultDomain::RegisterFile, registers);
+        let naive = c.run_experiments_naive(FaultDomain::RegisterFile, registers);
         assert_eq!(reg_results, naive);
         assert!(
             mem_stats.memo_misses > 0,
@@ -1924,7 +1760,7 @@ mod tests {
         let p = a.build().unwrap();
 
         let c = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
-        let (result, stats) = c.run_full_defuse_stats();
+        let (result, stats) = c.run_plan_stats(FaultDomain::Memory, c.plan());
         let naive = c.run_experiments_naive(FaultDomain::Memory, &c.plan().experiments);
         let mut naive_sorted = naive;
         naive_sorted.sort_by_key(|r| r.experiment.id);

@@ -7,7 +7,7 @@
 //! cycle, the bit is flipped, execution resumes, and the run's observable
 //! behaviour is classified against the golden run (§II-D of the paper).
 //!
-//! The executor exploits three properties of the setup:
+//! The executor exploits four properties of the setup:
 //!
 //! * plans are sorted by injection cycle, so a single *pristine* machine is
 //!   advanced monotonically and cheaply forked at each injection point
@@ -22,9 +22,14 @@
 //!   architectural state matches a pristine checkpoint has provably the
 //!   same remaining behaviour as the golden run — the executor compares
 //!   state at each checkpoint crossed and classifies such runs
-//!   immediately instead of simulating the tail
-//!   ([`CampaignConfig::convergence`], on by default; outcomes stay
-//!   bit-identical to the naive replay executor either way).
+//!   immediately instead of simulating the tail;
+//! * for the same reason two injections that reach the same architectural
+//!   state at the same cycle share one outcome, so a per-campaign memo
+//!   keyed on state digests answers repeats without simulating them.
+//!
+//! Outcomes stay bit-identical to
+//! [`Campaign::run_experiments_naive`], which replays every experiment
+//! from cycle 0 and is the one oracle the optimizations are held to.
 //!
 //! # Examples
 //!

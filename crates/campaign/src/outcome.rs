@@ -19,7 +19,6 @@ pub const ABORT_CODE: u16 = 0xDE;
 
 /// Detailed outcome of one FI experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Outcome {
     /// Output, exit status and detection count match the golden run: the
     /// fault was masked or stayed dormant.
@@ -125,7 +124,6 @@ impl fmt::Display for Outcome {
 
 /// The paper's two-way coalescing: benign vs failure (§II-D).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OutcomeClass {
     /// No externally visible effect (includes detected-and-corrected).
     NoEffect,

@@ -5,7 +5,6 @@ use sofi_space::{Experiment, FaultSpace};
 
 /// Which machine component the faults were injected into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultDomain {
     /// Main memory — the paper's primary fault model (§II-C).
     Memory,
@@ -93,7 +92,6 @@ impl std::str::FromStr for FaultDomain {
 
 /// Outcome of one executed experiment (one def/use class).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExperimentResult {
     /// The planned experiment (coordinate + class weight).
     pub experiment: Experiment,
@@ -109,7 +107,6 @@ pub struct ExperimentResult {
 /// failure counts, extrapolation — lives in `sofi-metrics` so correct and
 /// deliberately wrong variants can be compared side by side.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CampaignResult {
     /// Benchmark name (from the program).
     pub benchmark: String,

@@ -9,7 +9,6 @@ use sofi_space::{ClassIndex, Experiment};
 
 /// How samples are drawn from the fault space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SamplingMode {
     /// Uniform over the raw fault space `w` (the textbook procedure of
     /// §III-B). Draws landing on known-benign coordinates are counted
@@ -29,7 +28,6 @@ pub enum SamplingMode {
 /// One sampled class outcome: the experiment, how many draws hit it, and
 /// what the conducted injection observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SampledOutcome {
     /// The class representative that was injected.
     pub experiment: Experiment,
@@ -41,7 +39,6 @@ pub struct SampledOutcome {
 
 /// Result of a sampling campaign.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SampledResult {
     /// Benchmark name.
     pub benchmark: String,

@@ -29,7 +29,7 @@ fn enabled_registry_collects_the_documented_metrics() {
     };
     let c = Campaign::with_config(&p, config).unwrap();
     assert!(c.telemetry().is_enabled());
-    let (_, stats) = c.run_full_defuse_stats();
+    let (_, stats) = c.run_plan_stats(FaultDomain::Memory, c.plan());
     let snap = c.telemetry().snapshot();
 
     // Construction spans.
@@ -46,7 +46,7 @@ fn enabled_registry_collects_the_documented_metrics() {
     let restores = snap.histogram(names::RESTORE_DISTANCE_CYCLES).unwrap();
     assert!(restores.count >= 1, "worker start counts as a restore");
 
-    // Memoization is on, so probes were timed and counters mirrored.
+    // Memo probes were timed and counters mirrored.
     assert!(snap.histogram(names::MEMO_PROBE_NS).unwrap().count > 0);
     assert_eq!(snap.counter(names::EXPERIMENTS), stats.experiments);
     assert_eq!(snap.counter(names::CONVERGED_EARLY), stats.converged_early);
@@ -63,7 +63,7 @@ fn parallel_workers_merge_into_campaign_totals() {
         ..CampaignConfig::default()
     };
     let c = Campaign::with_config(&p, config).unwrap();
-    let (_, stats) = c.run_full_defuse_stats();
+    let (_, stats) = c.run_plan_stats(FaultDomain::Memory, c.plan());
     assert!(stats.workers > 1, "expected a parallel run");
     let snap = c.telemetry().snapshot();
 

@@ -5,7 +5,6 @@ use std::fmt;
 
 /// Width of a memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MemWidth {
     /// One byte.
     Byte,
@@ -133,7 +132,6 @@ impl Opcode {
 /// Branch offsets are in *instructions* relative to the next instruction;
 /// `Jal` targets are absolute instruction indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[allow(missing_docs)] // operand fields follow the conventional rd/rs/imm names
 pub enum Inst {
     /// `rd = rs1 + rs2` (wrapping).
@@ -216,7 +214,6 @@ pub enum Inst {
 
 /// Branch comparison kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BranchKind {
     /// `rs1 == rs2`
     Eq,

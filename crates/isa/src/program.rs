@@ -14,7 +14,6 @@ use crate::inst::Inst;
 /// [`crate::Asm::li_code`] therefore records one of these so
 /// [`Program::prepend_insts`] can relocate it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CodeImmFixup {
     /// Index of the instruction carrying the immediate: an `Addi` (small
     /// target) or a `Lui` whose partner `Ori` is at `lo_idx`.
@@ -42,7 +41,6 @@ pub struct CodeImmFixup {
 /// assert_eq!(p.ram_size, 0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Program {
     /// Human-readable program name (used in reports).
     pub name: String,

@@ -16,7 +16,6 @@ use std::fmt;
 /// assert_eq!(Reg::R0.to_string(), "r0");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[repr(u8)]
 #[allow(missing_docs)] // r0..r15 are self-describing
 pub enum Reg {

@@ -18,7 +18,6 @@ use std::sync::Arc;
 /// so benchmarks with asynchronous input stay bit-for-bit deterministic
 /// and fault-injection campaigns over them remain valid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExternalEvent {
     /// The cycle at whose start the value becomes visible (1-based; the
     /// instruction executing in this cycle already reads the new value).
@@ -35,9 +34,11 @@ pub struct MachineConfig {
     pub serial_limit: usize,
     /// Execute through the decode-once µop engine (the default). `false`
     /// forces pure single-stepping through [`Machine::step_observed`] —
-    /// the reference interpreter the block-engine oracle and the
-    /// `+blocks` ablation bench compare against. Results are bit-identical
-    /// either way (`tests/block_engine_oracle.rs`).
+    /// the reference interpreter the engine oracles compare against.
+    /// Results are bit-identical either way (`tests/block_engine_oracle.rs`,
+    /// `tests/block_engine_fuzz.rs`). An in-process hook only: the
+    /// `sofi-serve` wire does not carry it, so daemon jobs always run the
+    /// µop engine.
     pub block_engine: bool,
 }
 
@@ -68,7 +69,6 @@ enum State {
 /// produces the same fire cycle and therefore the same faulted run (see
 /// `sofi_space::cflow`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CfFault {
     /// The next execution of ROM slot `slot` retires as a one-cycle
     /// architectural no-op (instruction-skip attack).

@@ -10,7 +10,6 @@ use sofi_isa::{MemWidth, Reg};
 
 /// Direction of a memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AccessKind {
     /// A load ("use" in def/use terms).
     Read,
@@ -21,7 +20,6 @@ pub enum AccessKind {
 /// One RAM access in a program run. MMIO accesses are *not* reported: the
 /// device page is outside the fault space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemAccess {
     /// Cycle of the access (1-based: the n-th executed instruction runs in
     /// cycle n).
@@ -46,7 +44,6 @@ impl MemAccess {
 /// One register-file access in a program run. The zero register is never
 /// reported (it is hard-wired and fault-immune).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RegAccess {
     /// Cycle of the access (1-based).
     pub cycle: u64,
@@ -72,7 +69,6 @@ pub const REG_FILE_BITS: u64 = 15 * 32;
 /// domains partition `ForceBranch` equivalence classes by (PC, golden
 /// outcome), so the golden capture must record both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BranchRecord {
     /// Cycle the branch executed in (1-based).
     pub cycle: u64,

@@ -18,7 +18,6 @@ pub enum StepResult {
 
 /// Result of running a machine until completion or a cycle limit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RunStatus {
     /// The program finished (explicit `halt` or fell off the end of ROM).
     Halted {

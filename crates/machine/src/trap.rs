@@ -10,7 +10,6 @@ use std::fmt;
 /// bit-flip propagated into an address or control-flow value the hardware
 /// rejects (the "CPU exceptions" outcome monitored in §II-D of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Trap {
     /// A data access was not naturally aligned.
     Misaligned {

@@ -13,7 +13,6 @@ use sofi_campaign::{CampaignResult, Outcome, SampledResult};
 /// Weighted (or extrapolated) counts per detailed outcome kind, indexed
 /// as [`Outcome::KINDS`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OutcomeBreakdown {
     /// Count (exact weight or extrapolated estimate) per outcome kind.
     pub counts: [f64; 8],

@@ -19,7 +19,6 @@ use std::fmt;
 
 /// Result of comparing a hardened variant against its baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Comparison {
     /// The ratio `r = F_hardened / F_baseline`.
     pub ratio: f64,

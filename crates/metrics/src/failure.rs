@@ -13,7 +13,6 @@ use sofi_campaign::{CampaignResult, SampledResult};
 
 /// An absolute failure count, exact or estimated.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FailureEstimate {
     /// The failure count `F` (extrapolated to the population for sampled
     /// campaigns).

@@ -40,7 +40,6 @@ pub fn fit_per_mbit_to_per_bit_ns(fit_per_mbit: f64) -> f64 {
 
 /// The Poisson fault-occurrence model for one benchmark run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PoissonModel {
     /// Per-bit per-cycle fault rate `g` (the simplistic CPU runs at
     /// 1 GHz, so cycles and nanoseconds coincide).
@@ -97,7 +96,6 @@ pub fn poisson_pmf(k: u32, lambda: f64) -> f64 {
 
 /// One row of Table I.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Table1Row {
     /// Fault count `k`.
     pub k: u32,

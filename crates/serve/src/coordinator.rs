@@ -751,7 +751,7 @@ impl Coordinator {
             let Some(entry) = st.jobs.get(&job) else {
                 return;
             };
-            if !entry.spec.warm_store || !entry.spec.config.memoization {
+            if !entry.spec.warm_store {
                 return;
             }
             store::context_key(&entry.spec.source, entry.spec.domain, &entry.spec.config)
@@ -1049,7 +1049,7 @@ fn run_job(inner: &Inner, id: u64, spec: &JobSpec, recovered: &HashSet<u32>, job
     };
     // Warm-store preload: facts persisted by earlier jobs over the same
     // context answer this job's memo probes without simulation.
-    let warm = spec.warm_store && spec.config.memoization && inner.store.is_some();
+    let warm = spec.warm_store && inner.store.is_some();
     let ctx = store::context_key(&spec.source, spec.domain, &spec.config);
     if warm {
         // This job both consumes and feeds the store: lock probing on

@@ -16,7 +16,7 @@ pub struct JobSpec {
     pub source: String,
     /// Which fault space to scan.
     pub domain: FaultDomain,
-    /// Executor knobs (threads, convergence, memoization, timeouts),
+    /// Executor parameters (threads, timeouts, serial limit, telemetry),
     /// packed via [`CampaignConfig::pack`] on the wire.
     pub config: CampaignConfig,
     /// Consult (and feed) the daemon's persistent cross-campaign warm
@@ -24,8 +24,8 @@ pub struct JobSpec {
     /// jobs over the same program/domain/budget context are preloaded
     /// into the campaign's memo before execution, and fresh facts are
     /// persisted when the job completes. On by default; `submit --cold`
-    /// clears it for ablation and benchmarking. Ignored when the spec's
-    /// `config.memoization` is off or the daemon runs without a store.
+    /// clears it for benchmarking. Ignored when the daemon runs without a
+    /// store.
     pub warm_store: bool,
 }
 
@@ -50,7 +50,7 @@ impl JobSpec {
         let name = r.str()?;
         let source = r.str()?;
         let domain = wire::take_domain(r)?;
-        let mut words = [0u64; 9];
+        let mut words = [0u64; 5];
         for word in &mut words {
             *word = r.u64()?;
         }

@@ -15,9 +15,16 @@
 //! * a record is either fully present with a matching checksum, or it is
 //!   part of the torn tail a crash left behind;
 //! * [`Journal::open`] replays the valid prefix, truncates the tail at
-//!   the first unreadable record, and positions the write cursor there —
-//!   a restarted daemon continues exactly where the last committed batch
-//!   ended;
+//!   the first short frame or checksum mismatch, and positions the write
+//!   cursor there — a restarted daemon continues exactly where the last
+//!   committed batch ended;
+//! * a record whose checksum holds but whose payload does not decode was
+//!   committed by a build speaking another record format (e.g. a
+//!   protocol-v6 `JobStart` with its nine packed config words). That is
+//!   not a torn tail: [`Journal::open`] refuses the file with
+//!   [`io::ErrorKind::InvalidData`] and leaves it untouched, because
+//!   truncating there would silently drop every committed batch after
+//!   it;
 //! * experiment outcomes are journaled *before* the in-memory progress
 //!   counter advances, so replay can only over-approximate pending work,
 //!   never lose a committed result.
@@ -158,8 +165,11 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Propagates file-system failures; corrupt record *content* is not
-    /// an error — it marks the end of the committed history.
+    /// Propagates file-system failures. A short frame or checksum
+    /// mismatch is not an error — it marks the end of the committed
+    /// history. A checksummed record that does not decode is: the call
+    /// fails with [`io::ErrorKind::InvalidData`] naming its byte offset,
+    /// and the file is left byte-for-byte unchanged.
     pub fn open(path: &Path) -> io::Result<(Journal, Vec<Record>)> {
         let mut file = OpenOptions::new()
             .read(true)
@@ -169,7 +179,7 @@ impl Journal {
             .open(path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        let (records, valid_len) = replay(&bytes);
+        let (records, valid_len) = replay(&bytes)?;
         if valid_len as u64 != bytes.len() as u64 {
             // Torn tail from a mid-write crash: drop it so the next
             // append starts at a committed record boundary.
@@ -220,8 +230,13 @@ impl Journal {
 
 /// Decodes the valid record prefix of `bytes`, returning the records and
 /// the byte length of the prefix. Decoding stops — without error — at
-/// the first truncated frame, checksum mismatch, or undecodable payload.
-fn replay(bytes: &[u8]) -> (Vec<Record>, usize) {
+/// the first truncated frame or checksum mismatch.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] for a checksummed record whose payload
+/// does not decode (a journal written in another record format).
+fn replay(bytes: &[u8]) -> io::Result<(Vec<Record>, usize)> {
     let mut records = Vec::new();
     let mut pos = 0;
     while let Some(header) = bytes.get(pos..pos + 8) {
@@ -233,13 +248,21 @@ fn replay(bytes: &[u8]) -> (Vec<Record>, usize) {
         if wire::fnv1a32(payload) != crc {
             break;
         }
-        let Ok(record) = Record::decode(payload) else {
-            break;
-        };
+        let record = Record::decode(payload).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "journal record at byte offset {pos} has a valid checksum but does \
+                     not decode ({e}): the journal was written in another format \
+                     (this build speaks protocol v{}); refusing to truncate it",
+                    crate::protocol::VERSION
+                ),
+            )
+        })?;
         records.push(record);
         pos += 8 + len;
     }
-    (records, pos)
+    Ok((records, pos))
 }
 
 /// A job reconstructed from journal replay.
@@ -424,6 +447,59 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let (_, replayed) = Journal::open(&path).unwrap();
         assert_eq!(replayed.len(), 1, "corruption must cut the history there");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Frames `payload` exactly as [`Journal::append`] does.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut framed = Vec::new();
+        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        framed.extend_from_slice(&wire::fnv1a32(payload).to_le_bytes());
+        framed.extend_from_slice(payload);
+        framed
+    }
+
+    #[test]
+    fn other_format_journal_is_refused_untouched() {
+        // A protocol-v6 JobStart: nine packed config words where this
+        // build expects five. Its checksum is valid, so treating it as a
+        // torn tail would truncate the committed Batch behind it.
+        let mut w = Writer::new();
+        w.u8(0);
+        w.u64(1);
+        w.str("j");
+        w.str("nop\n");
+        wire::put_domain(&mut w, FaultDomain::Memory);
+        for word in [1, 3, 1_000, 1, 1, 64 * 1024, 0, 1, 1] {
+            w.u64(word);
+        }
+        w.bool(true);
+        let mut bytes = frame(&w.finish());
+        let start_len = bytes.len();
+        bytes.extend_from_slice(&frame(&batch(1, &[0, 1]).encode()));
+
+        let path = temp_path("v6");
+        std::fs::write(&path, &bytes).unwrap();
+        let err = Journal::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("byte offset 0"),
+            "error must name the record's offset: {err}"
+        );
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "file must be untouched"
+        );
+
+        // The same refusal past a valid prefix names the later offset.
+        let mut later = frame(&batch(1, &[9]).encode());
+        let offset = later.len();
+        later.extend_from_slice(&bytes[..start_len]);
+        std::fs::write(&path, &later).unwrap();
+        let err = Journal::open(&path).unwrap_err();
+        assert!(err.to_string().contains(&format!("byte offset {offset}")));
+        assert_eq!(std::fs::read(&path).unwrap(), later);
         std::fs::remove_file(&path).unwrap();
     }
 

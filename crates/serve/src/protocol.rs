@@ -54,8 +54,14 @@ pub const MAGIC: [u8; 4] = *b"SOFI";
 /// (`InstrSkip`/`OpcodeBit`/`BranchInvert`, wire tags 2–4) and the trap
 /// codec with `IllegalOpcode` (tag 5); a v5 peer offered a v6 frame
 /// answers with a typed `BadVersion(5)` instead of misdecoding the new
-/// tags.
-pub const VERSION: u16 = 6;
+/// tags. v7 shrank the packed config in [`JobSpec`] from nine words to
+/// five (threads, timeout factor, timeout slack, serial limit,
+/// telemetry): the outcome-neutral executor switches `convergence`,
+/// `memoization`, `memo_gate` and the machine's `block_engine` are gone
+/// from the wire, and the executor always runs its one default path. A
+/// v6 peer gets a typed `BadVersion(6)`; a v7 daemon refuses a v6
+/// journal instead of truncating it (see [`crate::journal`]).
+pub const VERSION: u16 = 7;
 /// Frame header size in bytes.
 pub const HEADER_LEN: usize = 16;
 /// Upper bound on payload size (64 MiB) — rejected before allocation.
@@ -242,7 +248,7 @@ pub enum Message {
         /// Executor counters for this shard's execution.
         stats: ExecutorStats,
         /// Fresh fault-equivalence facts the shard's runs established
-        /// (empty when memoization is off) — fed into the coordinator's
+        /// (empty when the job bypasses the warm store) — fed into the coordinator's
         /// persistent warm store so remote work warms future jobs
         /// exactly like local work.
         memo: Vec<MemoRecord>,

@@ -55,10 +55,9 @@ fn fnv1a64_from(mut state: u64, bytes: &[u8]) -> u64 {
 /// and looked up: program source text, fault domain, and the three
 /// config fields that determine experiment outcomes (the cycle budget's
 /// `timeout_factor` and `timeout_slack`, and the machine's
-/// `serial_limit`). Scheduling knobs — threads, convergence,
-/// memoization, the gate, telemetry, the block engine — are provably
-/// outcome-neutral and deliberately excluded, so ablation runs share
-/// one warm context.
+/// `serial_limit`). Threads and telemetry are outcome-neutral and
+/// deliberately excluded, so runs that differ only there share one warm
+/// context.
 pub fn context_key(source: &str, domain: FaultDomain, config: &CampaignConfig) -> ContextKey {
     let mut ctx = Vec::with_capacity(source.len() + 32);
     ctx.extend_from_slice(source.as_bytes());
@@ -387,9 +386,6 @@ mod tests {
         // Outcome-neutral scheduling knobs share the context.
         let reknobbed = CampaignConfig {
             threads: 7,
-            convergence: false,
-            memoization: false,
-            memo_gate: false,
             telemetry: true,
             ..cfg
         };

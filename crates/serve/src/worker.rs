@@ -174,7 +174,7 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerReport, ClientError> {
                                     )));
                                 }
                             };
-                            if spec.warm_store && spec.config.memoization {
+                            if spec.warm_store {
                                 // Harvest memo facts so the upload can
                                 // feed the coordinator's warm store.
                                 c.set_memo_harvest();
@@ -184,7 +184,7 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerReport, ClientError> {
                     };
                     let (results, stats) =
                         campaign.run_experiments_stats(spec.domain, &experiments);
-                    let memo = if spec.warm_store && spec.config.memoization {
+                    let memo = if spec.warm_store {
                         campaign.export_memo()
                     } else {
                         Vec::new()

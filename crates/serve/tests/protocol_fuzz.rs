@@ -93,9 +93,6 @@ fn random_spec(rng: &mut DefaultRng) -> JobSpec {
         domain: random_domain(rng),
         config: CampaignConfig {
             threads: rng.gen_range(0usize..9),
-            convergence: rng.gen_bool(0.5),
-            memoization: rng.gen_bool(0.5),
-            memo_gate: rng.gen_bool(0.5),
             telemetry: rng.gen_bool(0.5),
             ..CampaignConfig::default()
         },
@@ -464,17 +461,16 @@ fn v4_peers_get_typed_bad_version() {
     }
 }
 
-/// A v5 peer (the previous revision, without the control-flow fault
-/// domains or the `IllegalOpcode` trap tag) likewise gets a typed
-/// `BadVersion(5)` for a perfectly sealed frame: version negotiation —
-/// not the domain/trap byte codecs — is what protects it from tags it
-/// cannot represent.
+/// A v6 peer (the previous revision, whose job specs carry nine packed
+/// config words instead of five) likewise gets a typed `BadVersion(6)`
+/// for a perfectly sealed frame: version negotiation — not the spec
+/// codec — is what protects it from a spec layout it cannot read.
 #[test]
-fn v5_peers_get_typed_bad_version() {
-    let mut rng = DefaultRng::seed_from_u64(0x0505);
+fn v6_peers_get_typed_bad_version() {
+    let mut rng = DefaultRng::seed_from_u64(0x0606);
     for _ in 0..50 {
         let mut frame = random_message(&mut rng).encode_frame();
-        frame[4..6].copy_from_slice(&5u16.to_le_bytes());
+        frame[4..6].copy_from_slice(&6u16.to_le_bytes());
         // Re-seal the checksum so the version is the *only* defect.
         let checksum = sofi_serve::wire::fnv1a32_update(
             sofi_serve::wire::fnv1a32(&frame[..12]),
@@ -483,7 +479,7 @@ fn v5_peers_get_typed_bad_version() {
         frame[12..16].copy_from_slice(&checksum.to_le_bytes());
         assert_eq!(
             Message::decode_frame(&frame),
-            Err(ProtocolError::BadVersion(5))
+            Err(ProtocolError::BadVersion(6))
         );
     }
 }

@@ -86,7 +86,6 @@ fn fetch_timelines(golden: &GoldenRun, rom_len: usize, per_slot: usize) -> Timel
 /// coarse partition the branch-inversion classes refine. Reporting
 /// metadata only; the executor plans on [`branch_invert_analysis`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BranchSite {
     /// ROM index of the branch instruction.
     pub pc: u32,

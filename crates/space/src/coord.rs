@@ -8,7 +8,6 @@ use std::fmt;
 ///
 /// Cycles are 1-based (`1..=Δt`), bits are 0-based (`0..Δm`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultCoord {
     /// Injection cycle, `1..=Δt`.
     pub cycle: u64,
@@ -50,7 +49,6 @@ impl fmt::Display for FaultCoord {
 /// assert_eq!(space.coord_of_index(space.index_of(c)), c);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultSpace {
     /// Benchmark runtime in cycles (`Δt`).
     pub cycles: u64,

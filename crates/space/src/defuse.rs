@@ -21,7 +21,6 @@ use sofi_trace::{GoldenRun, Timelines};
 
 /// How an equivalence class's outcome is obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ClassKind {
     /// The class ends with a read: one FI experiment (at the read cycle)
     /// determines the outcome of every coordinate in the class.
@@ -34,7 +33,6 @@ pub enum ClassKind {
 /// One def/use equivalence class: the coordinates
 /// `(first_cycle..=last_cycle) × {bit}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EquivClass {
     /// The memory bit this class lives on.
     pub bit: u64,
@@ -71,7 +69,6 @@ impl EquivClass {
 
 /// Distribution of data lifetimes (experiment-class sizes).
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LifetimeStats {
     /// Number of experiment classes.
     pub classes: u64,
@@ -93,7 +90,6 @@ pub struct LifetimeStats {
 
 /// Complete def/use partitioning of a benchmark's fault space.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DefUseAnalysis {
     /// The fault space being partitioned.
     pub space: FaultSpace,

@@ -6,7 +6,6 @@ use crate::defuse::{ClassKind, DefUseAnalysis, EquivClass};
 /// One planned FI experiment: the representative injection of a def/use
 /// equivalence class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Experiment {
     /// Stable identifier (index into the plan).
     pub id: u32,
@@ -40,7 +39,6 @@ pub struct Experiment {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InjectionPlan {
     /// The fault space the plan covers.
     pub space: FaultSpace,

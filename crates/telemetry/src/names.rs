@@ -19,7 +19,7 @@ pub const MEMO_PROBE_NS: &str = "executor.memo_probe_ns";
 
 /// Histogram: wall-clock latency of one faulted-run dispatch (injection
 /// to classification), sampled — the per-experiment cost the block
-/// engine's `+blocks` ablation targets.
+/// engine targets.
 pub const DISPATCH_NS: &str = "executor.faulted_dispatch_ns";
 
 /// Histogram: wall-clock latency of one journal append, dominated by

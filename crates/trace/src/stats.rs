@@ -10,7 +10,6 @@ use sofi_machine::AccessKind;
 
 /// Aggregate statistics over a golden run's access trace.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceStats {
     /// Runtime in cycles (`Δt`).
     pub cycles: u64,

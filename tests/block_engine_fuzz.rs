@@ -13,8 +13,8 @@
 //!    armed control-flow faults (instruction skip, opcode corruption,
 //!    branch inversion) — have equal state digests, statuses, and cycle
 //!    counts at *every* boundary;
-//! 2. campaign equivalence: the default (block-engine) executor —
-//!    composed with convergence and memoization — produces outcomes
+//! 2. campaign equivalence: the default executor — block engine,
+//!    convergence and memoization — produces outcomes
 //!    identical to the naive stepping executor on random fault lists in
 //!    every fault domain.
 
@@ -260,8 +260,6 @@ fn fuzz_block_engine_campaign_matches_stepping_naive() {
         let stepping = Campaign::with_events(
             &program,
             CampaignConfig {
-                convergence: false,
-                memoization: false,
                 machine: MachineConfig {
                     block_engine: false,
                     ..MachineConfig::default()

@@ -1,13 +1,15 @@
 //! Oracle for the pre-decoded basic-block execution engine: on every
-//! benchmark, in both fault domains, a campaign executing through the
-//! µop engine (the default) must be bit-identical to one forced onto the
-//! cycle-exact single-step interpreter (`MachineConfig::block_engine:
+//! benchmark, in both data fault domains, a campaign executing through
+//! the µop engine (the default) must be bit-identical to one forced onto
+//! the cycle-exact single-step interpreter (`MachineConfig::block_engine:
 //! false`) — identical golden runs (including the full memory- and
 //! register-access traces, so observed execution is covered too),
-//! identical outcomes from the naive reference executor, and identical
-//! outcomes from the fully composed default executor (fork, convergence
-//! and memoization), whose checkpoint probes and injection cycles are
-//! exactly the boundaries the engine must not blur.
+//! identical outcomes from naive replay, and identical outcomes from the
+//! default executor (pristine forking, checkpoint convergence and
+//! fault-equivalence memoization), whose checkpoint probes and injection
+//! cycles are exactly the boundaries the engine must not blur. Naive
+//! replay on the stepping interpreter is the reference every other path
+//! is compared against.
 
 use sofi::campaign::{Campaign, CampaignConfig, FaultDomain};
 use sofi::trace::GoldenRun;
@@ -40,29 +42,27 @@ fn assert_golden_eq(blocks: &GoldenRun, steps: &GoldenRun, name: &str) {
     );
 }
 
-/// Both campaigns of one program, both domains, all three executor
-/// paths, compared experiment-by-experiment.
+/// Both campaigns of one program, both data domains, both executor
+/// paths on both engines, compared experiment-by-experiment.
 fn assert_campaigns_identical(blocks: &Campaign, steps: &Campaign, name: &str) {
     assert_golden_eq(blocks.golden(), steps.golden(), name);
-    for (domain, plan) in [
-        (FaultDomain::Memory, blocks.plan()),
-        (FaultDomain::RegisterFile, blocks.register_plan()),
-    ] {
-        let step_naive = steps.run_experiments_naive(domain, &plan.experiments);
-        let block_naive = blocks.run_experiments_naive(domain, &plan.experiments);
+    for domain in [FaultDomain::Memory, FaultDomain::RegisterFile] {
+        let experiments = &blocks.plan_for(domain).experiments;
+        let step_naive = steps.run_experiments_naive(domain, experiments);
+        let block_naive = blocks.run_experiments_naive(domain, experiments);
         assert_eq!(
             block_naive, step_naive,
-            "{name}/{domain:?}: block engine changed naive-executor outcomes"
+            "{name}/{domain:?}: block engine changed naive-replay outcomes"
         );
-        let (block_composed, _) = blocks.run_experiments_stats(domain, &plan.experiments);
+        let (block_default, _) = blocks.run_experiments_stats(domain, experiments);
         assert_eq!(
-            block_composed, step_naive,
-            "{name}/{domain:?}: block engine changed composed-executor outcomes"
+            block_default, step_naive,
+            "{name}/{domain:?}: block engine changed default-executor outcomes"
         );
-        let (step_composed, _) = steps.run_experiments_stats(domain, &plan.experiments);
+        let (step_default, _) = steps.run_experiments_stats(domain, experiments);
         assert_eq!(
-            step_composed, step_naive,
-            "{name}/{domain:?}: stepping composed executor self-check failed"
+            step_default, step_naive,
+            "{name}/{domain:?}: stepping default executor self-check failed"
         );
     }
 }

@@ -1,7 +1,8 @@
-//! Oracle for the convergence-terminating executor: on every benchmark's
-//! def/use plan, in both fault domains, the forking executor with
-//! golden-state convergence enabled must produce results identical to the
-//! naive replay executor that simulates every experiment to completion.
+//! Oracle for convergence termination: on every benchmark's def/use plan,
+//! in both data fault domains, the default executor — forking from
+//! pristine checkpoints and stopping a faulted run as soon as its state
+//! converges back onto the golden run — must produce results identical
+//! to naive replay, which simulates every experiment to completion.
 
 use sofi::campaign::{Campaign, FaultDomain};
 use sofi::workloads::all_baselines;
@@ -12,12 +13,10 @@ fn converging_executor_matches_naive_on_every_workload() {
     let mut total_saved = 0u64;
     for program in all_baselines() {
         let campaign = Campaign::new(&program).expect("golden run");
-        for (domain, plan) in [
-            (FaultDomain::Memory, campaign.plan()),
-            (FaultDomain::RegisterFile, campaign.register_plan()),
-        ] {
-            let (results, stats) = campaign.run_experiments_stats(domain, &plan.experiments);
-            let naive = campaign.run_experiments_naive(domain, &plan.experiments);
+        for domain in [FaultDomain::Memory, FaultDomain::RegisterFile] {
+            let experiments = &campaign.plan_for(domain).experiments;
+            let (results, stats) = campaign.run_experiments_stats(domain, experiments);
+            let naive = campaign.run_experiments_naive(domain, experiments);
             assert_eq!(
                 results, naive,
                 "{}/{domain:?}: convergence termination changed outcomes",

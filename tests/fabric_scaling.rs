@@ -26,16 +26,10 @@ fn temp_path(name: &str) -> PathBuf {
 }
 
 /// Per-worker campaign config: single-threaded executors so measured
-/// scaling comes from fabric width, not intra-worker parallelism;
-/// memoization off so every worker pays full simulation cost and the
-/// workload divides evenly.
+/// scaling comes from fabric width, not intra-worker parallelism. Jobs
+/// bypass the warm store, so each worker's memo is its own.
 fn scaling_config() -> CampaignConfig {
-    CampaignConfig {
-        threads: 1,
-        memoization: false,
-        convergence: false,
-        ..CampaignConfig::default()
-    }
+    CampaignConfig::sequential()
 }
 
 struct Sample {

@@ -12,9 +12,7 @@
 //!   cycles — the invariant every comparison in the suite is built on.
 //! * Serve-daemon round trip via [`Program::to_source`]: compiled
 //!   programs travel to the coordinator as assembly text and the
-//!   streamed result is bit-identical to the in-process campaign (the
-//!   executor runs with memoization, convergence and the block engine
-//!   on — the defaults).
+//!   streamed result is bit-identical to the in-process campaign.
 
 use sofi::campaign::{Campaign, CampaignConfig, FaultDomain, SamplingMode};
 use sofi::isa::Program;

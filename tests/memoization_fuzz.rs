@@ -4,7 +4,7 @@
 //! (straight-line ALU/memory/serial churn plus forward-only branches, so
 //! every program terminates) and random fault lists in both domains:
 //!
-//! 1. the memoizing executor — alone and composed with convergence
+//! 1. the default executor — memoization composed with convergence
 //!    termination — is outcome-identical to the naive replay executor;
 //! 2. the state digest the memo is keyed on behaves like the identity on
 //!    architectural state: `digest(a) == digest(b)` exactly when the
@@ -130,43 +130,18 @@ fn fuzz_memoized_matches_naive_on_random_programs_and_faults() {
     let mut rng = DefaultRng::seed_from_u64(0xF0CC_ED01);
     for round in 0..8u32 {
         let program = random_program(rng.next_u64());
-        // Both knobs on (the default), memoization alone, and the naive
-        // reference with both off.
         let composed = Campaign::with_config(&program, CampaignConfig::sequential()).unwrap();
-        let memo_only = Campaign::with_config(
-            &program,
-            CampaignConfig {
-                convergence: false,
-                ..CampaignConfig::sequential()
-            },
-        )
-        .unwrap();
-        let naive = Campaign::with_config(
-            &program,
-            CampaignConfig {
-                convergence: false,
-                memoization: false,
-                ..CampaignConfig::sequential()
-            },
-        )
-        .unwrap();
         let cycles = composed.golden().cycles;
         for (domain, bits) in [
             (FaultDomain::Memory, program.ram_size as u64 * 8),
             (FaultDomain::RegisterFile, REG_FILE_BITS),
         ] {
             let experiments = random_experiments(&mut rng, cycles, bits, 120);
-            let expected = naive.run_experiments_naive(domain, &experiments);
-            let (a, _) = composed.run_experiments_stats(domain, &experiments);
+            let expected = composed.run_experiments_naive(domain, &experiments);
+            let (got, _) = composed.run_experiments_stats(domain, &experiments);
             assert_eq!(
-                a, expected,
+                got, expected,
                 "round {round} {}/{domain:?}: memo+convergence diverged from naive",
-                program.name
-            );
-            let (b, _) = memo_only.run_experiments_stats(domain, &experiments);
-            assert_eq!(
-                b, expected,
-                "round {round} {}/{domain:?}: memoization alone diverged from naive",
                 program.name
             );
         }

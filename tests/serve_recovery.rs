@@ -13,7 +13,8 @@
 
 use sofi_campaign::{Campaign, CampaignConfig, FaultDomain};
 use sofi_isa::assemble_text;
-use sofi_serve::{Coordinator, JobSpec, JobState, ServeConfig, SubmitOutcome};
+use sofi_serve::wire::{self, Writer};
+use sofi_serve::{Coordinator, JobSpec, JobState, ServeConfig, Server, SubmitOutcome};
 use std::collections::HashSet;
 use std::path::PathBuf;
 
@@ -208,5 +209,60 @@ fn journal_with_torn_tail_still_recovers() {
     let campaign = Campaign::with_config(&program, CampaignConfig::default()).unwrap();
     assert_eq!(result, campaign.run_full_defuse());
     drop(sched);
+    std::fs::remove_file(&journal).unwrap();
+}
+
+#[test]
+fn journal_in_another_format_is_refused_not_truncated() {
+    // Commit a job's start record and two batches, as a crash leaves them.
+    let journal = temp_journal("v6");
+    let sched = Coordinator::open(
+        &journal,
+        ServeConfig {
+            workers: 1,
+            batch_size: 4,
+            crash_after_commits: Some(2),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let SubmitOutcome::Accepted(job) = sched.submit(spec(FaultDomain::Memory)) else {
+        panic!("refused");
+    };
+    sched.wait_idle();
+    drop(sched);
+
+    // Rewrite the start record as a protocol-v6 daemon framed it: nine
+    // packed config words (threads, timeouts, convergence, memoization,
+    // serial limit, telemetry, block engine, memo gate).
+    let bytes = std::fs::read(&journal).unwrap();
+    let first_len = 8 + u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+    let mut w = Writer::new();
+    w.u8(0);
+    w.u64(job);
+    w.str("hi");
+    w.str(PROG);
+    wire::put_domain(&mut w, FaultDomain::Memory);
+    for word in [0, 3, 1_000, 1, 1, 64 * 1024, 0, 1, 1] {
+        w.u64(word);
+    }
+    w.bool(true);
+    let payload = w.finish();
+    let mut v6 = Vec::new();
+    v6.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    v6.extend_from_slice(&wire::fnv1a32(&payload).to_le_bytes());
+    v6.extend_from_slice(&payload);
+    v6.extend_from_slice(&bytes[first_len..]);
+    std::fs::write(&journal, &v6).unwrap();
+
+    let Err(err) = Server::bind("127.0.0.1:0", &journal, ServeConfig::default()) else {
+        panic!("a v6 journal must be refused");
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert_eq!(
+        std::fs::read(&journal).unwrap(),
+        v6,
+        "the committed batches behind the v6 record must survive"
+    );
     std::fs::remove_file(&journal).unwrap();
 }

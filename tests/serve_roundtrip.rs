@@ -48,10 +48,9 @@ fn in_process(domain: FaultDomain) -> sofi_campaign::CampaignResult {
     let program = assemble_text("hi", PROG).unwrap();
     let campaign = Campaign::with_config(&program, CampaignConfig::default()).unwrap();
     match domain {
-        // The legacy entry points, so the wire test also pins them to
-        // the generic dispatch.
+        // The memory shorthand, so the wire test also pins it to the
+        // generic dispatch.
         FaultDomain::Memory => campaign.run_full_defuse(),
-        FaultDomain::RegisterFile => campaign.run_full_defuse_registers(),
         _ => campaign.run_full_defuse_in(domain),
     }
 }
