@@ -239,16 +239,10 @@ pub struct Campaign {
     program: Program,
     events: Vec<ExternalEvent>,
     golden: GoldenRun,
-    analysis: DefUseAnalysis,
-    plan: InjectionPlan,
-    reg_analysis: DefUseAnalysis,
-    reg_plan: InjectionPlan,
-    /// Control-flow fault spaces (`sofi_space::cflow`), built lazily on
-    /// first use: most campaigns never touch them, and the opcode-bit
-    /// space is 32 columns per ROM slot.
-    cf_skip: OnceLock<(DefUseAnalysis, InjectionPlan)>,
-    cf_opcode: OnceLock<(DefUseAnalysis, InjectionPlan)>,
-    cf_branch: OnceLock<(DefUseAnalysis, InjectionPlan)>,
+    /// The equivalence analysis and pruned plan of each fault domain
+    /// (indexed by `FaultDomain as usize`), built on first use: a
+    /// campaign pays only for the domains it scans.
+    analyses: [OnceLock<(DefUseAnalysis, InjectionPlan)>; FaultDomain::ALL.len()],
     config: CampaignConfig,
     /// Evenly spaced pristine-machine snapshots plus the liveness mask at
     /// each snapshot cycle, built lazily on first use. Workers start
@@ -545,8 +539,8 @@ struct Checkpoint {
 }
 
 impl Campaign {
-    /// Prepares a campaign: captures the golden run and computes the
-    /// def/use plan.
+    /// Prepares a campaign: captures the golden run. Each fault domain's
+    /// analysis and pruned plan are computed when first needed.
     ///
     /// # Errors
     ///
@@ -597,9 +591,9 @@ impl Campaign {
     }
 
     /// [`Campaign::with_events`] recording into a caller-supplied
-    /// telemetry registry. Golden-run capture and def/use pruning are
-    /// timed as spans here, which is why the registry must exist before
-    /// construction rather than being attached afterwards.
+    /// telemetry registry. Golden-run capture is timed as a span here,
+    /// which is why the registry must exist before construction rather
+    /// than being attached afterwards.
     ///
     /// # Errors
     ///
@@ -619,23 +613,11 @@ impl Campaign {
                 events.clone(),
             )?
         };
-        let span = telemetry.span(names::SPAN_DEFUSE_NS);
-        let analysis = DefUseAnalysis::from_golden(&golden);
-        let plan = analysis.plan();
-        let reg_analysis = DefUseAnalysis::from_timelines(&golden.reg_timelines(), golden.cycles);
-        let reg_plan = reg_analysis.plan();
-        span.finish();
         Ok(Campaign {
             program: program.clone(),
             events,
             golden,
-            analysis,
-            plan,
-            reg_analysis,
-            reg_plan,
-            cf_skip: OnceLock::new(),
-            cf_opcode: OnceLock::new(),
-            cf_branch: OnceLock::new(),
+            analyses: [const { OnceLock::new() }; FaultDomain::ALL.len()],
             config,
             checkpoints: OnceLock::new(),
             memo: Arc::new(MemoCache::default()),
@@ -658,60 +640,51 @@ impl Campaign {
     /// The def/use analysis of the golden run (memory domain; the
     /// shorthand for `analysis_for(FaultDomain::Memory)`).
     pub fn analysis(&self) -> &DefUseAnalysis {
-        &self.analysis
+        self.analysis_for(FaultDomain::Memory)
     }
 
     /// The pruned injection plan (memory domain; the shorthand for
     /// `plan_for(FaultDomain::Memory)`).
     pub fn plan(&self) -> &InjectionPlan {
-        &self.plan
+        self.plan_for(FaultDomain::Memory)
     }
 
-    /// The lazily built (analysis, plan) pair of a control-flow domain.
-    fn cf_pair(&self, domain: FaultDomain) -> &(DefUseAnalysis, InjectionPlan) {
-        let build = |analysis: DefUseAnalysis| {
+    /// The (analysis, plan) pair of `domain`, built on first use. Building
+    /// a data domain's pair is timed as [`names::SPAN_DEFUSE_NS`].
+    fn pair(&self, domain: FaultDomain) -> &(DefUseAnalysis, InjectionPlan) {
+        self.analyses[domain as usize].get_or_init(|| {
+            let golden = &self.golden;
+            let rom_len = self.program.insts.len();
+            let _span = matches!(domain, FaultDomain::Memory | FaultDomain::RegisterFile)
+                .then(|| self.telemetry.span(names::SPAN_DEFUSE_NS));
+            let analysis = match domain {
+                FaultDomain::Memory => DefUseAnalysis::from_golden(golden),
+                FaultDomain::RegisterFile => {
+                    DefUseAnalysis::from_timelines(&golden.reg_timelines(), golden.cycles)
+                }
+                FaultDomain::InstrSkip => sofi_space::instr_skip_analysis(golden, rom_len),
+                FaultDomain::OpcodeBit => sofi_space::opcode_bit_analysis(golden, rom_len),
+                FaultDomain::BranchInvert => sofi_space::branch_invert_analysis(golden),
+            };
             let plan = analysis.plan();
             (analysis, plan)
-        };
-        let rom_len = self.program.insts.len();
-        match domain {
-            FaultDomain::InstrSkip => self
-                .cf_skip
-                .get_or_init(|| build(sofi_space::instr_skip_analysis(&self.golden, rom_len))),
-            FaultDomain::OpcodeBit => self
-                .cf_opcode
-                .get_or_init(|| build(sofi_space::opcode_bit_analysis(&self.golden, rom_len))),
-            FaultDomain::BranchInvert => self
-                .cf_branch
-                .get_or_init(|| build(sofi_space::branch_invert_analysis(&self.golden))),
-            FaultDomain::Memory | FaultDomain::RegisterFile => {
-                unreachable!("cf_pair called for a data fault domain")
-            }
-        }
+        })
     }
 
     /// The equivalence analysis for `domain` (def/use for the data
     /// domains — the register file's covers `Δt cycles × 480 register
     /// bits` with accesses recorded exactly as the datapath performs them,
-    /// §VI-B — trace-based for the control-flow domains; the latter are
-    /// built lazily on first use).
+    /// §VI-B — trace-based for the control-flow domains), built on first
+    /// use.
     pub fn analysis_for(&self, domain: FaultDomain) -> &DefUseAnalysis {
-        match domain {
-            FaultDomain::Memory => &self.analysis,
-            FaultDomain::RegisterFile => &self.reg_analysis,
-            _ => &self.cf_pair(domain).0,
-        }
+        &self.pair(domain).0
     }
 
     /// The pruned injection plan for `domain` (the campaign service and
     /// other callers that carry the domain as data rather than picking an
     /// accessor statically).
     pub fn plan_for(&self, domain: FaultDomain) -> &InjectionPlan {
-        match domain {
-            FaultDomain::Memory => &self.plan,
-            FaultDomain::RegisterFile => &self.reg_plan,
-            _ => &self.cf_pair(domain).1,
-        }
+        &self.pair(domain).1
     }
 
     /// The program under test.

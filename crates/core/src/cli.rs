@@ -319,8 +319,10 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
         .map_err(|e| CliError(format!("golden run failed: {e}")))?;
     let result = campaign.run_full_defuse_in(domain);
     if let Some(path) = telemetry_path {
-        let artifact = sofi_report::telemetry_artifact(&campaign.telemetry().snapshot());
-        std::fs::write(path, artifact.pretty())
+        let artifact = sofi_report::to_json(&sofi_report::telemetry_artifact(
+            &campaign.telemetry().snapshot(),
+        ));
+        std::fs::write(path, artifact)
             .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
     }
     if args.iter().any(|a| a == "--json") {
@@ -682,13 +684,17 @@ fn cmd_submit(args: &[String]) -> Result<String, CliError> {
             }
         })
         .map_err(|e| CliError(e.to_string()))?;
-    let artifact = sofi_report::job_artifact(job, &result, &stats);
-    if let Some(path) = flag_value(args, "--out") {
-        std::fs::write(path, artifact.pretty())
-            .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-    }
-    if args.iter().any(|a| a == "--json") {
-        return Ok(artifact.pretty());
+    let json = args.iter().any(|a| a == "--json");
+    let out_path = flag_value(args, "--out");
+    if json || out_path.is_some() {
+        let artifact = sofi_report::to_json(&sofi_report::job_artifact(job, &result, &stats));
+        if let Some(path) = out_path {
+            std::fs::write(path, &artifact)
+                .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+        }
+        if json {
+            return Ok(artifact);
+        }
     }
     let mut out = String::new();
     let _ = writeln!(out, "job         : {job}");
@@ -889,13 +895,13 @@ fn cmd_stats(args: &[String]) -> Result<String, CliError> {
             snapshot = next;
         }
     }
-    let artifact = sofi_report::telemetry_artifact(&snapshot);
+    let artifact = sofi_report::to_json(&sofi_report::telemetry_artifact(&snapshot));
     if let Some(path) = flag_value(args, "--out") {
-        std::fs::write(path, artifact.pretty())
+        std::fs::write(path, &artifact)
             .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
     }
     if args.iter().any(|a| a == "--json") {
-        return Ok(artifact.pretty());
+        return Ok(artifact);
     }
     Ok(render_snapshot(&snapshot))
 }

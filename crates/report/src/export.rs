@@ -8,11 +8,14 @@
 //!
 //! Three layers:
 //!
-//! * [`Json`] — a plain JSON value tree with a pretty printer and a small
-//!   parser (the parser exists for tests and for consumers that want to
-//!   inspect artifacts without a full deserialization framework);
-//! * [`ToJson`] — the conversion trait; implemented here for the suite's
-//!   result types and derivable for flat structs via [`impl_to_json!`];
+//! * [`JsonWriter`] and [`ToJson`] — the one printer. Every exportable
+//!   type writes itself straight into the writer's output string; no
+//!   intermediate value tree is built, so exporting a campaign costs one
+//!   growing `String` rather than a heap object per experiment field;
+//! * [`Json`] — a plain JSON value tree for the *reading* side: a small
+//!   parser plus accessors, for tests and for consumers that inspect
+//!   artifacts without a full deserialization framework. It prints
+//!   through the same writer ([`Json::pretty`]);
 //! * [`to_json`] / [`write_json`] — the entry points the CLI and the
 //!   bench binaries use.
 
@@ -24,7 +27,7 @@ use sofi_machine::Trap;
 use sofi_metrics::{Comparison, FailureEstimate, Table1Row};
 use sofi_space::{Experiment, FaultCoord, FaultSpace};
 use sofi_telemetry::{Bucket, HistogramSnapshot, Snapshot};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Serializes any exportable structure to pretty-printed JSON.
 ///
@@ -35,8 +38,14 @@ use std::fmt;
 /// let json = sofi_report::to_json(&FaultSpace::new(8, 16));
 /// assert!(json.contains("\"cycles\": 8"));
 /// ```
-pub fn to_json<T: ToJson>(value: &T) -> String {
-    value.to_json().pretty()
+pub fn to_json<T: ToJson + ?Sized>(value: &T) -> String {
+    let mut w = JsonWriter {
+        out: String::new(),
+        depth: 0,
+        empty: false,
+    };
+    value.write_json(&mut w);
+    w.out
 }
 
 /// Serializes to a writer (e.g. a results file).
@@ -44,15 +53,216 @@ pub fn to_json<T: ToJson>(value: &T) -> String {
 /// # Errors
 ///
 /// Propagates I/O failures.
-pub fn write_json<T: ToJson, W: std::io::Write>(value: &T, mut writer: W) -> std::io::Result<()> {
+pub fn write_json<T: ToJson + ?Sized, W: std::io::Write>(
+    value: &T,
+    mut writer: W,
+) -> std::io::Result<()> {
     writer.write_all(to_json(value).as_bytes())
 }
 
-/// A JSON value tree.
+/// The streaming pretty-printer every [`ToJson`] implementation writes
+/// into.
+///
+/// It appends to one `String` and owns the layout: 2-space indentation,
+/// `"key": value` members, `[]`/`{}` for empty containers. Containers are
+/// opened with [`JsonWriter::object`] / [`JsonWriter::array`], whose
+/// bodies emit members with [`JsonWriter::field`] (a static key, written
+/// raw), [`JsonWriter::entry`] (a runtime key, escaped) or
+/// [`JsonWriter::item`]. Scalars go straight to the output.
+///
+/// ```
+/// use sofi_report::{JsonWriter, ToJson};
+/// struct Row { cycles: u64, bits: [u8; 2] }
+/// impl ToJson for Row {
+///     fn write_json(&self, w: &mut JsonWriter) {
+///         w.object(|w| {
+///             w.field("cycles", &self.cycles);
+///             w.field("bits", &self.bits);
+///         });
+///     }
+/// }
+/// let json = sofi_report::to_json(&Row { cycles: 8, bits: [1, 2] });
+/// assert_eq!(json, "{\n  \"cycles\": 8,\n  \"bits\": [\n    1,\n    2\n  ]\n}");
+/// ```
+#[derive(Debug)]
+pub struct JsonWriter {
+    out: String,
+    /// Nesting depth of the container being written.
+    depth: usize,
+    /// No member has been written into the current container yet (the
+    /// next one needs no comma; closing it prints `[]`/`{}`).
+    empty: bool,
+}
+
+/// Indentation source: `depth` levels are a prefix of (repeats of) this.
+const SPACES: &str = "                                                                ";
+
+impl JsonWriter {
+    /// Writes an object; `body` emits its members with
+    /// [`JsonWriter::field`] / [`JsonWriter::entry`].
+    pub fn object(&mut self, body: impl FnOnce(&mut JsonWriter)) {
+        self.container(b'{', b'}', body);
+    }
+
+    /// Writes an array; `body` emits its elements with
+    /// [`JsonWriter::item`].
+    pub fn array(&mut self, body: impl FnOnce(&mut JsonWriter)) {
+        self.container(b'[', b']', body);
+    }
+
+    fn container(&mut self, open: u8, close: u8, body: impl FnOnce(&mut JsonWriter)) {
+        self.out.push(char::from(open));
+        self.depth += 1;
+        self.empty = true;
+        body(self);
+        self.depth -= 1;
+        if !self.empty {
+            self.newline();
+        }
+        self.out.push(char::from(close));
+        // The enclosing container now holds (at least) this one.
+        self.empty = false;
+    }
+
+    /// Separator and indentation before the next member.
+    fn member(&mut self) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.newline();
+    }
+
+    fn newline(&mut self) {
+        self.out.push('\n');
+        let mut n = 2 * self.depth;
+        while n > SPACES.len() {
+            self.out.push_str(SPACES);
+            n -= SPACES.len();
+        }
+        self.out.push_str(&SPACES[..n]);
+    }
+
+    /// An object member under a static key. The key is written raw, so
+    /// it must need no escaping (every field name in the suite does not).
+    pub fn field<T: ToJson + ?Sized>(&mut self, key: &'static str, value: &T) {
+        self.key(key);
+        value.write_json(self);
+    }
+
+    /// A static member key; the value is written next.
+    fn key(&mut self, key: &'static str) {
+        debug_assert!(
+            key.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\'),
+            "static JSON key {key:?} needs escaping"
+        );
+        self.member();
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\": ");
+    }
+
+    /// An object member under a runtime key (telemetry names, parsed
+    /// documents), escaped like any string.
+    pub fn entry<T: ToJson + ?Sized>(&mut self, key: &str, value: &T) {
+        self.member();
+        write_escaped(&mut self.out, key);
+        self.out.push_str(": ");
+        value.write_json(self);
+    }
+
+    /// An array element.
+    pub fn item<T: ToJson + ?Sized>(&mut self, value: &T) {
+        self.member();
+        value.write_json(self);
+    }
+
+    /// `null`.
+    pub fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, v: bool) {
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
+    /// A non-negative integer.
+    pub fn u64(&mut self, mut v: u64) {
+        let mut buf = [0u8; 20];
+        let mut i = buf.len();
+        loop {
+            i -= 1;
+            buf[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        // Only ASCII digits were written.
+        self.out
+            .push_str(std::str::from_utf8(&buf[i..]).unwrap_or_default());
+    }
+
+    /// A signed integer.
+    pub fn i64(&mut self, v: i64) {
+        match u64::try_from(v) {
+            Ok(v) => self.u64(v),
+            Err(_) => {
+                let _ = write!(self.out, "{v}");
+            }
+        }
+    }
+
+    /// A float. `{:?}` keeps a trailing `.0` on integral values, so a
+    /// float field stays a float across a round-trip; non-finite values
+    /// print as `null`.
+    pub fn f64(&mut self, v: f64) {
+        if v.is_finite() {
+            let _ = write!(self.out, "{v:?}");
+        } else {
+            self.null();
+        }
+    }
+
+    /// A string, escaped.
+    pub fn str(&mut self, s: &str) {
+        write_escaped(&mut self.out, s);
+    }
+}
+
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0x00..=0x1F => "",
+            _ => continue,
+        };
+        // `i` indexes an ASCII byte, so both slices end on char boundaries.
+        out.push_str(&s[start..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
+}
+
+/// A JSON value tree, produced by [`Json::parse`].
 ///
 /// Object members keep insertion order (a `Vec` of pairs, not a map), so
-/// exported artifacts list fields in declaration order like the former
-/// derive-based serializer did.
+/// a parsed artifact lists fields in the order they were written.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -133,79 +343,19 @@ impl Json {
         }
     }
 
-    /// Pretty-prints with 2-space indentation (the `serde_json` style the
-    /// suite's artifacts have always used).
+    /// Pretty-prints with 2-space indentation — [`to_json`] on the tree,
+    /// the same printer every artifact goes through.
     pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_pretty(&mut out, 0);
-        out
-    }
-
-    fn write_pretty(&self, out: &mut String, depth: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::U64(v) => {
-                let mut buf = itoa_buffer();
-                out.push_str(write_u64(&mut buf, *v));
-            }
-            Json::I64(v) => out.push_str(&v.to_string()),
-            Json::F64(v) => {
-                if v.is_finite() {
-                    // `{:?}` keeps a trailing `.0` on integral floats, so a
-                    // float field stays a float across a round-trip.
-                    out.push_str(&format!("{v:?}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, depth + 1);
-                    item.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                push_indent(out, depth);
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, depth + 1);
-                    write_escaped(out, key);
-                    out.push_str(": ");
-                    value.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                push_indent(out, depth);
-                out.push('}');
-            }
-        }
+        to_json(self)
     }
 
     /// Parses a JSON document.
     ///
     /// Supports the full value grammar the writer emits (and standard JSON
     /// in general: escapes, `\uXXXX`, exponents). Trailing garbage is an
-    /// error.
+    /// error, and so is nesting deeper than 128 containers — the parser
+    /// recurses per level, so unbounded nesting in a hostile file would
+    /// otherwise overflow the stack.
     ///
     /// # Errors
     ///
@@ -214,6 +364,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -225,48 +376,9 @@ impl Json {
     }
 }
 
-fn push_indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-}
-
-fn itoa_buffer() -> [u8; 20] {
-    [0; 20]
-}
-
-fn write_u64(buf: &mut [u8; 20], mut v: u64) -> &str {
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    std::str::from_utf8(&buf[i..]).unwrap()
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+/// Deepest container nesting [`Json::parse`] accepts. Every artifact the
+/// suite writes nests at most 6 levels.
+const MAX_DEPTH: usize = 128;
 
 /// A JSON parse error: what went wrong and the byte offset where.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -288,6 +400,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -332,11 +446,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one container one level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Parser<'a>) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -501,112 +629,122 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Conversion into a [`Json`] tree.
+/// Export to JSON: the value writes itself into a [`JsonWriter`].
 ///
-/// Implemented for primitives, strings, options, slices and the suite's
-/// result types. Flat report structs can derive an implementation with
-/// [`impl_to_json!`].
+/// Implemented for primitives, strings, options, slices, [`Json`] trees
+/// and the suite's result types. Flat report structs can derive an
+/// implementation with [`impl_to_json!`].
 pub trait ToJson {
-    /// The JSON representation of `self`.
-    fn to_json(&self) -> Json;
+    /// Writes the JSON representation of `self` at the writer's current
+    /// position.
+    fn write_json(&self, w: &mut JsonWriter);
 }
 
 impl ToJson for Json {
-    fn to_json(&self) -> Json {
-        self.clone()
+    fn write_json(&self, w: &mut JsonWriter) {
+        match self {
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::U64(v) => w.u64(*v),
+            Json::I64(v) => w.i64(*v),
+            Json::F64(v) => w.f64(*v),
+            Json::Str(s) => w.str(s),
+            Json::Arr(items) => items.write_json(w),
+            Json::Obj(pairs) => w.object(|w| {
+                for (key, value) in pairs {
+                    w.entry(key, value);
+                }
+            }),
+        }
     }
 }
 
 impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.bool(*self);
     }
 }
 
-macro_rules! impl_to_json_unsigned {
-    ($($t:ty),*) => {$(
+macro_rules! impl_to_json_int {
+    ($method:ident: $($t:ty),*) => {$(
         impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                Json::U64(*self as u64)
+            fn write_json(&self, w: &mut JsonWriter) {
+                w.$method(*self as _);
             }
         }
     )*};
 }
 
-macro_rules! impl_to_json_signed {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                let v = *self as i64;
-                if v >= 0 { Json::U64(v as u64) } else { Json::I64(v) }
-            }
-        }
-    )*};
-}
-
-impl_to_json_unsigned!(u8, u16, u32, u64, usize);
-impl_to_json_signed!(i8, i16, i32, i64, isize);
+impl_to_json_int!(u64: u8, u16, u32, u64, usize);
+impl_to_json_int!(i64: i8, i16, i32, i64, isize);
 
 impl ToJson for f64 {
-    fn to_json(&self) -> Json {
-        Json::F64(*self)
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.f64(*self);
     }
 }
 
 impl ToJson for f32 {
-    fn to_json(&self) -> Json {
-        Json::F64(f64::from(*self))
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.f64(f64::from(*self));
     }
 }
 
 impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.str(self);
     }
 }
 
 impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.str(self);
     }
 }
 
 impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json(&self) -> Json {
-        (**self).to_json()
+    fn write_json(&self, w: &mut JsonWriter) {
+        (**self).write_json(w);
     }
 }
 
 impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, w: &mut JsonWriter) {
         match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
+            Some(v) => v.write_json(w),
+            None => w.null(),
         }
     }
 }
 
 impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.array(|w| {
+            for item in self {
+                w.item(item);
+            }
+        });
     }
 }
 
 impl<T: ToJson, const N: usize> ToJson for [T; N] {
-    fn to_json(&self) -> Json {
-        self.as_slice().to_json()
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.as_slice().write_json(w);
     }
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        self.as_slice().to_json()
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.as_slice().write_json(w);
     }
 }
 
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.array(|w| {
+            w.item(&self.0);
+            w.item(&self.1);
+        });
     }
 }
 
@@ -623,16 +761,24 @@ impl<A: ToJson, B: ToJson> ToJson for (A, B) {
 macro_rules! impl_to_json {
     ($ty:ty { $($field:ident),+ $(,)? }) => {
         impl $crate::export::ToJson for $ty {
-            fn to_json(&self) -> $crate::export::Json {
-                $crate::export::Json::Obj(vec![
-                    $((
-                        stringify!($field).to_string(),
-                        $crate::export::ToJson::to_json(&self.$field),
-                    ),)+
-                ])
+            fn write_json(&self, w: &mut $crate::export::JsonWriter) {
+                w.object(|w| {
+                    $(w.field(stringify!($field), &self.$field);)+
+                });
             }
         }
     };
+}
+
+/// A [`ToJson`] value defined by a writing closure — what the artifact
+/// builders return, so an artifact streams its parts instead of copying
+/// them into an intermediate value.
+struct JsonFn<F>(F);
+
+impl<F: Fn(&mut JsonWriter)> ToJson for JsonFn<F> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        (self.0)(w);
+    }
 }
 
 // --- Suite result types -------------------------------------------------
@@ -642,251 +788,243 @@ macro_rules! impl_to_json {
 // single-key objects.
 
 impl ToJson for FaultCoord {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("cycle".into(), self.cycle.to_json()),
-            ("bit".into(), self.bit.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("cycle", &self.cycle);
+            w.field("bit", &self.bit);
+        });
     }
 }
 
 impl ToJson for FaultSpace {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("cycles".into(), self.cycles.to_json()),
-            ("bits".into(), self.bits.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("cycles", &self.cycles);
+            w.field("bits", &self.bits);
+        });
     }
 }
 
 impl ToJson for Experiment {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("id".into(), self.id.to_json()),
-            ("coord".into(), self.coord.to_json()),
-            ("weight".into(), self.weight.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("id", &self.id);
+            w.field("coord", &self.coord);
+            w.field("weight", &self.weight);
+        });
     }
 }
 
 impl ToJson for FaultDomain {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, w: &mut JsonWriter) {
         // `FaultDomain::name` is the canonical artifact spelling; going
         // through it (rather than a local match) keeps exports and the
         // CLI round-trip (`Display`/`FromStr`) in lock-step as domains
         // are added.
-        Json::Str(self.name().into())
+        w.str(self.name());
     }
 }
 
 impl ToJson for SamplingMode {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                SamplingMode::UniformRaw => "UniformRaw",
-                SamplingMode::WeightedClasses => "WeightedClasses",
-                SamplingMode::BiasedPerClass => "BiasedPerClass",
-            }
-            .into(),
-        )
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.str(match self {
+            SamplingMode::UniformRaw => "UniformRaw",
+            SamplingMode::WeightedClasses => "WeightedClasses",
+            SamplingMode::BiasedPerClass => "BiasedPerClass",
+        });
     }
 }
 
+/// A data-carrying enum variant: `{"Variant": {fields}}`.
+fn tagged(w: &mut JsonWriter, variant: &'static str, fields: impl FnOnce(&mut JsonWriter)) {
+    w.object(|w| {
+        w.key(variant);
+        w.object(fields);
+    });
+}
+
 impl ToJson for Trap {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, w: &mut JsonWriter) {
         match *self {
-            Trap::Misaligned { addr, width } => Json::Obj(vec![(
-                "Misaligned".into(),
-                Json::Obj(vec![
-                    ("addr".into(), addr.to_json()),
-                    ("width".into(), Json::Str(format!("{width:?}"))),
-                ]),
-            )]),
-            Trap::OutOfRange { addr } => Json::Obj(vec![(
-                "OutOfRange".into(),
-                Json::Obj(vec![("addr".into(), addr.to_json())]),
-            )]),
-            Trap::MmioRead { addr } => Json::Obj(vec![(
-                "MmioRead".into(),
-                Json::Obj(vec![("addr".into(), addr.to_json())]),
-            )]),
-            Trap::BadJump { target } => Json::Obj(vec![(
-                "BadJump".into(),
-                Json::Obj(vec![("target".into(), target.to_json())]),
-            )]),
-            Trap::SerialOverflow => Json::Str("SerialOverflow".into()),
-            Trap::IllegalOpcode { opcode } => Json::Obj(vec![(
-                "IllegalOpcode".into(),
-                Json::Obj(vec![("opcode".into(), opcode.to_json())]),
-            )]),
+            Trap::Misaligned { addr, width } => tagged(w, "Misaligned", |w| {
+                w.field("addr", &addr);
+                w.field("width", &format!("{width:?}"));
+            }),
+            Trap::OutOfRange { addr } => tagged(w, "OutOfRange", |w| w.field("addr", &addr)),
+            Trap::MmioRead { addr } => tagged(w, "MmioRead", |w| w.field("addr", &addr)),
+            Trap::BadJump { target } => tagged(w, "BadJump", |w| w.field("target", &target)),
+            Trap::SerialOverflow => w.str("SerialOverflow"),
+            Trap::IllegalOpcode { opcode } => {
+                tagged(w, "IllegalOpcode", |w| w.field("opcode", &opcode));
+            }
         }
     }
 }
 
 impl ToJson for Outcome {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, w: &mut JsonWriter) {
         match *self {
-            Outcome::NoEffect => Json::Str("NoEffect".into()),
-            Outcome::DetectedCorrected => Json::Str("DetectedCorrected".into()),
-            Outcome::SilentDataCorruption => Json::Str("SilentDataCorruption".into()),
-            Outcome::DetectedUnrecoverable => Json::Str("DetectedUnrecoverable".into()),
-            Outcome::Timeout => Json::Str("Timeout".into()),
-            Outcome::OutputFlood => Json::Str("OutputFlood".into()),
-            Outcome::AbnormalHalt { code } => Json::Obj(vec![(
-                "AbnormalHalt".into(),
-                Json::Obj(vec![("code".into(), code.to_json())]),
-            )]),
-            Outcome::CpuException(trap) => Json::Obj(vec![("CpuException".into(), trap.to_json())]),
+            Outcome::NoEffect => w.str("NoEffect"),
+            Outcome::DetectedCorrected => w.str("DetectedCorrected"),
+            Outcome::SilentDataCorruption => w.str("SilentDataCorruption"),
+            Outcome::DetectedUnrecoverable => w.str("DetectedUnrecoverable"),
+            Outcome::Timeout => w.str("Timeout"),
+            Outcome::OutputFlood => w.str("OutputFlood"),
+            Outcome::AbnormalHalt { code } => tagged(w, "AbnormalHalt", |w| w.field("code", &code)),
+            Outcome::CpuException(trap) => w.object(|w| w.field("CpuException", &trap)),
         }
     }
 }
 
 impl ToJson for ExperimentResult {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("experiment".into(), self.experiment.to_json()),
-            ("outcome".into(), self.outcome.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("experiment", &self.experiment);
+            w.field("outcome", &self.outcome);
+        });
     }
 }
 
+/// Typical bytes one [`ExperimentResult`] takes in a [`CampaignResult`]
+/// export (indentation included), for pre-sizing the output buffer so a
+/// large export is never copied on growth.
+const RESULT_BYTES: usize = 256;
+
 impl ToJson for CampaignResult {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("benchmark".into(), self.benchmark.to_json()),
-            ("domain".into(), self.domain.to_json()),
-            ("space".into(), self.space.to_json()),
-            (
-                "known_benign_weight".into(),
-                self.known_benign_weight.to_json(),
-            ),
-            ("golden_cycles".into(), self.golden_cycles.to_json()),
-            ("results".into(), self.results.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.out.reserve(self.results.len() * RESULT_BYTES);
+        w.object(|w| {
+            w.field("benchmark", &self.benchmark);
+            w.field("domain", &self.domain);
+            w.field("space", &self.space);
+            w.field("known_benign_weight", &self.known_benign_weight);
+            w.field("golden_cycles", &self.golden_cycles);
+            w.field("results", &self.results);
+        });
     }
 }
 
 impl ToJson for SampledOutcome {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("experiment".into(), self.experiment.to_json()),
-            ("hits".into(), self.hits.to_json()),
-            ("outcome".into(), self.outcome.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("experiment", &self.experiment);
+            w.field("hits", &self.hits);
+            w.field("outcome", &self.outcome);
+        });
     }
 }
 
 impl ToJson for SampledResult {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("benchmark".into(), self.benchmark.to_json()),
-            ("domain".into(), self.domain.to_json()),
-            ("mode".into(), self.mode.to_json()),
-            ("draws".into(), self.draws.to_json()),
-            ("population".into(), self.population.to_json()),
-            ("benign_draws".into(), self.benign_draws.to_json()),
-            ("outcomes".into(), self.outcomes.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("benchmark", &self.benchmark);
+            w.field("domain", &self.domain);
+            w.field("mode", &self.mode);
+            w.field("draws", &self.draws);
+            w.field("population", &self.population);
+            w.field("benign_draws", &self.benign_draws);
+            w.field("outcomes", &self.outcomes);
+        });
     }
 }
 
 impl ToJson for BurstSampledResult {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("benchmark".into(), self.benchmark.to_json()),
-            ("domain".into(), self.domain.to_json()),
-            ("width".into(), self.width.to_json()),
-            ("draws".into(), self.draws.to_json()),
-            ("population".into(), self.population.to_json()),
-            ("benign_skips".into(), self.benign_skips.to_json()),
-            ("failure_draws".into(), self.failure_draws.to_json()),
-            ("by_kind".into(), self.by_kind.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("benchmark", &self.benchmark);
+            w.field("domain", &self.domain);
+            w.field("width", &self.width);
+            w.field("draws", &self.draws);
+            w.field("population", &self.population);
+            w.field("benign_skips", &self.benign_skips);
+            w.field("failure_draws", &self.failure_draws);
+            w.field("by_kind", &self.by_kind);
+        });
     }
 }
 
 impl ToJson for ExecutorStats {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("workers".into(), self.workers.to_json()),
-            ("experiments".into(), self.experiments.to_json()),
-            ("pristine_cycles".into(), self.pristine_cycles.to_json()),
-            ("faulted_cycles".into(), self.faulted_cycles.to_json()),
-            ("converged_early".into(), self.converged_early.to_json()),
-            (
-                "faulted_cycles_saved".into(),
-                self.faulted_cycles_saved.to_json(),
-            ),
-            ("memo_hits".into(), self.memo_hits.to_json()),
-            ("memo_misses".into(), self.memo_misses.to_json()),
-            (
-                "memoized_cycles_saved".into(),
-                self.memoized_cycles_saved.to_json(),
-            ),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("workers", &self.workers);
+            w.field("experiments", &self.experiments);
+            w.field("pristine_cycles", &self.pristine_cycles);
+            w.field("faulted_cycles", &self.faulted_cycles);
+            w.field("converged_early", &self.converged_early);
+            w.field("faulted_cycles_saved", &self.faulted_cycles_saved);
+            w.field("memo_hits", &self.memo_hits);
+            w.field("memo_misses", &self.memo_misses);
+            w.field("memoized_cycles_saved", &self.memoized_cycles_saved);
+        });
     }
 }
 
 /// The artifact exported for a finished service job: the daemon's job id
 /// next to the merged campaign result and the executor counters
 /// accumulated over all journaled batches. This is the journal → export
-/// bridge `sofi submit --wait --out <file>` writes.
-pub fn job_artifact(job: u64, result: &CampaignResult, stats: &ExecutorStats) -> Json {
-    Json::Obj(vec![
-        ("job".into(), job.to_json()),
-        ("result".into(), result.to_json()),
-        ("stats".into(), stats.to_json()),
-    ])
+/// bridge `sofi submit --wait --out <file>` writes; render it with
+/// [`to_json`].
+pub fn job_artifact<'a>(
+    job: u64,
+    result: &'a CampaignResult,
+    stats: &'a ExecutorStats,
+) -> impl ToJson + 'a {
+    JsonFn(move |w: &mut JsonWriter| {
+        w.object(|w| {
+            w.field("job", &job);
+            w.field("result", result);
+            w.field("stats", stats);
+        });
+    })
 }
 
 impl ToJson for Bucket {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("lo".into(), self.lo.to_json()),
-            ("hi".into(), self.hi.to_json()),
-            ("count".into(), self.count.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("lo", &self.lo);
+            w.field("hi", &self.hi);
+            w.field("count", &self.count);
+        });
     }
 }
 
 impl ToJson for HistogramSnapshot {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("count".into(), self.count.to_json()),
-            ("sum".into(), self.sum.to_json()),
-            ("min".into(), self.min.to_json()),
-            ("max".into(), self.max.to_json()),
-            ("mean".into(), self.mean().to_json()),
-            ("p50".into(), self.quantile(0.5).to_json()),
-            ("p99".into(), self.quantile(0.99).to_json()),
-            ("buckets".into(), self.buckets.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("count", &self.count);
+            w.field("sum", &self.sum);
+            w.field("min", &self.min);
+            w.field("max", &self.max);
+            w.field("mean", &self.mean());
+            w.field("p50", &self.quantile(0.5));
+            w.field("p99", &self.quantile(0.99));
+            w.field("buckets", &self.buckets);
+        });
     }
 }
 
+/// A name-keyed object of `(name, value)` pairs.
+fn named<T: ToJson>(pairs: &[(String, T)]) -> impl ToJson + '_ {
+    JsonFn(move |w: &mut JsonWriter| {
+        w.object(|w| {
+            for (name, value) in pairs {
+                w.entry(name, value);
+            }
+        });
+    })
+}
+
+/// The members of a [`Snapshot`] object, shared with
+/// [`telemetry_artifact`] (which prefixes the schema tag).
+fn snapshot_fields(s: &Snapshot, w: &mut JsonWriter) {
+    w.field("counters", &named(&s.counters));
+    w.field("gauges", &named(&s.gauges));
+    w.field("histograms", &named(&s.histograms));
+}
+
 impl ToJson for Snapshot {
-    fn to_json(&self) -> Json {
-        let entries = |pairs: &[(String, u64)]| {
-            Json::Obj(
-                pairs
-                    .iter()
-                    .map(|(name, v)| (name.clone(), v.to_json()))
-                    .collect(),
-            )
-        };
-        Json::Obj(vec![
-            ("counters".into(), entries(&self.counters)),
-            ("gauges".into(), entries(&self.gauges)),
-            (
-                "histograms".into(),
-                Json::Obj(
-                    self.histograms
-                        .iter()
-                        .map(|(name, h)| (name.clone(), h.to_json()))
-                        .collect(),
-                ),
-            ),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| snapshot_fields(self, w));
     }
 }
 
@@ -898,22 +1036,23 @@ pub const TELEMETRY_SCHEMA: &str = "sofi.telemetry.snapshot/v1";
 /// the counters, gauges and histograms as name-keyed objects (names are
 /// sorted — registry snapshots come out that way — so artifacts diff
 /// cleanly between runs). Histograms carry their occupied buckets plus
-/// derived `mean`/`p50`/`p99` so consumers need no bucket math.
-pub fn telemetry_artifact(snapshot: &Snapshot) -> Json {
-    let Json::Obj(mut fields) = snapshot.to_json() else {
-        unreachable!("Snapshot serializes as an object");
-    };
-    let mut obj = vec![("schema".into(), Json::Str(TELEMETRY_SCHEMA.into()))];
-    obj.append(&mut fields);
-    Json::Obj(obj)
+/// derived `mean`/`p50`/`p99` so consumers need no bucket math. Render it
+/// with [`to_json`].
+pub fn telemetry_artifact(snapshot: &Snapshot) -> impl ToJson + '_ {
+    JsonFn(move |w: &mut JsonWriter| {
+        w.object(|w| {
+            w.field("schema", TELEMETRY_SCHEMA);
+            snapshot_fields(snapshot, w);
+        });
+    })
 }
 
 impl ToJson for Table1Row {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("k".into(), self.k.to_json()),
-            ("probability".into(), self.probability.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("k", &self.k);
+            w.field("probability", &self.probability);
+        });
     }
 }
 
@@ -943,31 +1082,31 @@ pub struct SusceptibilityRow {
 }
 
 impl ToJson for FailureEstimate {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("failures".into(), self.failures.to_json()),
-            ("ci_lo".into(), self.ci.0.to_json()),
-            ("ci_hi".into(), self.ci.1.to_json()),
-            ("exact".into(), self.exact.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("failures", &self.failures);
+            w.field("ci_lo", &self.ci.0);
+            w.field("ci_hi", &self.ci.1);
+            w.field("exact", &self.exact);
+        });
     }
 }
 
 impl ToJson for SusceptibilityRow {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("benchmark".into(), Json::Str(self.benchmark.clone())),
-            ("domain".into(), self.domain.to_json()),
-            ("baseline_space".into(), self.baseline_space.to_json()),
-            ("hardened_space".into(), self.hardened_space.to_json()),
-            ("baseline".into(), self.baseline.to_json()),
-            ("hardened".into(), self.hardened.to_json()),
-            ("ratio".into(), self.comparison.ratio.to_json()),
-            ("ratio_ci_lo".into(), self.comparison.ci.0.to_json()),
-            ("ratio_ci_hi".into(), self.comparison.ci.1.to_json()),
-            ("improves".into(), self.comparison.improves().to_json()),
-            ("conclusive".into(), self.comparison.conclusive().to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("benchmark", &self.benchmark);
+            w.field("domain", &self.domain);
+            w.field("baseline_space", &self.baseline_space);
+            w.field("hardened_space", &self.hardened_space);
+            w.field("baseline", &self.baseline);
+            w.field("hardened", &self.hardened);
+            w.field("ratio", &self.comparison.ratio);
+            w.field("ratio_ci_lo", &self.comparison.ci.0);
+            w.field("ratio_ci_hi", &self.comparison.ci.1);
+            w.field("improves", &self.comparison.improves());
+            w.field("conclusive", &self.comparison.conclusive());
+        });
     }
 }
 
@@ -975,50 +1114,318 @@ impl ToJson for SusceptibilityRow {
 /// schema tag plus one [`SusceptibilityRow`] per benchmark pair × fault
 /// domain. This is the Figure-2 analogue for artifact consumers — rows
 /// carry *absolute* failure estimates (the paper's sound metric), never
-/// coverage percentages.
-pub fn susceptibility_artifact(rows: &[SusceptibilityRow]) -> Json {
-    Json::Obj(vec![
-        ("schema".into(), Json::Str(SUSCEPTIBILITY_SCHEMA.into())),
-        ("rows".into(), rows.to_json()),
-    ])
+/// coverage percentages. Render it with [`to_json`].
+pub fn susceptibility_artifact(rows: &[SusceptibilityRow]) -> impl ToJson + '_ {
+    JsonFn(move |w: &mut JsonWriter| {
+        w.object(|w| {
+            w.field("schema", SUSCEPTIBILITY_SCHEMA);
+            w.field("rows", rows);
+        });
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sofi_isa::{Asm, MemWidth, Program, Reg};
+
+    /// `to_json(&Json::parse(s)) == s`: the printer and the parser agree
+    /// on every byte of `s`.
+    fn assert_print_parse_identity(s: &str) {
+        let tree = Json::parse(s).unwrap_or_else(|e| panic!("{e}\n{s}"));
+        assert_eq!(to_json(&tree), s);
+    }
+
+    fn hi() -> Program {
+        let mut a = Asm::with_name("hi");
+        let msg = a.data_space("msg", 2);
+        a.li(Reg::R1, 'H' as i32);
+        a.sb(Reg::R1, Reg::R0, msg.offset());
+        a.li(Reg::R1, 'i' as i32);
+        a.sb(Reg::R1, Reg::R0, msg.at(1).offset());
+        a.lb(Reg::R2, Reg::R0, msg.offset());
+        a.serial_out(Reg::R2);
+        a.lb(Reg::R2, Reg::R0, msg.at(1).offset());
+        a.serial_out(Reg::R2);
+        a.build().unwrap()
+    }
+
+    /// One result per `Outcome` variant and per `Trap` variant.
+    fn every_outcome() -> CampaignResult {
+        let outcomes = [
+            Outcome::NoEffect,
+            Outcome::DetectedCorrected,
+            Outcome::SilentDataCorruption,
+            Outcome::DetectedUnrecoverable,
+            Outcome::Timeout,
+            Outcome::OutputFlood,
+            Outcome::AbnormalHalt { code: 3 },
+            Outcome::CpuException(Trap::Misaligned {
+                addr: 6,
+                width: MemWidth::Word,
+            }),
+            Outcome::CpuException(Trap::OutOfRange { addr: 70_000 }),
+            Outcome::CpuException(Trap::MmioRead { addr: 65_540 }),
+            Outcome::CpuException(Trap::BadJump { target: 99 }),
+            Outcome::CpuException(Trap::SerialOverflow),
+            Outcome::CpuException(Trap::IllegalOpcode { opcode: 63 }),
+        ];
+        CampaignResult {
+            benchmark: "pin \"all\"".into(),
+            domain: FaultDomain::OpcodeBit,
+            space: FaultSpace::new(13, 32),
+            known_benign_weight: 7,
+            golden_cycles: 13,
+            results: outcomes
+                .iter()
+                .zip(0u32..)
+                .map(|(&outcome, i)| ExperimentResult {
+                    experiment: Experiment {
+                        id: i,
+                        coord: FaultCoord {
+                            cycle: u64::from(i),
+                            bit: u64::from(i * 5 % 32),
+                        },
+                        weight: u64::from(i) + 1,
+                    },
+                    outcome,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn campaign_result_exact_bytes() {
+        // The artifact format, pinned byte for byte: every outcome and
+        // trap shape, an escaped string, nested indentation.
+        assert_eq!(to_json(&every_outcome()), EVERY_OUTCOME_JSON);
+        let empty = CampaignResult {
+            benchmark: "empty".into(),
+            domain: FaultDomain::Memory,
+            space: FaultSpace::new(4, 8),
+            known_benign_weight: 32,
+            golden_cycles: 4,
+            results: vec![],
+        };
+        assert_eq!(
+            to_json(&empty),
+            "{\n  \"benchmark\": \"empty\",\n  \"domain\": \"Memory\",\n  \"space\": {\n    \
+             \"cycles\": 4,\n    \"bits\": 8\n  },\n  \"known_benign_weight\": 32,\n  \
+             \"golden_cycles\": 4,\n  \"results\": []\n}"
+        );
+    }
+
+    const EVERY_OUTCOME_JSON: &str = r#"{
+  "benchmark": "pin \"all\"",
+  "domain": "OpcodeBit",
+  "space": {
+    "cycles": 13,
+    "bits": 32
+  },
+  "known_benign_weight": 7,
+  "golden_cycles": 13,
+  "results": [
+    {
+      "experiment": {
+        "id": 0,
+        "coord": {
+          "cycle": 0,
+          "bit": 0
+        },
+        "weight": 1
+      },
+      "outcome": "NoEffect"
+    },
+    {
+      "experiment": {
+        "id": 1,
+        "coord": {
+          "cycle": 1,
+          "bit": 5
+        },
+        "weight": 2
+      },
+      "outcome": "DetectedCorrected"
+    },
+    {
+      "experiment": {
+        "id": 2,
+        "coord": {
+          "cycle": 2,
+          "bit": 10
+        },
+        "weight": 3
+      },
+      "outcome": "SilentDataCorruption"
+    },
+    {
+      "experiment": {
+        "id": 3,
+        "coord": {
+          "cycle": 3,
+          "bit": 15
+        },
+        "weight": 4
+      },
+      "outcome": "DetectedUnrecoverable"
+    },
+    {
+      "experiment": {
+        "id": 4,
+        "coord": {
+          "cycle": 4,
+          "bit": 20
+        },
+        "weight": 5
+      },
+      "outcome": "Timeout"
+    },
+    {
+      "experiment": {
+        "id": 5,
+        "coord": {
+          "cycle": 5,
+          "bit": 25
+        },
+        "weight": 6
+      },
+      "outcome": "OutputFlood"
+    },
+    {
+      "experiment": {
+        "id": 6,
+        "coord": {
+          "cycle": 6,
+          "bit": 30
+        },
+        "weight": 7
+      },
+      "outcome": {
+        "AbnormalHalt": {
+          "code": 3
+        }
+      }
+    },
+    {
+      "experiment": {
+        "id": 7,
+        "coord": {
+          "cycle": 7,
+          "bit": 3
+        },
+        "weight": 8
+      },
+      "outcome": {
+        "CpuException": {
+          "Misaligned": {
+            "addr": 6,
+            "width": "Word"
+          }
+        }
+      }
+    },
+    {
+      "experiment": {
+        "id": 8,
+        "coord": {
+          "cycle": 8,
+          "bit": 8
+        },
+        "weight": 9
+      },
+      "outcome": {
+        "CpuException": {
+          "OutOfRange": {
+            "addr": 70000
+          }
+        }
+      }
+    },
+    {
+      "experiment": {
+        "id": 9,
+        "coord": {
+          "cycle": 9,
+          "bit": 13
+        },
+        "weight": 10
+      },
+      "outcome": {
+        "CpuException": {
+          "MmioRead": {
+            "addr": 65540
+          }
+        }
+      }
+    },
+    {
+      "experiment": {
+        "id": 10,
+        "coord": {
+          "cycle": 10,
+          "bit": 18
+        },
+        "weight": 11
+      },
+      "outcome": {
+        "CpuException": {
+          "BadJump": {
+            "target": 99
+          }
+        }
+      }
+    },
+    {
+      "experiment": {
+        "id": 11,
+        "coord": {
+          "cycle": 11,
+          "bit": 23
+        },
+        "weight": 12
+      },
+      "outcome": {
+        "CpuException": "SerialOverflow"
+      }
+    },
+    {
+      "experiment": {
+        "id": 12,
+        "coord": {
+          "cycle": 12,
+          "bit": 28
+        },
+        "weight": 13
+      },
+      "outcome": {
+        "CpuException": {
+          "IllegalOpcode": {
+            "opcode": 63
+          }
+        }
+      }
+    }
+  ]
+}"#;
 
     #[test]
     fn campaign_result_round_trips_through_parser() {
-        let r = CampaignResult {
-            benchmark: "t".into(),
-            domain: FaultDomain::Memory,
-            space: FaultSpace::new(2, 8),
-            known_benign_weight: 10,
-            golden_cycles: 2,
-            results: vec![ExperimentResult {
-                experiment: Experiment {
-                    id: 0,
-                    coord: FaultCoord { cycle: 1, bit: 3 },
-                    weight: 2,
-                },
-                outcome: Outcome::SilentDataCorruption,
-            }],
-        };
+        let r = every_outcome();
         let json = to_json(&r);
+        assert_print_parse_identity(&json);
         let back = Json::parse(&json).unwrap();
-        assert_eq!(back, r.to_json());
-        assert_eq!(back.get("benchmark").unwrap().as_str(), Some("t"));
+        assert_eq!(back.get("benchmark").unwrap().as_str(), Some("pin \"all\""));
         assert_eq!(
             back.get("space").unwrap().get("bits").unwrap().as_u64(),
-            Some(8)
+            Some(32)
         );
-        let first = back.get("results").unwrap().at(0).unwrap();
+        let third = back.get("results").unwrap().at(2).unwrap();
         assert_eq!(
-            first.get("outcome").unwrap().as_str(),
+            third.get("outcome").unwrap().as_str(),
             Some("SilentDataCorruption")
         );
         assert_eq!(
-            first
+            third
                 .get("experiment")
                 .unwrap()
                 .get("coord")
@@ -1026,15 +1433,69 @@ mod tests {
                 .get("cycle")
                 .unwrap()
                 .as_u64(),
-            Some(1)
+            Some(2)
         );
+    }
+
+    #[test]
+    fn hi_campaigns_print_parse_identity_in_every_domain() {
+        let c = sofi_campaign::Campaign::new(&hi()).unwrap();
+        for domain in FaultDomain::ALL {
+            // (`hi` has no branch, so its BranchInvert scan is empty.)
+            assert_print_parse_identity(&to_json(&c.run_full_defuse_in(domain)));
+        }
+    }
+
+    #[test]
+    fn artifacts_print_parse_identity() {
+        let result = every_outcome();
+        let stats = ExecutorStats {
+            workers: 2,
+            experiments: 13,
+            ..ExecutorStats::default()
+        };
+        assert_print_parse_identity(&to_json(&job_artifact(7, &result, &stats)));
+
+        let reg = sofi_telemetry::Registry::enabled();
+        reg.counter("executor.experiments").add(48);
+        reg.gauge("odd \"name\"\n").set(3);
+        let h = reg.histogram("executor.faulted_run_cycles");
+        for v in [1, 2, 3, 100, 4096] {
+            h.record(v);
+        }
+        assert_print_parse_identity(&to_json(&telemetry_artifact(&reg.snapshot())));
+        assert_print_parse_identity(&to_json(&telemetry_artifact(&Snapshot::default())));
+    }
+
+    #[test]
+    fn parser_refuses_hostile_nesting_with_a_typed_error() {
+        // Unbounded recursion would overflow a 2 MiB stack (a test
+        // thread's default) long before 100,000 levels.
+        let outcome = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let deep = "[".repeat(100_000);
+                let objects = "{\"a\":".repeat(100_000);
+                (Json::parse(&deep), Json::parse(&objects))
+            })
+            .unwrap()
+            .join()
+            .expect("parser overflowed the stack");
+        let err = outcome.0.unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        assert!(err.message.contains("nesting"), "{err}");
+        assert!(outcome.1.is_err());
+
+        // The limit itself is accepted.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert_print_parse_identity(&Json::parse(&at_limit).unwrap().pretty());
     }
 
     #[test]
     fn writer_variant_works() {
         let mut buf = Vec::new();
         write_json(&FaultSpace::new(1, 1), &mut buf).unwrap();
-        assert!(!buf.is_empty());
+        assert_eq!(buf, to_json(&FaultSpace::new(1, 1)).into_bytes());
     }
 
     #[test]
@@ -1046,26 +1507,11 @@ mod tests {
     }
 
     #[test]
-    fn data_carrying_outcomes_serialize_tagged() {
-        let halt = Outcome::AbnormalHalt { code: 9 }.to_json().pretty();
-        assert!(halt.contains("\"AbnormalHalt\""), "{halt}");
-        assert!(halt.contains("\"code\": 9"), "{halt}");
-        let trap = Outcome::CpuException(Trap::OutOfRange { addr: 16 })
-            .to_json()
-            .pretty();
-        assert!(trap.contains("\"CpuException\""), "{trap}");
-        assert!(trap.contains("\"OutOfRange\""), "{trap}");
-    }
-
-    #[test]
     fn string_escapes_round_trip() {
         let tricky = "a\"b\\c\nd\te\u{08}\u{0C}\r\u{1}é☃\u{1F600}";
-        let mut out = String::new();
-        write_escaped(&mut out, tricky);
-        match Json::parse(&out).unwrap() {
-            Json::Str(s) => assert_eq!(s, tricky),
-            other => panic!("expected string, got {other:?}"),
-        }
+        let json = to_json(tricky);
+        assert_eq!(json, "\"a\\\"b\\\\c\\nd\\te\\b\\f\\r\\u0001é☃\u{1F600}\"");
+        assert_eq!(Json::parse(&json), Ok(Json::Str(tricky.into())));
     }
 
     #[test]
@@ -1078,6 +1524,8 @@ mod tests {
             Json::parse("18446744073709551615").unwrap(),
             Json::U64(u64::MAX)
         );
+        assert_eq!(to_json(&-7i32), "-7");
+        assert_eq!(to_json(&i64::MIN), i64::MIN.to_string());
     }
 
     #[test]
@@ -1091,6 +1539,7 @@ mod tests {
     fn float_values_keep_a_decimal_point() {
         assert_eq!(Json::F64(1.0).pretty(), "1.0");
         assert_eq!(Json::F64(f64::NAN).pretty(), "null");
+        assert_eq!(to_json(&f64::INFINITY), "null");
         assert_eq!(Json::parse(&Json::F64(0.1).pretty()), Ok(Json::F64(0.1)));
     }
 
@@ -1100,18 +1549,25 @@ mod tests {
             name: String,
             count: u64,
             ratio: f64,
+            pair: (u8, Option<u8>),
         }
-        crate::impl_to_json!(Row { name, count, ratio });
+        crate::impl_to_json!(Row {
+            name,
+            count,
+            ratio,
+            pair
+        });
         let json = to_json(&Row {
             name: "hi".into(),
             count: 3,
             ratio: 0.5,
+            pair: (1, None),
         });
-        let parsed = Json::parse(&json).unwrap();
-        assert_eq!(parsed.get("name").unwrap().as_str(), Some("hi"));
-        assert_eq!(parsed.get("count").unwrap().as_u64(), Some(3));
-        assert_eq!(parsed.get("ratio").unwrap().as_f64(), Some(0.5));
-        assert!(json.find("\"name\"").unwrap() < json.find("\"count\"").unwrap());
+        assert_eq!(
+            json,
+            "{\n  \"name\": \"hi\",\n  \"count\": 3,\n  \"ratio\": 0.5,\n  \"pair\": [\n    \
+             1,\n    null\n  ]\n}"
+        );
     }
 
     #[test]
@@ -1129,7 +1585,7 @@ mod tests {
             experiments: 17,
             ..ExecutorStats::default()
         };
-        let json = job_artifact(42, &result, &stats).pretty();
+        let json = to_json(&job_artifact(42, &result, &stats));
         let parsed = Json::parse(&json).unwrap();
         assert_eq!(parsed.get("job").unwrap().as_u64(), Some(42));
         assert_eq!(
@@ -1161,7 +1617,7 @@ mod tests {
         for v in [1, 2, 3, 100, 100, 4096] {
             h.record(v);
         }
-        let json = telemetry_artifact(&reg.snapshot()).pretty();
+        let json = to_json(&telemetry_artifact(&reg.snapshot()));
         let parsed = Json::parse(&json).unwrap();
 
         assert_eq!(
@@ -1205,16 +1661,21 @@ mod tests {
         }
 
         // The empty snapshot still carries every schema section.
-        let empty = telemetry_artifact(&Snapshot::default()).pretty();
-        let parsed = Json::parse(&empty).unwrap();
-        assert_eq!(parsed.get("counters"), Some(&Json::Obj(vec![])));
-        assert_eq!(parsed.get("gauges"), Some(&Json::Obj(vec![])));
-        assert_eq!(parsed.get("histograms"), Some(&Json::Obj(vec![])));
+        assert_eq!(
+            to_json(&telemetry_artifact(&Snapshot::default())),
+            "{\n  \"schema\": \"sofi.telemetry.snapshot/v1\",\n  \"counters\": {},\n  \
+             \"gauges\": {},\n  \"histograms\": {}\n}"
+        );
     }
 
     #[test]
     fn empty_containers_print_compactly() {
         assert_eq!(Json::Arr(vec![]).pretty(), "[]");
         assert_eq!(Json::Obj(vec![]).pretty(), "{}");
+        assert_eq!(to_json(&Vec::<u8>::new()), "[]");
+        assert_eq!(
+            Json::Arr(vec![Json::Obj(vec![]), Json::Arr(vec![])]).pretty(),
+            "[\n  {},\n  []\n]"
+        );
     }
 }

@@ -18,6 +18,6 @@ pub use bars::bar_chart;
 pub use diagram::{fault_space_diagram, outcome_diagram};
 pub use export::{
     job_artifact, susceptibility_artifact, telemetry_artifact, to_json, write_json, Json,
-    SusceptibilityRow, ToJson, SUSCEPTIBILITY_SCHEMA, TELEMETRY_SCHEMA,
+    JsonWriter, SusceptibilityRow, ToJson, SUSCEPTIBILITY_SCHEMA, TELEMETRY_SCHEMA,
 };
 pub use table::Table;

@@ -112,9 +112,9 @@ fn daemon_exposes_job_and_daemon_wide_telemetry() {
     // CI artifact: export the daemon-wide snapshot as schema-tagged JSON.
     if let Ok(dir) = std::env::var("SOFI_RESULTS_DIR") {
         std::fs::create_dir_all(&dir).unwrap();
-        let artifact = sofi_report::telemetry_artifact(&daemon_snap);
+        let artifact = sofi_report::to_json(&sofi_report::telemetry_artifact(&daemon_snap));
         let path = std::path::Path::new(&dir).join("TELEMETRY_serve_smoke.json");
-        std::fs::write(&path, artifact.pretty()).unwrap();
+        std::fs::write(&path, artifact).unwrap();
     }
 
     client.shutdown().unwrap();

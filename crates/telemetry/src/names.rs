@@ -29,7 +29,8 @@ pub const JOURNAL_FSYNC_NS: &str = "serve.journal_fsync_ns";
 /// Span histogram: golden-run capture (trace + access masks).
 pub const SPAN_GOLDEN_RUN_NS: &str = "span.golden_run_ns";
 
-/// Span histogram: def/use analysis and plan pruning, both domains.
+/// Span histogram: def/use analysis and plan pruning of one data domain,
+/// recorded when a campaign first needs that domain's plan.
 pub const SPAN_DEFUSE_NS: &str = "span.defuse_pruning_ns";
 
 /// Span histogram: one worker shard's experiment loop.

@@ -129,8 +129,7 @@ fn cf_hardening_showdown_produces_negative_results_artifact() {
         rows.len()
     );
 
-    let artifact = susceptibility_artifact(&rows);
-    let text = artifact.pretty();
+    let text = sofi::report::to_json(&susceptibility_artifact(&rows));
     assert!(text.contains(SUSCEPTIBILITY_SCHEMA), "{text}");
     let parsed = sofi::report::Json::parse(&text).unwrap();
     assert_eq!(

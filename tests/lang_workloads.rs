@@ -95,8 +95,7 @@ fn figure2_susceptibility_comparison_for_compiled_pairs() {
     }
     assert_eq!(rows.len(), 8, "4 pairs x 2 domains");
 
-    let artifact = susceptibility_artifact(&rows);
-    let text = artifact.pretty();
+    let text = sofi::report::to_json(&susceptibility_artifact(&rows));
     assert!(text.contains(SUSCEPTIBILITY_SCHEMA), "{text}");
     let parsed = sofi::report::Json::parse(&text).unwrap();
     assert_eq!(
