@@ -68,7 +68,7 @@ pub struct ExecutorStats {
     pub gate_shards_on: u64,
     /// Worker shards where the cost-model gate disabled memo probing —
     /// a priori (program too short for a probe to ever pay) or after
-    /// sampling showed measured probe cost dominating observed savings.
+    /// priced probe spend dominated the simulation its hits saved.
     pub gate_shards_off: u64,
     /// Memo hits served from entries preloaded out of a persistent
     /// cross-campaign warm store ([`Campaign::preload_memo`]) — a subset
@@ -287,6 +287,22 @@ struct WorkerTel {
 /// always timed, so short campaigns still populate the histograms.
 const PROBE_SAMPLE: u64 = 64;
 
+/// Runs `f`, timing one call in [`PROBE_SAMPLE`] into `histogram` (no
+/// clock read at all while the histogram is disabled).
+fn sampled<T>(histogram: &LocalHistogram, tick: &Cell<u64>, f: impl FnOnce() -> T) -> T {
+    if histogram.is_enabled() {
+        let n = tick.get();
+        tick.set(n + 1);
+        if n.is_multiple_of(PROBE_SAMPLE) {
+            let start = Instant::now();
+            let out = f();
+            histogram.record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            return out;
+        }
+    }
+    f()
+}
+
 impl WorkerTel {
     fn new(registry: &Registry) -> WorkerTel {
         WorkerTel {
@@ -302,39 +318,16 @@ impl WorkerTel {
         }
     }
 
-    /// Runs one faulted-run dispatch, latency-sampled (1 in
-    /// [`PROBE_SAMPLE`]) into [`names::DISPATCH_NS`] when telemetry is
-    /// enabled — the per-experiment wall-clock the block engine drives
-    /// down.
+    /// Runs one faulted-run dispatch, latency-sampled into
+    /// [`names::DISPATCH_NS`] when telemetry is enabled — the
+    /// per-experiment wall-clock the block engine drives down.
     fn timed_dispatch(&self, f: impl FnOnce() -> Outcome) -> Outcome {
-        if self.dispatch_ns.is_enabled() {
-            let tick = self.dispatch_tick.get();
-            self.dispatch_tick.set(tick + 1);
-            if tick.is_multiple_of(PROBE_SAMPLE) {
-                let start = Instant::now();
-                let outcome = f();
-                self.dispatch_ns
-                    .record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                return outcome;
-            }
-        }
-        f()
+        sampled(&self.dispatch_ns, &self.dispatch_tick, f)
     }
 
     /// A memo-cache lookup, latency-sampled when telemetry is enabled.
     fn probe(&self, memo: &MemoCache, key: &(u64, StateDigest)) -> Option<MemoEntry> {
-        if self.memo_probe_ns.is_enabled() {
-            let tick = self.probe_tick.get();
-            self.probe_tick.set(tick + 1);
-            if tick.is_multiple_of(PROBE_SAMPLE) {
-                let start = Instant::now();
-                let hit = memo.get(key);
-                self.memo_probe_ns
-                    .record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                return hit;
-            }
-        }
-        memo.get(key)
+        sampled(&self.memo_probe_ns, &self.probe_tick, || memo.get(key))
     }
 
     /// Drains the histogram buffers and mirrors the worker's final
@@ -380,9 +373,17 @@ impl WorkerTel {
     }
 }
 
-/// One probe (digest + lookup) and one faulted dispatch in this many is
-/// wall-clock timed by the cost-model gate while it is still deciding.
-const GATE_SAMPLE: u64 = 4;
+/// The gate's prices, in simulated cycles: one memo probe (a digest of
+/// the fixed-size machine state, a shared-map lookup and, on a miss, a
+/// waypoint insertion), one RAM page re-hashed by a digest, and the
+/// fixed overhead of one faulted dispatch (fork, injection, checkpoint
+/// bookkeeping). Fitted once by least squares over timed faulted runs
+/// of the ledger corpus, with simulated cycles, probes and re-hashed
+/// pages as regressors; the fit is recorded in EXPERIMENTS.md § The
+/// counted gate.
+const PROBE: u64 = 70;
+const PAGE: u64 = 45;
+const RUN: u64 = 55;
 
 /// A priori gate cut: with a cold cache, a program whose entire golden
 /// runtime is this short can never pay for a probe — even a 100%-hit
@@ -390,35 +391,31 @@ const GATE_SAMPLE: u64 = 4;
 /// which is less than the fixed cost of one digest-plus-lookup.
 const GATE_MIN_GOLDEN_CYCLES: u64 = 64;
 
-/// First experiment count at which the gate applies the full measured
+/// First experiment count at which the gate applies the full
 /// cost-vs-savings rule (reviews happen at every power of two).
 const GATE_FULL_REVIEW: u64 = 32;
 
 /// Cost-model gate state for one worker shard. The gate decides whether
-/// memo probing — one state digest plus a shared-map lookup at the injection
-/// point and at every checkpoint crossing — pays for itself on this
-/// shard, by sampling the wall-clock cost of probes and of faulted
-/// simulation and comparing measured probe spend against the simulation
-/// time the observed hits avoided. Probing switches off at most once
-/// per shard (no flapping); outcomes are identical either way because
-/// the gate only skips lookups and insertions, never invents results.
+/// memo probing — one state digest plus a shared-map lookup at the
+/// injection point and at every checkpoint crossing — pays for itself
+/// on this shard, by pricing the probes issued and the RAM pages they
+/// re-hashed in simulated cycles ([`PROBE`], [`PAGE`]) and comparing
+/// that spend against the simulation the observed hits avoided. Every
+/// input is a count, so the verdict is a pure function of the shard and
+/// the cache it starts from. Probing switches off at most once per
+/// shard (no flapping); outcomes are identical either way because the
+/// gate only skips lookups and insertions, never invents results.
 struct MemoGate {
     /// Memo probing currently enabled for this shard.
     probing: bool,
-    /// The gate is sampling and may still switch probing off. False in
-    /// harvest mode, after an a-priori cut, or after a decision.
+    /// The gate may still switch probing off. False in harvest mode,
+    /// after an a-priori cut, or after a decision.
     deciding: bool,
     /// Probes issued so far while probing.
     probes: u64,
-    /// Sampled probe wall-clock (1 in [`GATE_SAMPLE`]).
-    sampled_probe_ns: u64,
-    sampled_probes: u64,
-    /// Sampled faulted-run wall-clock and the cycles those runs
-    /// simulated (pure memo hits — zero cycles — are excluded, so the
-    /// ratio estimates ns per *simulated* cycle).
-    sampled_run_ns: u64,
-    sampled_run_cycles: u64,
-    run_tick: u64,
+    /// RAM pages re-hashed by digests so far (probes and the pristine
+    /// machine's warm-up digests).
+    pages: u64,
 }
 
 impl MemoGate {
@@ -427,7 +424,7 @@ impl MemoGate {
     /// than [`GATE_MIN_GOLDEN_CYCLES`] disables probing outright (a
     /// warm cache — preloaded store entries or an earlier domain's
     /// trajectories — can hit at the injection point, which pays at any
-    /// program length, so it always gets a measured trial). With
+    /// program length, so it always gets a priced trial). With
     /// `harvest` set ([`Campaign::set_memo_harvest`]) probing is locked
     /// on and never reviewed: the campaign's probes also produce the
     /// outcome facts a persistent warm store amortizes across future
@@ -439,88 +436,64 @@ impl MemoGate {
             probing: !a_priori_off,
             deciding: !harvest && !a_priori_off,
             probes: 0,
-            sampled_probe_ns: 0,
-            sampled_probes: 0,
-            sampled_run_ns: 0,
-            sampled_run_cycles: 0,
-            run_tick: 0,
+            pages: 0,
         }
     }
 
-    /// One memo probe: digests `m` and looks the key up, wall-clock
-    /// sampled while the gate is deciding. Returns the key (a waypoint
-    /// candidate) and the lookup result.
+    /// Digests `m`, counting the RAM pages the digest re-hashed.
+    fn digest(&mut self, m: &mut Machine) -> StateDigest {
+        let before = m.ram().pages_hashed();
+        let digest = m.state_digest();
+        self.pages += m.ram().pages_hashed() - before;
+        digest
+    }
+
+    /// One memo probe: digests `m` and looks the state up. A hit is
+    /// counted into `stats` and returned; a miss becomes a waypoint.
     fn probe(
         &mut self,
         tel: &WorkerTel,
         memo: &MemoCache,
         m: &mut Machine,
-    ) -> ((u64, StateDigest), Option<MemoEntry>) {
+        waypoints: &mut Vec<(u64, StateDigest)>,
+        stats: &mut ExecutorStats,
+    ) -> Option<MemoEntry> {
         self.probes += 1;
-        if self.deciding && self.probes.is_multiple_of(GATE_SAMPLE) {
-            let start = Instant::now();
-            let key = (m.cycle(), m.state_digest());
-            let hit = tel.probe(memo, &key);
-            self.sampled_probe_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.sampled_probes += 1;
-            (key, hit)
-        } else {
-            let key = (m.cycle(), m.state_digest());
-            (key, tel.probe(memo, &key))
-        }
-    }
-
-    /// Whether the next faulted dispatch should be wall-clock timed for
-    /// the gate's ns-per-cycle estimate.
-    fn wants_run_sample(&mut self) -> bool {
-        if !self.deciding {
-            return false;
-        }
-        let tick = self.run_tick;
-        self.run_tick += 1;
-        tick.is_multiple_of(GATE_SAMPLE)
-    }
-
-    /// Records one timed faulted dispatch (skipped when the run was a
-    /// pure memo hit and simulated nothing).
-    fn record_run(&mut self, ns: u64, cycles: u64) {
-        if cycles > 0 {
-            self.sampled_run_ns += ns;
-            self.sampled_run_cycles += cycles;
-        }
+        let key = (m.cycle(), self.digest(m));
+        let Some(hit) = tel.probe(memo, &key) else {
+            waypoints.push(key);
+            return None;
+        };
+        stats.memo_hits += 1;
+        stats.store_hits += u64::from(hit.origin == MemoOrigin::Store);
+        stats.memoized_cycles_saved += hit.final_cycle.saturating_sub(m.cycle());
+        Some(hit)
     }
 
     /// Reviews the decision after `experiments` completed experiments
     /// (cheap: only acts at powers of two). Before [`GATE_FULL_REVIEW`]
     /// experiments only the hopeless case is cut — zero hits while
-    /// measured probe spend already exceeds all simulation time — so
-    /// campaigns whose hit rate ramps slowly (cold register-domain
-    /// scans) are not written off early. From [`GATE_FULL_REVIEW`] on,
-    /// probing must keep measured cost within twice the simulation time
-    /// its hits saved.
+    /// probe spend already exceeds all simulation, priced at the cycles
+    /// simulated plus [`RUN`] per experiment — so campaigns whose hit
+    /// rate ramps slowly (cold register-domain scans) are not written
+    /// off early. From [`GATE_FULL_REVIEW`] on, probing must keep its
+    /// spend within twice the simulated cycles its hits saved.
     fn review(&mut self, experiments: u64, stats: &ExecutorStats) {
         if !self.deciding || experiments < 4 || !experiments.is_power_of_two() {
             return;
         }
-        if self.sampled_probes == 0 || self.sampled_run_cycles == 0 {
-            return; // nothing measured yet (e.g. every run hit at injection)
-        }
-        let avg_probe_ns = self.sampled_probe_ns as f64 / self.sampled_probes as f64;
-        let cost_ns = self.probes as f64 * avg_probe_ns;
-        let ns_per_cycle = self.sampled_run_ns as f64 / self.sampled_run_cycles as f64;
-        let saved_ns = stats.memoized_cycles_saved as f64 * ns_per_cycle;
-        let sim_ns = stats.faulted_cycles as f64 * ns_per_cycle;
+        let cost = self.probes * PROBE + self.pages * PAGE;
         let off = if experiments < GATE_FULL_REVIEW {
-            stats.memo_hits == 0 && cost_ns > sim_ns
+            stats.memo_hits == 0 && cost > stats.faulted_cycles + experiments * RUN
         } else {
-            cost_ns > 2.0 * saved_ns
+            cost > 2 * stats.memoized_cycles_saved
         };
         if off {
             self.probing = false;
             self.deciding = false;
         } else if experiments >= GATE_FULL_REVIEW {
-            // Probing has proven itself on real volume; stop sampling
-            // (and stop paying for the clock) for the rest of the shard.
+            // Probing has proven itself on real volume; stop reviewing
+            // for the rest of the shard.
             self.deciding = false;
         }
     }
@@ -1152,27 +1125,14 @@ impl Campaign {
                 // Warm the pristine machine's page-hash cache so the
                 // fork's injection-point digest below only re-hashes the
                 // page the bit-flip dirties (none, for register faults).
-                let _ = pristine.state_digest();
+                gate.digest(&mut pristine);
             }
             let mut m = pristine.clone();
             inject_fault(domain, &mut m, e.coord.bit);
             let base = m.block_stats();
-            let outcome = if gate.wants_run_sample() {
-                let cycles_before = stats.faulted_cycles;
-                let start = Instant::now();
-                let outcome = tel.timed_dispatch(|| {
-                    self.run_faulted(&mut m, checkpoints, &mut stats, tel, &mut gate)
-                });
-                gate.record_run(
-                    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    stats.faulted_cycles - cycles_before,
-                );
-                outcome
-            } else {
-                tel.timed_dispatch(|| {
-                    self.run_faulted(&mut m, checkpoints, &mut stats, tel, &mut gate)
-                })
-            };
+            let outcome = tel.timed_dispatch(|| {
+                self.run_faulted(&mut m, checkpoints, &mut stats, tel, &mut gate)
+            });
             block_totals.absorb(m.block_stats().delta_since(base));
             stats.experiments += 1;
             gate.review(stats.experiments, &stats);
@@ -1238,106 +1198,64 @@ impl Campaign {
         // of them maps to the run's outcome, so later injections that
         // converge *into* this trajectory hit at their next checkpoint.
         let mut waypoints: Vec<(u64, StateDigest)> = Vec::new();
-        if memoize {
-            // Injection-point lookup: an earlier experiment (in either
-            // fault domain) that produced this exact post-injection state
-            // already determined the outcome.
-            let (key, hit) = gate.probe(tel, &self.memo, m);
-            if let Some(hit) = hit {
-                stats.memo_hits += 1;
-                if hit.origin == MemoOrigin::Store {
-                    stats.store_hits += 1;
+        let (outcome, final_cycle) = 'run: {
+            if memoize {
+                // Injection-point lookup: an earlier experiment (in either
+                // fault domain) that produced this exact post-injection
+                // state already determined the outcome.
+                if let Some(hit) = gate.probe(tel, &self.memo, m, &mut waypoints, stats) {
+                    break 'run (hit.outcome, hit.final_cycle);
                 }
-                stats.memoized_cycles_saved += hit.final_cycle.saturating_sub(m.cycle());
-                tel.faulted_run_cycles.record(0);
-                return hit.outcome;
+                stats.memo_misses += 1;
             }
-            stats.memo_misses += 1;
-            waypoints.push(key);
-        }
-        // Early termination is only sound if a converged run's tail — the
-        // rest of the golden run — fits the budget; with any sane timeout
-        // configuration it does (budget ≥ golden runtime).
-        if self.golden.cycles <= budget {
-            let first = checkpoints.partition_point(|c| c.machine.cycle() <= m.cycle());
-            for ckpt in &checkpoints[first..] {
-                if let Some(status) = m.run_to(ckpt.machine.cycle()) {
-                    stats.faulted_cycles += m.cycle() - start_cycle;
-                    tel.faulted_run_cycles.record(m.cycle() - start_cycle);
-                    let outcome =
-                        Outcome::classify(status, m.serial(), m.detect_count(), &self.golden);
-                    self.memo.insert_all(
-                        &waypoints,
-                        MemoEntry {
-                            outcome,
-                            final_cycle: m.cycle(),
-                            origin: MemoOrigin::Fresh,
-                        },
-                    );
-                    return outcome;
-                }
-                if memoize {
-                    // Checkpoint-crossing lookup, deliberately *before*
-                    // the convergence comparison: runs re-entering an
-                    // already-explored trajectory — most commonly the
-                    // exact pristine state, pre-seeded per checkpoint —
-                    // resolve here and also donate their own waypoints.
-                    let (key, hit) = gate.probe(tel, &self.memo, m);
-                    if let Some(hit) = hit {
-                        stats.faulted_cycles += m.cycle() - start_cycle;
-                        tel.faulted_run_cycles.record(m.cycle() - start_cycle);
-                        stats.memo_hits += 1;
-                        if hit.origin == MemoOrigin::Store {
-                            stats.store_hits += 1;
-                        }
-                        stats.memoized_cycles_saved += hit.final_cycle.saturating_sub(m.cycle());
-                        self.memo.insert_all(
-                            &waypoints,
-                            MemoEntry {
-                                outcome: hit.outcome,
-                                final_cycle: hit.final_cycle,
-                                origin: MemoOrigin::Fresh,
-                            },
-                        );
-                        return hit.outcome;
+            // Early termination is only sound if a converged run's tail —
+            // the rest of the golden run — fits the budget; with any sane
+            // timeout configuration it does (budget ≥ golden runtime).
+            if self.golden.cycles <= budget {
+                let first = checkpoints.partition_point(|c| c.machine.cycle() <= m.cycle());
+                for ckpt in &checkpoints[first..] {
+                    if let Some(status) = m.run_to(ckpt.machine.cycle()) {
+                        let outcome =
+                            Outcome::classify(status, m.serial(), m.detect_count(), &self.golden);
+                        break 'run (outcome, m.cycle());
                     }
-                    waypoints.push(key);
-                }
-                if m.converged_with_masked(&ckpt.machine, &ckpt.mask) {
-                    stats.faulted_cycles += m.cycle() - start_cycle;
-                    tel.faulted_run_cycles.record(m.cycle() - start_cycle);
-                    stats.converged_early += 1;
-                    stats.faulted_cycles_saved += self.golden.cycles - m.cycle();
-                    let outcome = if !self.golden.matches_serial_prefix(m.serial()) {
-                        Outcome::SilentDataCorruption
-                    } else if m.detect_count() > ckpt.machine.detect_count() {
-                        Outcome::DetectedCorrected
-                    } else {
-                        Outcome::NoEffect
-                    };
-                    // A converged run finishes (virtually) at the golden
-                    // run's end; its recorded trajectory is still exact.
-                    self.memo.insert_all(
-                        &waypoints,
-                        MemoEntry {
-                            outcome,
-                            final_cycle: self.golden.cycles,
-                            origin: MemoOrigin::Fresh,
-                        },
-                    );
-                    return outcome;
+                    // Checkpoint-crossing lookup, deliberately *before* the
+                    // convergence comparison: runs re-entering an
+                    // already-explored trajectory — most commonly the exact
+                    // pristine state, pre-seeded per checkpoint — resolve
+                    // here and also donate their own waypoints.
+                    if memoize {
+                        if let Some(hit) = gate.probe(tel, &self.memo, m, &mut waypoints, stats) {
+                            break 'run (hit.outcome, hit.final_cycle);
+                        }
+                    }
+                    if m.converged_with_masked(&ckpt.machine, &ckpt.mask) {
+                        stats.converged_early += 1;
+                        stats.faulted_cycles_saved += self.golden.cycles - m.cycle();
+                        let outcome = if !self.golden.matches_serial_prefix(m.serial()) {
+                            Outcome::SilentDataCorruption
+                        } else if m.detect_count() > ckpt.machine.detect_count() {
+                            Outcome::DetectedCorrected
+                        } else {
+                            Outcome::NoEffect
+                        };
+                        // A converged run finishes (virtually) at the golden
+                        // run's end; its recorded trajectory is still exact.
+                        break 'run (outcome, self.golden.cycles);
+                    }
                 }
             }
-        }
-        let status = m.run(budget);
+            let status = m.run(budget);
+            let outcome = Outcome::classify(status, m.serial(), m.detect_count(), &self.golden);
+            (outcome, m.cycle())
+        };
         stats.faulted_cycles += m.cycle() - start_cycle;
         tel.faulted_run_cycles.record(m.cycle() - start_cycle);
-        let outcome = Outcome::classify(status, m.serial(), m.detect_count(), &self.golden);
         self.memo.insert_all(
             &waypoints,
             MemoEntry {
                 outcome,
-                final_cycle: m.cycle(),
+                final_cycle,
                 origin: MemoOrigin::Fresh,
             },
         );
@@ -1853,5 +1771,110 @@ mod tests {
             |res| res.outcome == Outcome::DetectedCorrected || res.outcome == Outcome::NoEffect
         ));
         assert_eq!(r.failure_weight(), 0);
+    }
+
+    /// A deciding gate that has issued `probes` probes re-hashing
+    /// `pages` pages, and its priced spend.
+    fn spent_gate(probes: u64, pages: u64) -> (MemoGate, u64) {
+        let gate = MemoGate::new(GATE_MIN_GOLDEN_CYCLES, false, false);
+        assert!(gate.probing && gate.deciding);
+        let gate = MemoGate {
+            probes,
+            pages,
+            ..gate
+        };
+        (gate, probes * PROBE + pages * PAGE)
+    }
+
+    fn reviewed(mut gate: MemoGate, experiments: u64, stats: ExecutorStats) -> (bool, bool) {
+        gate.review(experiments, &stats);
+        (gate.probing, gate.deciding)
+    }
+
+    #[test]
+    fn memo_gate_early_review_cuts_only_hitless_spend_beyond_all_simulation() {
+        let n = 4;
+        // Enough probes that the spend covers the per-run allowance.
+        let (gate, cost) = spent_gate(n * RUN, 3);
+        let budget = |faulted_cycles| ExecutorStats {
+            faulted_cycles,
+            ..ExecutorStats::default()
+        };
+        let at_budget = budget(cost - n * RUN);
+        assert_eq!(reviewed(gate, n, at_budget), (true, true), "spend = budget");
+        let (gate, _) = spent_gate(n * RUN, 3);
+        let over = budget(cost - n * RUN - 1);
+        assert_eq!(reviewed(gate, n, over), (false, false), "spend > budget");
+        // One hit spares the early cut, however large the spend.
+        let (gate, _) = spent_gate(n * RUN, 3);
+        let hit = ExecutorStats {
+            memo_hits: 1,
+            ..budget(0)
+        };
+        assert_eq!(reviewed(gate, n, hit), (true, true));
+        // Reviews act only at powers of two from 4 on.
+        for quiet in [1, 2, 3, 5, 6, 7, 31] {
+            let (gate, _) = spent_gate(n * RUN, 3);
+            assert_eq!(
+                reviewed(gate, quiet, budget(0)),
+                (true, true),
+                "n = {quiet}"
+            );
+        }
+    }
+
+    #[test]
+    fn memo_gate_mature_review_weighs_spend_against_twice_the_savings() {
+        let n = GATE_FULL_REVIEW;
+        let (gate, cost) = spent_gate(40, 7);
+        let saved = |memoized_cycles_saved| ExecutorStats {
+            memo_hits: 1,
+            memoized_cycles_saved,
+            // Simulation no longer counts at the mature review.
+            faulted_cycles: u64::MAX / 2,
+            ..ExecutorStats::default()
+        };
+        assert_eq!(reviewed(gate, n, saved((cost - 1) / 2)), (false, false));
+        // Enough savings: probing stays on and the gate stops deciding,
+        // so a later review with no savings at all cannot cut it.
+        let (mut gate, _) = spent_gate(40, 7);
+        gate.review(n, &saved(cost.div_ceil(2)));
+        assert_eq!((gate.probing, gate.deciding), (true, false));
+        gate.review(2 * n, &saved(0));
+        assert!(gate.probing);
+    }
+
+    #[test]
+    fn memo_gate_harvest_never_reviews_and_short_programs_start_off() {
+        let mut harvest = MemoGate::new(0, false, true);
+        assert_eq!((harvest.probing, harvest.deciding), (true, false));
+        harvest.probes = 1 << 20;
+        harvest.review(4, &ExecutorStats::default());
+        harvest.review(GATE_FULL_REVIEW, &ExecutorStats::default());
+        assert!(harvest.probing, "harvest locks probing on");
+        let short = MemoGate::new(GATE_MIN_GOLDEN_CYCLES - 1, false, false);
+        assert_eq!((short.probing, short.deciding), (false, false));
+        let warm = MemoGate::new(GATE_MIN_GOLDEN_CYCLES - 1, true, false);
+        assert_eq!(
+            (warm.probing, warm.deciding),
+            (true, true),
+            "warm cache gets a trial"
+        );
+    }
+
+    #[test]
+    fn memo_gate_counts_the_pages_each_digest_rehashes() {
+        let (mut gate, _) = spent_gate(0, 0);
+        let mut m = Machine::new(&hi_program());
+        gate.digest(&mut m);
+        let cold = gate.pages;
+        assert!(cold > 0, "a fresh machine's first digest hashes its RAM");
+        gate.digest(&mut m);
+        assert_eq!(gate.pages, cold, "a clean re-digest re-hashes nothing");
+        let mut fork = m.clone();
+        fork.flip_bit(0);
+        gate.digest(&mut fork);
+        assert_eq!(gate.pages, cold + 1, "one dirtied page, one re-hash");
+        assert_eq!(gate.probes, 0, "a digest alone is not a probe");
     }
 }

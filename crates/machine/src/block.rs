@@ -482,8 +482,9 @@ fn reg_events(inst: Inst) -> RegEvents {
 
 /// Per-machine execution-engine counters, cloned along with the machine
 /// (campaign workers diff snapshots around each faulted run). All three
-/// cover only the [`crate::Machine::run_blocks_to`]-family entry points;
-/// direct `step`/`step_observed` calls are not attributed.
+/// cover only the cycle-budgeted entry points ([`crate::Machine::run`],
+/// [`crate::Machine::run_to`], [`crate::Machine::run_observed`]); direct
+/// [`crate::Machine::step`] calls are not attributed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockStats {
     /// Instructions retired through the pre-decoded µop loop.

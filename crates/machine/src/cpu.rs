@@ -33,7 +33,7 @@ pub struct MachineConfig {
     /// can get stuck in output loops; this bound keeps experiments finite.
     pub serial_limit: usize,
     /// Execute through the decode-once µop engine (the default). `false`
-    /// forces pure single-stepping through [`Machine::step_observed`] —
+    /// forces pure single-stepping, one [`Machine::step`] at a time —
     /// the reference interpreter the engine oracles compare against.
     /// Results are bit-identical either way (`tests/block_engine_oracle.rs`,
     /// `tests/block_engine_fuzz.rs`). An in-process hook only: the
@@ -296,7 +296,9 @@ impl Machine {
         }
     }
 
-    /// Executes one instruction without observation.
+    /// Executes one instruction without observation (the reference
+    /// interpreter; returns [`StepResult::Halted`]/[`StepResult::Trapped`]
+    /// once the machine has stopped).
     pub fn step(&mut self) -> StepResult {
         self.step_observed(&mut NullObserver)
     }
@@ -306,7 +308,7 @@ impl Machine {
     /// Returns [`StepResult::Halted`]/[`StepResult::Trapped`] when the
     /// machine stops; repeated calls after a stop return the same result
     /// without executing anything.
-    pub fn step_observed<O: MemObserver>(&mut self, obs: &mut O) -> StepResult {
+    fn step_observed<O: MemObserver>(&mut self, obs: &mut O) -> StepResult {
         match self.state {
             State::Halted { code } => return StepResult::Halted { code },
             State::Trapped(t) => return StepResult::Trapped(t),
@@ -611,7 +613,7 @@ impl Machine {
     /// single-stepping (`block_engine: false`) — the block-engine oracle
     /// and fuzz batteries hold both paths to identical architectural
     /// state at every boundary.
-    pub fn run_blocks_to<O: MemObserver>(&mut self, cycle: u64, obs: &mut O) -> Option<RunStatus> {
+    fn run_blocks_to<O: MemObserver>(&mut self, cycle: u64, obs: &mut O) -> Option<RunStatus> {
         while self.cycle < cycle {
             match self.state {
                 State::Halted { code } => return Some(RunStatus::Halted { code }),
@@ -651,10 +653,10 @@ impl Machine {
         None
     }
 
-    /// Engine dispatch counters accumulated by the
-    /// [`Machine::run_blocks_to`] family since construction (or since the
-    /// state this machine was cloned from). Campaign workers snapshot and
-    /// diff these around each faulted run.
+    /// Engine dispatch counters accumulated by [`Machine::run`],
+    /// [`Machine::run_to`] and [`Machine::run_observed`] since
+    /// construction (or since the state this machine was cloned from).
+    /// Campaign workers snapshot and diff these around each faulted run.
     pub fn block_stats(&self) -> BlockStats {
         self.block_stats
     }

@@ -129,6 +129,8 @@ pub struct Ram {
     /// of `page_hashes`, maintained duplicate-free so a probe pays
     /// `O(pages dirtied since the last probe)`, never `O(pages)`.
     stale_pages: Vec<u32>,
+    /// Pages [`Ram::content_hash`] has re-hashed, inherited by clones.
+    pages_hashed: u64,
 }
 
 impl Ram {
@@ -141,6 +143,7 @@ impl Ram {
             page_hashes: vec![None; count],
             hash_acc: (0, 0),
             stale_pages: (0..count as u32).collect(),
+            pages_hashed: 0,
         }
     }
 
@@ -268,6 +271,7 @@ impl Ram {
     /// no cached state; the fuzz battery in `tests/memoization_fuzz.rs`
     /// holds the two equal across random write/flip/fork interleavings.
     pub fn content_hash(&mut self) -> u128 {
+        self.pages_hashed += self.stale_pages.len() as u64;
         while let Some(p) = self.stale_pages.pop() {
             let p = p as usize;
             let ph = hash_page(&self.pages[p]);
@@ -277,6 +281,14 @@ impl Ram {
             self.hash_acc.1 = self.hash_acc.1.wrapping_add(c1);
         }
         finish_content_hash(self.size, self.hash_acc)
+    }
+
+    /// Pages [`Ram::content_hash`] has re-hashed over this RAM's history
+    /// (a clone starts from its parent's count). The difference across
+    /// one call is that call's work — the deterministic unit in which
+    /// the campaign executor's memo cost gate prices digests.
+    pub fn pages_hashed(&self) -> u64 {
+        self.pages_hashed
     }
 
     /// [`Ram::content_hash`] recomputed from the raw page contents alone,
@@ -632,8 +644,10 @@ mod tests {
             "fork must inherit the parent's warm cache"
         );
         assert_eq!(fork.content_hash(), h_parent);
+        assert_eq!(fork.pages_hashed(), 4, "a clean re-probe re-hashes nothing");
         fork.write(0, MemWidth::Byte, 6).unwrap();
         assert_ne!(fork.content_hash(), h_parent);
+        assert_eq!(fork.pages_hashed(), 5, "one dirtied page, one re-hash");
         assert_eq!(parent.content_hash(), h_parent, "parent unaffected by fork");
         // In-place mutation of a uniquely-owned page (refcount 1).
         let mut solo = Ram::with_image(256, &[1; 100]);

@@ -1,40 +1,22 @@
 //! The crash-safe result journal.
 //!
-//! An append-only record file. Each record is framed as
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     payload length, little-endian
-//! 4       4     FNV-1a-32 checksum of the payload, little-endian
-//! 8       len   payload (tag byte + record body, `wire` codec)
-//! ```
-//!
-//! and committed with `fsync` before the daemon reports the batch as
-//! done, so the file's *valid prefix* is always a consistent history:
-//!
-//! * a record is either fully present with a matching checksum, or it is
-//!   part of the torn tail a crash left behind;
-//! * [`Journal::open`] replays the valid prefix, truncates the tail at
-//!   the first short frame or checksum mismatch, and positions the write
-//!   cursor there — a restarted daemon continues exactly where the last
-//!   committed batch ended;
-//! * a record whose checksum holds but whose payload does not decode was
-//!   committed by a build speaking another record format (e.g. a
-//!   protocol-v6 `JobStart` with its nine packed config words). That is
-//!   not a torn tail: [`Journal::open`] refuses the file with
-//!   [`io::ErrorKind::InvalidData`] and leaves it untouched, because
-//!   truncating there would silently drop every committed batch after
-//!   it;
-//! * experiment outcomes are journaled *before* the in-memory progress
-//!   counter advances, so replay can only over-approximate pending work,
-//!   never lose a committed result.
+//! An append-only file of [`Record`]s kept by the private `record_log`
+//! module, which owns the framing, the replay, the refusal of a record in
+//! another format and the rollback of a failed append. Each record is
+//! committed with `fsync` before the daemon reports the batch as done,
+//! so a restarted daemon continues exactly where the last committed
+//! batch ended. A journal written by a build speaking another protocol
+//! (e.g. a protocol-v6 `JobStart` with its nine packed config words) is
+//! refused untouched. Experiment outcomes are journaled *before* the
+//! in-memory progress counter advances, so replay can only
+//! over-approximate pending work, never lose a committed result.
 
 use crate::job::{JobSpec, JobState};
+use crate::record_log::RecordLog;
 use crate::wire::{self, Reader, WireError, Writer};
 use sofi_campaign::ExperimentResult;
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// One journal record.
@@ -151,10 +133,10 @@ impl Record {
     }
 }
 
-/// An open journal file positioned at the end of its valid prefix.
+/// An open journal file holding exactly its committed records.
 #[derive(Debug)]
 pub struct Journal {
-    file: File,
+    log: RecordLog,
     path: PathBuf,
     commits: u64,
 }
@@ -171,25 +153,21 @@ impl Journal {
     /// fails with [`io::ErrorKind::InvalidData`] naming its byte offset,
     /// and the file is left byte-for-byte unchanged.
     pub fn open(path: &Path) -> io::Result<(Journal, Vec<Record>)> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let (records, valid_len) = replay(&bytes)?;
-        if valid_len as u64 != bytes.len() as u64 {
-            // Torn tail from a mid-write crash: drop it so the next
-            // append starts at a committed record boundary.
-            file.set_len(valid_len as u64)?;
-        }
-        file.seek(SeekFrom::Start(valid_len as u64))?;
+        let (log, records) = RecordLog::open(path, "journal", Record::decode).map_err(|e| {
+            if e.kind() != io::ErrorKind::InvalidData {
+                return e;
+            }
+            // Record formats change with the protocol version.
+            let version = crate::protocol::VERSION;
+            io::Error::new(
+                e.kind(),
+                format!("{e} (this build speaks protocol v{version})"),
+            )
+        })?;
         let commits = records.len() as u64;
         Ok((
             Journal {
-                file,
+                log,
                 path: path.to_path_buf(),
                 commits,
             },
@@ -203,16 +181,10 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures; on error the record must be considered
-    /// uncommitted.
+    /// Propagates I/O failures; on error the record is uncommitted and
+    /// the file is rolled back to the last record boundary.
     pub fn append(&mut self, record: &Record) -> io::Result<()> {
-        let payload = record.encode();
-        let mut framed = Vec::with_capacity(8 + payload.len());
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&wire::fnv1a32(&payload).to_le_bytes());
-        framed.extend_from_slice(&payload);
-        self.file.write_all(&framed)?;
-        self.file.sync_data()?;
+        self.log.append(&record.encode())?;
         self.commits += 1;
         Ok(())
     }
@@ -226,43 +198,6 @@ impl Journal {
     pub fn path(&self) -> &Path {
         &self.path
     }
-}
-
-/// Decodes the valid record prefix of `bytes`, returning the records and
-/// the byte length of the prefix. Decoding stops — without error — at
-/// the first truncated frame or checksum mismatch.
-///
-/// # Errors
-///
-/// [`io::ErrorKind::InvalidData`] for a checksummed record whose payload
-/// does not decode (a journal written in another record format).
-fn replay(bytes: &[u8]) -> io::Result<(Vec<Record>, usize)> {
-    let mut records = Vec::new();
-    let mut pos = 0;
-    while let Some(header) = bytes.get(pos..pos + 8) {
-        let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        let Some(payload) = bytes.get(pos + 8..pos + 8 + len) else {
-            break;
-        };
-        if wire::fnv1a32(payload) != crc {
-            break;
-        }
-        let record = Record::decode(payload).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "journal record at byte offset {pos} has a valid checksum but does \
-                     not decode ({e}): the journal was written in another format \
-                     (this build speaks protocol v{}); refusing to truncate it",
-                    crate::protocol::VERSION
-                ),
-            )
-        })?;
-        records.push(record);
-        pos += 8 + len;
-    }
-    Ok((records, pos))
 }
 
 /// A job reconstructed from journal replay.
@@ -324,6 +259,7 @@ pub fn recover(records: Vec<Record>) -> Vec<RecoveredJob> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record_log::frame;
     use sofi_campaign::{CampaignConfig, FaultDomain, Outcome};
     use sofi_space::{Experiment, FaultCoord};
 
@@ -448,15 +384,6 @@ mod tests {
         let (_, replayed) = Journal::open(&path).unwrap();
         assert_eq!(replayed.len(), 1, "corruption must cut the history there");
         std::fs::remove_file(&path).unwrap();
-    }
-
-    /// Frames `payload` exactly as [`Journal::append`] does.
-    fn frame(payload: &[u8]) -> Vec<u8> {
-        let mut framed = Vec::new();
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&wire::fnv1a32(payload).to_le_bytes());
-        framed.extend_from_slice(payload);
-        framed
     }
 
     #[test]

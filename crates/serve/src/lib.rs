@@ -39,6 +39,7 @@ pub mod coordinator;
 pub mod job;
 pub mod journal;
 pub mod protocol;
+mod record_log;
 pub mod server;
 pub mod store;
 pub mod wire;

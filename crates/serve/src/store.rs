@@ -9,29 +9,18 @@
 //! content-determined, so a fact recorded by one daemon process is valid
 //! in any later one.
 //!
-//! The file format follows the result journal's laws exactly
-//! ([`crate::journal`]): each record is framed as
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     payload length, little-endian
-//! 4       4     FNV-1a-32 checksum of the payload, little-endian
-//! 8       len   payload (tag byte + record body, `wire` codec)
-//! ```
-//!
-//! appended with `fsync` (one batch record per completed job), and
-//! [`WarmStore::open`] replays the valid prefix and truncates any torn
-//! tail a crash left behind — so a daemon killed mid-append loses at
-//! most the in-flight batch, never a committed one, and every surviving
-//! record is bit-identical to what was written
+//! The file is kept by the private `record_log` module, as the result
+//! journal is, with one batch record per completed job: a daemon killed mid-append loses
+//! at most the in-flight batch, never a committed one, and every
+//! surviving record is bit-identical to what was written
 //! (`tests/warm_store.rs`).
 
+use crate::record_log::RecordLog;
 use crate::wire::{self, Reader, WireError, Writer};
 use sofi_campaign::{CampaignConfig, FaultDomain, MemoRecord};
 use sofi_machine::StateDigest;
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// A 128-bit campaign-context key: everything that must match for a
@@ -131,7 +120,7 @@ fn decode_batch(payload: &[u8]) -> Result<(ContextKey, Vec<MemoRecord>), WireErr
 /// the full fact index in memory.
 #[derive(Debug)]
 pub struct WarmStore {
-    file: File,
+    log: RecordLog,
     path: PathBuf,
     /// `context → (cycle, digest bits) → fact`. The inner map both
     /// deduplicates appends (a fact persisted once is never rewritten)
@@ -145,23 +134,14 @@ impl WarmStore {
     ///
     /// # Errors
     ///
-    /// Propagates file-system failures; corrupt record *content* is not
-    /// an error — it marks the end of the committed history, exactly as
-    /// in [`crate::journal::Journal::open`].
+    /// Propagates file-system failures. A short frame or checksum
+    /// mismatch is not an error — it marks the end of the committed
+    /// history. A checksummed record that does not decode is: the call
+    /// fails with [`io::ErrorKind::InvalidData`] naming its byte offset
+    /// and leaves the file untouched, exactly as
+    /// [`crate::journal::Journal::open`] does.
     pub fn open(path: &Path) -> io::Result<WarmStore> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let (batches, valid_len) = replay(&bytes);
-        if valid_len as u64 != bytes.len() as u64 {
-            file.set_len(valid_len as u64)?;
-        }
-        file.seek(SeekFrom::Start(valid_len as u64))?;
+        let (log, batches) = RecordLog::open(path, "warm store", decode_batch)?;
         let mut index: HashMap<ContextKey, HashMap<(u64, u128), MemoRecord>> = HashMap::new();
         for (ctx, records) in batches {
             let facts = index.entry(ctx).or_default();
@@ -170,7 +150,7 @@ impl WarmStore {
             }
         }
         Ok(WarmStore {
-            file,
+            log,
             path: path.to_path_buf(),
             index,
         })
@@ -195,8 +175,9 @@ impl WarmStore {
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures; on error the batch must be considered
-    /// uncommitted (the index is only updated after a successful sync).
+    /// Propagates I/O failures; on error the batch is uncommitted, the
+    /// file is rolled back to the last record boundary, and the index
+    /// is unchanged (it is only updated after a successful sync).
     pub fn append(&mut self, ctx: ContextKey, records: &[MemoRecord]) -> io::Result<u64> {
         let known = self.index.entry(ctx).or_default();
         let fresh: Vec<MemoRecord> = records
@@ -207,13 +188,7 @@ impl WarmStore {
         if fresh.is_empty() {
             return Ok(0);
         }
-        let payload = encode_batch(ctx, &fresh);
-        let mut framed = Vec::with_capacity(8 + payload.len());
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&wire::fnv1a32(&payload).to_le_bytes());
-        framed.extend_from_slice(&payload);
-        self.file.write_all(&framed)?;
-        self.file.sync_data()?;
+        self.log.append(&encode_batch(ctx, &fresh))?;
         let known = self.index.entry(ctx).or_default();
         for r in &fresh {
             known.insert((r.cycle, r.digest.to_bits()), *r);
@@ -242,33 +217,10 @@ impl WarmStore {
     }
 }
 
-/// Decodes the valid batch prefix of `bytes`, returning the batches and
-/// the byte length of the prefix. Stops — without error — at the first
-/// truncated frame, checksum mismatch, or undecodable payload.
-fn replay(bytes: &[u8]) -> (Vec<(ContextKey, Vec<MemoRecord>)>, usize) {
-    let mut batches = Vec::new();
-    let mut pos = 0;
-    while let Some(header) = bytes.get(pos..pos + 8) {
-        let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        let Some(payload) = bytes.get(pos + 8..pos + 8 + len) else {
-            break;
-        };
-        if wire::fnv1a32(payload) != crc {
-            break;
-        }
-        let Ok(batch) = decode_batch(payload) else {
-            break;
-        };
-        batches.push(batch);
-        pos += 8 + len;
-    }
-    (batches, pos)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record_log::frame;
     use sofi_campaign::Outcome;
     use sofi_machine::StateDigest;
 
@@ -369,6 +321,45 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let store = WarmStore::open(&path).unwrap();
         assert_eq!(store.len(), 1, "corruption must cut the history there");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn other_format_store_is_refused_untouched() {
+        // A checksummed record with a tag this build does not know: a
+        // store written in another record format. Treating it as a torn
+        // tail would truncate the committed batch behind it.
+        let ctx = 0x5_u128;
+        let mut other = encode_batch(ctx, &[fact(1, 0x11, Outcome::NoEffect)]);
+        other[0] = 1;
+        let mut bytes = frame(&other);
+        bytes.extend_from_slice(&frame(&encode_batch(
+            ctx,
+            &[fact(2, 0x22, Outcome::Timeout)],
+        )));
+
+        let path = temp_path("other-format");
+        std::fs::write(&path, &bytes).unwrap();
+        let err = WarmStore::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("byte offset 0"),
+            "error must name the record's offset: {err}"
+        );
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "file must be untouched"
+        );
+
+        // The same refusal past a valid prefix names the later offset.
+        let mut later = frame(&encode_batch(ctx, &[fact(3, 0x33, Outcome::NoEffect)]));
+        let offset = later.len();
+        later.extend_from_slice(&bytes);
+        std::fs::write(&path, &later).unwrap();
+        let err = WarmStore::open(&path).unwrap_err();
+        assert!(err.to_string().contains(&format!("byte offset {offset}")));
+        assert_eq!(std::fs::read(&path).unwrap(), later);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -9,8 +9,8 @@
 //! ([`Campaign::set_memo_harvest`]) and runs each plan twice — cold, then
 //! warm with the cache fully populated — because the warm pass exercises
 //! the injection-time hit branch for every single experiment. The second
-//! test holds the default executor, behind the wall-clock cost gate, to
-//! the same reference.
+//! test holds the default executor, behind the cost gate that prices
+//! probes and re-hashed pages in simulated cycles, to the same reference.
 
 use sofi::campaign::{Campaign, FaultDomain};
 use sofi::workloads::all_baselines;
