@@ -62,13 +62,13 @@ pub struct ExecutorStats {
     /// Faulted cycles *not* simulated thanks to memo hits: the cached
     /// final cycle minus the cycle at which the hit occurred.
     pub memoized_cycles_saved: u64,
-    /// Worker shards that finished with memo probing still enabled (the
-    /// cost-model gate judged probing profitable, or
-    /// [`Campaign::set_memo_harvest`] locked it on).
+    /// Shards that finished with their worker's memo probing still
+    /// enabled (the cost-model gate judged probing profitable).
     pub gate_shards_on: u64,
-    /// Worker shards where the cost-model gate disabled memo probing —
-    /// a priori (program too short for a probe to ever pay) or after
-    /// priced probe spend dominated the simulation its hits saved.
+    /// Shards that finished with their worker's cost-model gate having
+    /// disabled memo probing — a priori (program too short for a probe
+    /// to ever pay) or after priced probe spend dominated the simulation
+    /// its hits saved.
     pub gate_shards_off: u64,
     /// Memo hits served from entries preloaded out of a persistent
     /// cross-campaign warm store ([`Campaign::preload_memo`]) — a subset
@@ -140,6 +140,25 @@ impl ExecutorStats {
             self.store_hits as f64 / lookups as f64
         }
     }
+
+    /// The counters accumulated since `earlier`, an earlier copy of this
+    /// record: the delta one streamed shard adds to its worker's totals.
+    fn since(&self, earlier: &ExecutorStats) -> ExecutorStats {
+        ExecutorStats {
+            workers: self.workers - earlier.workers,
+            experiments: self.experiments - earlier.experiments,
+            pristine_cycles: self.pristine_cycles - earlier.pristine_cycles,
+            faulted_cycles: self.faulted_cycles - earlier.faulted_cycles,
+            converged_early: self.converged_early - earlier.converged_early,
+            faulted_cycles_saved: self.faulted_cycles_saved - earlier.faulted_cycles_saved,
+            memo_hits: self.memo_hits - earlier.memo_hits,
+            memo_misses: self.memo_misses - earlier.memo_misses,
+            memoized_cycles_saved: self.memoized_cycles_saved - earlier.memoized_cycles_saved,
+            gate_shards_on: self.gate_shards_on - earlier.gate_shards_on,
+            gate_shards_off: self.gate_shards_off - earlier.gate_shards_off,
+            store_hits: self.store_hits - earlier.store_hits,
+        }
+    }
 }
 
 /// Where a memo entry came from — provenance drives both the
@@ -165,6 +184,12 @@ struct MemoEntry {
     outcome: Outcome,
     final_cycle: u64,
     origin: MemoOrigin,
+    /// Some experiment's post-injection state: set when an
+    /// injection-point probe misses (and the run records the state) or
+    /// hits it. A resubmission probes exactly these keys first.
+    injection: bool,
+    /// Already returned by [`Campaign::export_memo`].
+    exported: bool,
 }
 
 /// One exportable fault-equivalence memo entry: a `(cycle, digest) →
@@ -205,19 +230,26 @@ struct MemoCache {
 }
 
 impl MemoCache {
-    fn get(&self, key: &(u64, StateDigest)) -> Option<MemoEntry> {
-        self.entries.lock().unwrap().get(key).copied()
+    /// Looks `key` up, marking a hit as an injection-point fact when the
+    /// probe is an experiment's injection-point probe.
+    fn get(&self, key: &(u64, StateDigest), injection: bool) -> Option<MemoEntry> {
+        let mut map = self.entries.lock().unwrap();
+        let entry = map.get_mut(key)?;
+        entry.injection |= injection;
+        Some(*entry)
     }
 
     /// Inserts `entry` under every key, keeping existing entries (any
     /// previously recorded outcome for the same state is equally valid).
-    fn insert_all(&self, keys: &[(u64, StateDigest)], entry: MemoEntry) {
+    /// With `injection` set, the first key is the run's post-injection
+    /// state and is marked as such, whoever recorded it.
+    fn insert_all(&self, keys: &[(u64, StateDigest)], entry: MemoEntry, injection: bool) {
         if keys.is_empty() {
             return;
         }
         let mut map = self.entries.lock().unwrap();
-        for &key in keys {
-            map.entry(key).or_insert(entry);
+        for (i, &key) in keys.iter().enumerate() {
+            map.entry(key).or_insert(entry).injection |= injection && i == 0;
         }
     }
 
@@ -253,8 +285,8 @@ pub struct Campaign {
     /// Fault-equivalence outcome memo (see [`MemoCache`]).
     memo: Arc<MemoCache>,
     /// Set via [`Campaign::set_memo_harvest`] when this campaign feeds a
-    /// persistent warm store: the cost gate then keeps probing locked on
-    /// (shared by clones, like the memo itself).
+    /// persistent warm store: every experiment then probes the memo at
+    /// its injection point (shared by clones, like the memo itself).
     memo_harvest: Arc<AtomicBool>,
     /// Runtime observability ([`sofi_telemetry::Registry`]): phase spans,
     /// per-experiment histograms and executor counters. Disabled (all
@@ -326,14 +358,21 @@ impl WorkerTel {
     }
 
     /// A memo-cache lookup, latency-sampled when telemetry is enabled.
-    fn probe(&self, memo: &MemoCache, key: &(u64, StateDigest)) -> Option<MemoEntry> {
-        sampled(&self.memo_probe_ns, &self.probe_tick, || memo.get(key))
+    fn probe(
+        &self,
+        memo: &MemoCache,
+        key: &(u64, StateDigest),
+        injection: bool,
+    ) -> Option<MemoEntry> {
+        sampled(&self.memo_probe_ns, &self.probe_tick, || {
+            memo.get(key, injection)
+        })
     }
 
-    /// Drains the histogram buffers and mirrors the worker's final
-    /// counters into the registry — once per shard, off the
-    /// per-experiment path. `blocks` carries the execution-engine
-    /// dispatch counters accumulated across this worker's faulted runs.
+    /// Drains the histogram buffers and mirrors one shard's counters into
+    /// the registry — once per shard, off the per-experiment path.
+    /// `blocks` carries the execution-engine dispatch counters of the
+    /// shard's faulted runs.
     fn flush(&self, stats: &ExecutorStats, blocks: &BlockStats) {
         self.faulted_run_cycles.flush();
         self.restore_distance.flush();
@@ -395,22 +434,25 @@ const GATE_MIN_GOLDEN_CYCLES: u64 = 64;
 /// cost-vs-savings rule (reviews happen at every power of two).
 const GATE_FULL_REVIEW: u64 = 32;
 
-/// Cost-model gate state for one worker shard. The gate decides whether
-/// memo probing — one state digest plus a shared-map lookup at the
-/// injection point and at every checkpoint crossing — pays for itself
-/// on this shard, by pricing the probes issued and the RAM pages they
-/// re-hashed in simulated cycles ([`PROBE`], [`PAGE`]) and comparing
-/// that spend against the simulation the observed hits avoided. Every
-/// input is a count, so the verdict is a pure function of the shard and
-/// the cache it starts from. Probing switches off at most once per
-/// shard (no flapping); outcomes are identical either way because the
-/// gate only skips lookups and insertions, never invents results.
+/// Cost-model gate state for one worker's run of experiments. The gate
+/// decides whether memo probing — one state digest plus a shared-map
+/// lookup at the injection point and at every checkpoint crossing —
+/// pays for itself on this run, by pricing the probes issued and the RAM
+/// pages they re-hashed in simulated cycles ([`PROBE`], [`PAGE`]) and
+/// comparing that spend against the simulation the observed hits
+/// avoided. Every input is a count, so the verdict is a pure function of
+/// the run and the cache it starts from. Probing switches off at most
+/// once per run (no flapping); outcomes are identical either way because
+/// the gate only skips lookups and insertions, never invents results.
 struct MemoGate {
-    /// Memo probing currently enabled for this shard.
+    /// Memo probing currently enabled for this run.
     probing: bool,
-    /// The gate may still switch probing off. False in harvest mode,
-    /// after an a-priori cut, or after a decision.
+    /// The gate may still switch probing off. False after an a-priori
+    /// cut or after a decision.
     deciding: bool,
+    /// Harvest mode ([`Campaign::set_memo_harvest`]): the injection-point
+    /// probe runs even while `probing` is off.
+    harvest: bool,
     /// Probes issued so far while probing.
     probes: u64,
     /// RAM pages re-hashed by digests so far (probes and the pristine
@@ -419,25 +461,32 @@ struct MemoGate {
 }
 
 impl MemoGate {
-    /// Builds the shard's gate. `golden_cycles` and `warm_cache` feed
-    /// the a-priori cut: a cold-cache campaign over a program shorter
-    /// than [`GATE_MIN_GOLDEN_CYCLES`] disables probing outright (a
-    /// warm cache — preloaded store entries or an earlier domain's
+    /// Builds a worker's gate. `golden_cycles` and `warm_cache` feed the
+    /// a-priori cut: a cold-cache campaign over a program shorter than
+    /// [`GATE_MIN_GOLDEN_CYCLES`] disables probing outright (a warm
+    /// cache — preloaded store entries or an earlier domain's
     /// trajectories — can hit at the injection point, which pays at any
-    /// program length, so it always gets a priced trial). With
-    /// `harvest` set ([`Campaign::set_memo_harvest`]) probing is locked
-    /// on and never reviewed: the campaign's probes also produce the
-    /// outcome facts a persistent warm store amortizes across future
-    /// submissions, so "does probing pay within this one campaign" is
-    /// the wrong question to ask.
+    /// program length, so it always gets a priced trial). With `harvest`
+    /// set ([`Campaign::set_memo_harvest`]) the injection-point probe
+    /// runs whatever the verdict: its fact is the one a resubmission over
+    /// the same context probes first, so a persistent warm store needs
+    /// it for every experiment. Checkpoint-crossing probes follow the
+    /// gate as in any campaign.
     fn new(golden_cycles: u64, warm_cache: bool, harvest: bool) -> MemoGate {
-        let a_priori_off = !harvest && !warm_cache && golden_cycles < GATE_MIN_GOLDEN_CYCLES;
+        let a_priori_off = !warm_cache && golden_cycles < GATE_MIN_GOLDEN_CYCLES;
         MemoGate {
             probing: !a_priori_off,
-            deciding: !harvest && !a_priori_off,
+            deciding: !a_priori_off,
+            harvest,
             probes: 0,
             pages: 0,
         }
+    }
+
+    /// Whether the next experiment probes at its injection point: while
+    /// probing, and always in harvest mode.
+    fn probes_injection(&self) -> bool {
+        self.probing || self.harvest
     }
 
     /// Digests `m`, counting the RAM pages the digest re-hashed.
@@ -448,19 +497,21 @@ impl MemoGate {
         digest
     }
 
-    /// One memo probe: digests `m` and looks the state up. A hit is
-    /// counted into `stats` and returned; a miss becomes a waypoint.
+    /// One memo probe: digests `m` and looks the state up (`injection`:
+    /// at the experiment's injection point). A hit is counted into
+    /// `stats` and returned; a miss becomes a waypoint.
     fn probe(
         &mut self,
         tel: &WorkerTel,
         memo: &MemoCache,
         m: &mut Machine,
+        injection: bool,
         waypoints: &mut Vec<(u64, StateDigest)>,
         stats: &mut ExecutorStats,
     ) -> Option<MemoEntry> {
         self.probes += 1;
         let key = (m.cycle(), self.digest(m));
-        let Some(hit) = tel.probe(memo, &key) else {
+        let Some(hit) = tel.probe(memo, &key, injection) else {
             waypoints.push(key);
             return None;
         };
@@ -493,7 +544,7 @@ impl MemoGate {
             self.deciding = false;
         } else if experiments >= GATE_FULL_REVIEW {
             // Probing has proven itself on real volume; stop reviewing
-            // for the rest of the shard.
+            // for the rest of the run.
             self.deciding = false;
         }
     }
@@ -764,7 +815,8 @@ impl Campaign {
     /// over a disjoint cycle range, starting from the nearest
     /// [checkpoint](ExecutorStats). Total pristine forward simulation
     /// therefore stays within a small factor of the sequential executor
-    /// instead of growing linearly with the worker count.
+    /// instead of growing linearly with the worker count. Each chunk is
+    /// one shard of [`Campaign::run_shards`]'s worker loop.
     ///
     /// Each faulted run pauses at every pristine checkpoint cycle it
     /// crosses and compares its architectural state against the stored
@@ -778,7 +830,7 @@ impl Campaign {
     /// identical outcome on a deterministic machine, so the second one is
     /// free. Lookups and insertions also happen at every checkpoint
     /// crossing, so runs converging *into* an explored trajectory hit
-    /// mid-flight; the per-shard cost gate ([`MemoGate`]) skips probing
+    /// mid-flight; the per-worker cost gate ([`MemoGate`]) skips probing
     /// where it cannot pay. Results are `assert_eq!`-identical to
     /// [`Campaign::run_experiments_naive`] (`tests/convergence_oracle.rs`,
     /// `tests/memoization_oracle.rs`).
@@ -791,62 +843,118 @@ impl Campaign {
             .config
             .effective_threads()
             .min(experiments.len().max(1));
-        let checkpoints = self.checkpoints();
-        if threads <= 1 {
-            let tel = WorkerTel::new(&self.telemetry);
-            return self.run_worker(
-                domain,
-                self.fresh_machine(),
-                experiments.iter().copied(),
-                checkpoints,
-                &tel,
-            );
-        }
-
-        // Cycle-sort so every chunk is a contiguous injection-cycle range.
-        let mut sorted = experiments.to_vec();
-        sorted.sort_unstable_by_key(|e| (e.coord.cycle, e.coord.bit, e.id));
-        let chunks = chunk_by_cycle_span(&sorted, threads);
-
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
+        // One worker keeps the caller's order; several cycle-sort so
+        // every chunk is a contiguous injection-cycle range.
+        let mut sorted = Vec::new();
+        let chunks: Vec<(usize, &[Experiment])> = if threads <= 1 {
+            vec![(0, experiments)]
+        } else {
+            sorted.extend_from_slice(experiments);
+            sorted.sort_unstable_by_key(|e| (e.coord.cycle, e.coord.bit, e.id));
+            chunk_by_cycle_span(&sorted, threads, |e| e.coord.cycle)
                 .into_iter()
-                .map(|chunk| {
-                    let start = self.machine_at(checkpoints, chunk[0].coord.pre_injection_cycle());
-                    // Each worker records into a forked child registry;
-                    // the parent absorbs them after join. Absorption is
-                    // associative and commutative (sofi-telemetry's
-                    // merge-law tests), so totals do not depend on the
-                    // shard structure.
-                    let child = self.telemetry.fork();
+                .enumerate()
+                .collect()
+        };
+        let runs: Vec<&[(usize, &[Experiment])]> =
+            chunks.iter().map(std::slice::from_ref).collect();
+        let parts = Mutex::new(Vec::with_capacity(runs.len()));
+        self.stream(domain, &runs, threads, &|chunk, results, stats| {
+            parts
+                .lock()
+                .expect("no worker panics while holding the parts lock")
+                .push((chunk, results, stats));
+            true
+        });
+        let merge_span = self.telemetry.span(names::SPAN_MERGE_NS);
+        let mut parts = parts
+            .into_inner()
+            .expect("no worker panics while holding the parts lock");
+        parts.sort_unstable_by_key(|&(chunk, ..)| chunk);
+        let mut stats = ExecutorStats::default();
+        let mut results = Vec::with_capacity(experiments.len());
+        for (_, part, shard) in parts {
+            stats.absorb_batch(&shard);
+            results.extend(part);
+        }
+        merge_span.finish();
+        (results, stats)
+    }
+
+    /// Streams `shards` — consecutive slices of a cycle-sorted experiment
+    /// list, as a daemon job's dispatch tail is — through the executor
+    /// and hands each finished shard to `commit` with its index, its
+    /// results (in shard order) and its [`ExecutorStats`] delta, whose
+    /// `workers` is the call's worker count. The shards are split into
+    /// one contiguous run per worker, balanced by cycle span; each worker
+    /// runs its whole run with one pristine machine and one cost gate, so
+    /// checkpoint restores, thread start-up and gate verdicts amortize
+    /// over the run instead of repeating per shard. `commit` is called
+    /// from the worker threads, concurrently; when it returns `false`,
+    /// that worker stops at the shard boundary and its remaining shards
+    /// are never run. Outcomes are those of
+    /// [`Campaign::run_experiments_stats`] for the same experiments.
+    pub fn run_shards(
+        &self,
+        domain: FaultDomain,
+        shards: &[Vec<Experiment>],
+        commit: impl Fn(usize, Vec<ExperimentResult>, ExecutorStats) -> bool + Sync,
+    ) {
+        if shards.is_empty() {
+            return;
+        }
+        let indexed: Vec<(usize, &[Experiment])> =
+            shards.iter().map(Vec::as_slice).enumerate().collect();
+        let threads = self.config.effective_threads().min(indexed.len());
+        let runs = chunk_by_cycle_span(&indexed, threads, |(_, shard)| {
+            shard.first().map_or(0, |e| e.coord.cycle)
+        });
+        self.stream(domain, &runs, threads, &commit);
+    }
+
+    /// Runs each of `runs` through [`Campaign::run_worker`]: on the
+    /// calling thread for a one-thread call, otherwise on a scoped thread
+    /// per run.
+    fn stream(
+        &self,
+        domain: FaultDomain,
+        runs: &[&[(usize, &[Experiment])]],
+        threads: usize,
+        commit: &(dyn Fn(usize, Vec<ExperimentResult>, ExecutorStats) -> bool + Sync),
+    ) {
+        let checkpoints = self.checkpoints();
+        let workers = runs.len();
+        let start = |shards: &[(usize, &[Experiment])]| match shards
+            .iter()
+            .find_map(|(_, shard)| shard.first())
+        {
+            Some(e) => self.machine_at(checkpoints, e.coord.pre_injection_cycle()),
+            None => self.fresh_machine(),
+        };
+        if threads <= 1 {
+            for &shards in runs {
+                self.run_worker(domain, start(shards), shards, checkpoints, workers, commit);
+            }
+            return;
+        }
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = runs
+                .iter()
+                .map(|&shards| {
+                    let pristine = start(shards);
                     scope.spawn(move || {
-                        let tel = WorkerTel::new(&child);
-                        let part = self.run_worker(
-                            domain,
-                            start,
-                            chunk.iter().copied(),
-                            checkpoints,
-                            &tel,
-                        );
-                        (part, child)
+                        self.run_worker(domain, pristine, shards, checkpoints, workers, commit)
                     })
                 })
                 .collect();
-            let joined: Vec<_> = handles
-                .into_iter()
-                .map(|handle| handle.join().expect("campaign worker panicked"))
-                .collect();
-            let merge_span = self.telemetry.span(names::SPAN_MERGE_NS);
-            let mut stats = ExecutorStats::default();
-            let mut results = Vec::with_capacity(sorted.len());
-            for ((part, worker), child) in joined {
-                stats.absorb(&worker);
-                self.telemetry.absorb(&child);
-                results.extend(part);
+            // Joined explicitly: a scope's implicit join returns before
+            // the threads have exited, and threads still exiting cannot
+            // hand their allocator arenas to the next call's workers —
+            // peak RSS then grows with every call.
+            for handle in handles {
+                handle.join().expect("campaign worker panicked");
             }
-            merge_span.finish();
-            (results, stats)
-        })
+        });
     }
 
     /// A pristine machine at cycle 0.
@@ -912,36 +1020,51 @@ impl Campaign {
                 outcome: Outcome::NoEffect,
                 final_cycle: self.golden.cycles,
                 origin: MemoOrigin::Seed,
+                injection: false,
+                exported: false,
             },
+            false,
         );
     }
 
-    /// Marks this campaign as feeding a persistent warm store: the cost
-    /// gate keeps memo probing locked on for every shard, short golden
-    /// runs included, because the probes' outcome facts are exported
-    /// ([`Campaign::export_memo`]) and amortized across future
-    /// submissions over the same context — even when probing cannot pay
-    /// for itself within this single campaign.
+    /// Marks this campaign as feeding a persistent warm store: every
+    /// experiment probes the memo at its injection point, short golden
+    /// runs and gated-off workers included, so that each experiment's
+    /// post-injection fact exists for [`Campaign::export_memo`]. A
+    /// resubmission over the same context runs the same plan and probes
+    /// each experiment there first, so those facts answer it without
+    /// simulation. Checkpoint-crossing probes still follow the cost gate.
     pub fn set_memo_harvest(&self) {
         self.memo_harvest.store(true, Ordering::Relaxed);
     }
 
     /// Exports the fault-equivalence facts *this campaign's runs*
-    /// established: every [`MemoOrigin::Fresh`] entry, sorted by
-    /// `(cycle, digest)` for deterministic output. Pre-seeded checkpoint
-    /// states and entries preloaded via [`Campaign::preload_memo`] are
-    /// excluded — the former are recomputed per campaign, the latter are
-    /// already persisted wherever they came from.
+    /// established at some experiment's injection point and that no
+    /// earlier call returned, sorted by `(cycle, digest)` for
+    /// deterministic output. Only [`MemoOrigin::Fresh`] entries qualify:
+    /// pre-seeded checkpoint states are recomputed per campaign, and
+    /// entries preloaded via [`Campaign::preload_memo`] are already
+    /// persisted wherever they came from. Checkpoint-crossing waypoints
+    /// stay in process: a resubmission never probes them before its
+    /// injection-point probe has hit.
+    ///
+    /// Each fact is returned once, so a remote worker that exports after
+    /// every shard uploads only that shard's new facts. If an upload is
+    /// rejected, its facts are not sent again: that costs the store
+    /// warmth, never an outcome.
     pub fn export_memo(&self) -> Vec<MemoRecord> {
-        let map = self.memo.entries.lock().unwrap();
+        let mut map = self.memo.entries.lock().unwrap();
         let mut out: Vec<MemoRecord> = map
-            .iter()
-            .filter(|(_, e)| e.origin == MemoOrigin::Fresh)
-            .map(|(&(cycle, digest), e)| MemoRecord {
-                cycle,
-                digest,
-                outcome: e.outcome,
-                final_cycle: e.final_cycle,
+            .iter_mut()
+            .filter(|(_, e)| e.origin == MemoOrigin::Fresh && e.injection && !e.exported)
+            .map(|(&(cycle, digest), e)| {
+                e.exported = true;
+                MemoRecord {
+                    cycle,
+                    digest,
+                    outcome: e.outcome,
+                    final_cycle: e.final_cycle,
+                }
             })
             .collect();
         drop(map);
@@ -969,6 +1092,8 @@ impl Campaign {
                 outcome: r.outcome,
                 final_cycle: r.final_cycle,
                 origin: MemoOrigin::Store,
+                injection: false,
+                exported: false,
             });
         }
     }
@@ -1067,24 +1192,24 @@ impl Campaign {
             .collect()
     }
 
-    /// Sequential worker: advances a pristine machine monotonically along
-    /// the (cycle-sorted) experiment stream and forks it per experiment.
-    /// Returns the results plus this worker's counters.
+    /// The executor's one worker loop: advances a pristine machine
+    /// monotonically along a run of (cycle-sorted) shards, forks it per
+    /// experiment, and hands each finished shard's results and counter
+    /// delta (`workers` set to the call's worker count) to `commit`,
+    /// stopping at the first shard boundary where `commit` returns
+    /// `false`. One cost gate spans the whole run.
     fn run_worker(
         &self,
         domain: FaultDomain,
         mut pristine: Machine,
-        experiments: impl Iterator<Item = Experiment>,
+        shards: &[(usize, &[Experiment])],
         checkpoints: &[Checkpoint],
-        tel: &WorkerTel,
-    ) -> (Vec<ExperimentResult>, ExecutorStats) {
-        let shard_span = tel.registry.span(names::SPAN_SHARD_NS);
-        let mut stats = ExecutorStats {
-            workers: 1,
-            ..ExecutorStats::default()
-        };
-        let mut out = Vec::new();
-        let mut block_totals = BlockStats::default();
+        workers: usize,
+        commit: &(dyn Fn(usize, Vec<ExperimentResult>, ExecutorStats) -> bool + Sync),
+    ) {
+        let tel = WorkerTel::new(&self.telemetry);
+        // The worker's running totals; the gate reviews these.
+        let mut stats = ExecutorStats::default();
         // A cache holding more than the per-checkpoint seeds is warm —
         // preloaded from the daemon's store or populated by an earlier
         // domain's runs over this shared campaign — and exempt from the
@@ -1100,55 +1225,66 @@ impl Campaign {
         // restore (or a fresh machine), so the first advance is a
         // restore distance too.
         let mut restored = true;
-        for e in experiments {
-            let pre_cycle = e.coord.pre_injection_cycle();
-            if pristine.cycle() > pre_cycle {
-                // Out-of-order experiment: resume from the nearest
-                // checkpoint at or before the injection point (a fresh
-                // machine when none qualifies) instead of always
-                // rebuilding from cycle 0.
-                pristine = self.machine_at(checkpoints, pre_cycle);
-                restored = true;
+        for &(index, experiments) in shards {
+            let shard_span = tel.registry.span(names::SPAN_SHARD_NS);
+            let before = stats;
+            let mut blocks = BlockStats::default();
+            let mut out = Vec::new();
+            for &e in experiments {
+                let pre_cycle = e.coord.pre_injection_cycle();
+                if pristine.cycle() > pre_cycle {
+                    // Out-of-order experiment: resume from the nearest
+                    // checkpoint at or before the injection point (a fresh
+                    // machine when none qualifies) instead of always
+                    // rebuilding from cycle 0.
+                    pristine = self.machine_at(checkpoints, pre_cycle);
+                    restored = true;
+                }
+                stats.pristine_cycles += pre_cycle - pristine.cycle();
+                if restored {
+                    tel.restore_distance.record(pre_cycle - pristine.cycle());
+                    restored = false;
+                }
+                let early = pristine.run_to(pre_cycle);
+                assert!(
+                    early.is_none(),
+                    "golden-derived plan outlived the program (cycle {})",
+                    e.coord.cycle
+                );
+                if gate.probes_injection() {
+                    // Warm the pristine machine's page-hash cache so the
+                    // fork's injection-point digest below only re-hashes
+                    // the page the bit-flip dirties (none, for register
+                    // faults).
+                    gate.digest(&mut pristine);
+                }
+                let mut m = pristine.clone();
+                inject_fault(domain, &mut m, e.coord.bit);
+                let base = m.block_stats();
+                let outcome = tel.timed_dispatch(|| {
+                    self.run_faulted(&mut m, checkpoints, &mut stats, &tel, &mut gate)
+                });
+                blocks.absorb(m.block_stats().delta_since(base));
+                stats.experiments += 1;
+                gate.review(stats.experiments, &stats);
+                out.push(ExperimentResult {
+                    experiment: e,
+                    outcome,
+                });
             }
-            stats.pristine_cycles += pre_cycle - pristine.cycle();
-            if restored {
-                tel.restore_distance.record(pre_cycle - pristine.cycle());
-                restored = false;
-            }
-            let early = pristine.run_to(pre_cycle);
-            assert!(
-                early.is_none(),
-                "golden-derived plan outlived the program (cycle {})",
-                e.coord.cycle
-            );
+            let mut delta = stats.since(&before);
+            delta.workers = workers;
             if gate.probing {
-                // Warm the pristine machine's page-hash cache so the
-                // fork's injection-point digest below only re-hashes the
-                // page the bit-flip dirties (none, for register faults).
-                gate.digest(&mut pristine);
+                delta.gate_shards_on = 1;
+            } else {
+                delta.gate_shards_off = 1;
             }
-            let mut m = pristine.clone();
-            inject_fault(domain, &mut m, e.coord.bit);
-            let base = m.block_stats();
-            let outcome = tel.timed_dispatch(|| {
-                self.run_faulted(&mut m, checkpoints, &mut stats, tel, &mut gate)
-            });
-            block_totals.absorb(m.block_stats().delta_since(base));
-            stats.experiments += 1;
-            gate.review(stats.experiments, &stats);
-            out.push(ExperimentResult {
-                experiment: e,
-                outcome,
-            });
+            tel.flush(&delta, &blocks);
+            shard_span.finish();
+            if !commit(index, out, delta) {
+                return;
+            }
         }
-        if gate.probing {
-            stats.gate_shards_on = 1;
-        } else {
-            stats.gate_shards_off = 1;
-        }
-        tel.flush(&stats, &block_totals);
-        shard_span.finish();
-        (out, stats)
     }
 
     /// Runs one faulted machine to its classification.
@@ -1173,13 +1309,14 @@ impl Campaign {
     /// again) are excluded, so faults that simply go dormant for the rest
     /// of the run also terminate early.
     ///
-    /// While the shard's gate keeps probing on, the run first looks up its
-    /// post-injection `(cycle, state digest)` in the campaign memo and
-    /// returns the cached outcome on a hit; on a miss it simulates,
-    /// repeating the lookup at every checkpoint crossing (before the
-    /// convergence comparison, so exact re-entries into explored
-    /// trajectories — including the pre-seeded pristine states — resolve
-    /// as hits), and finally inserts every state it passed through.
+    /// While the worker's gate keeps probing on (or in harvest mode), the
+    /// run first looks up its post-injection `(cycle, state digest)` in
+    /// the campaign memo and returns the cached outcome on a hit; on a
+    /// miss it simulates, repeating the lookup at every checkpoint
+    /// crossing while probing is on (before the convergence comparison,
+    /// so exact re-entries into explored trajectories — including the
+    /// pre-seeded pristine states — resolve as hits), and finally inserts
+    /// every state it passed through.
     fn run_faulted(
         &self,
         m: &mut Machine,
@@ -1191,19 +1328,21 @@ impl Campaign {
         let budget = self.config.cycle_budget(self.golden.cycles);
         let start_cycle = m.cycle();
         // The cost-model gate masks memoization for the rest of the
-        // shard once probing demonstrably cannot pay (see [`MemoGate`]);
-        // a gated-off run neither looks up nor records trajectories.
+        // worker's run once probing demonstrably cannot pay (see
+        // [`MemoGate`]); a gated-off run looks up and records at most its
+        // injection-point state, and only in harvest mode.
+        let at_injection = gate.probes_injection();
         let memoize = gate.probing;
         // State digests this run passes through; on completion every one
         // of them maps to the run's outcome, so later injections that
         // converge *into* this trajectory hit at their next checkpoint.
         let mut waypoints: Vec<(u64, StateDigest)> = Vec::new();
         let (outcome, final_cycle) = 'run: {
-            if memoize {
+            if at_injection {
                 // Injection-point lookup: an earlier experiment (in either
                 // fault domain) that produced this exact post-injection
                 // state already determined the outcome.
-                if let Some(hit) = gate.probe(tel, &self.memo, m, &mut waypoints, stats) {
+                if let Some(hit) = gate.probe(tel, &self.memo, m, true, &mut waypoints, stats) {
                     break 'run (hit.outcome, hit.final_cycle);
                 }
                 stats.memo_misses += 1;
@@ -1225,7 +1364,9 @@ impl Campaign {
                     // pristine state, pre-seeded per checkpoint — resolve
                     // here and also donate their own waypoints.
                     if memoize {
-                        if let Some(hit) = gate.probe(tel, &self.memo, m, &mut waypoints, stats) {
+                        if let Some(hit) =
+                            gate.probe(tel, &self.memo, m, false, &mut waypoints, stats)
+                        {
                             break 'run (hit.outcome, hit.final_cycle);
                         }
                     }
@@ -1251,13 +1392,18 @@ impl Campaign {
         };
         stats.faulted_cycles += m.cycle() - start_cycle;
         tel.faulted_run_cycles.record(m.cycle() - start_cycle);
+        // After an injection-point miss the first waypoint is the
+        // post-injection state.
         self.memo.insert_all(
             &waypoints,
             MemoEntry {
                 outcome,
                 final_cycle,
                 origin: MemoOrigin::Fresh,
+                injection: false,
+                exported: false,
             },
+            at_injection,
         );
         outcome
     }
@@ -1282,14 +1428,15 @@ pub(crate) fn inject_fault(domain: FaultDomain, m: &mut Machine, bit: u64) {
     }
 }
 
-/// Splits the cycle-sorted experiments into at most `chunks` contiguous
-/// runs with (approximately) equal injection-cycle spans. Balancing by
-/// span rather than by count bounds each worker's pristine
-/// forward-simulation range; empty spans produce no chunk.
-fn chunk_by_cycle_span(sorted: &[Experiment], chunks: usize) -> Vec<&[Experiment]> {
+/// Splits cycle-sorted items (experiments, or shards keyed by their
+/// first injection cycle) into at most `chunks` contiguous runs with
+/// (approximately) equal injection-cycle spans. Balancing by span rather
+/// than by count bounds each worker's pristine forward-simulation range;
+/// empty spans produce no chunk.
+fn chunk_by_cycle_span<T>(sorted: &[T], chunks: usize, cycle: impl Fn(&T) -> u64) -> Vec<&[T]> {
     debug_assert!(!sorted.is_empty() && chunks > 0);
-    let first = sorted[0].coord.cycle;
-    let span = sorted[sorted.len() - 1].coord.cycle - first;
+    let first = cycle(&sorted[0]);
+    let span = cycle(&sorted[sorted.len() - 1]).saturating_sub(first);
     let mut out = Vec::with_capacity(chunks);
     let mut begin = 0;
     for k in 1..=chunks as u64 {
@@ -1297,7 +1444,7 @@ fn chunk_by_cycle_span(sorted: &[Experiment], chunks: usize) -> Vec<&[Experiment
             sorted.len()
         } else {
             let bound = first + span * k / chunks as u64;
-            begin + sorted[begin..].partition_point(|e| e.coord.cycle <= bound)
+            begin + sorted[begin..].partition_point(|item| cycle(item) <= bound)
         };
         if end > begin {
             out.push(&sorted[begin..end]);
@@ -1477,6 +1624,53 @@ mod tests {
     }
 
     #[test]
+    fn run_shards_commits_each_shard_once_and_stops_when_told() {
+        let p = sofi_workloads::fib(sofi_workloads::Variant::Baseline);
+        let config = CampaignConfig {
+            threads: 2,
+            ..CampaignConfig::default()
+        };
+        let c = Campaign::with_config(&p, config).unwrap();
+        let plan = &c.plan().experiments;
+        let shards: Vec<Vec<Experiment>> = plan.chunks(8).map(<[_]>::to_vec).collect();
+        let committed = Mutex::new(Vec::new());
+        c.run_shards(FaultDomain::Memory, &shards, |i, results, stats| {
+            committed.lock().unwrap().push((i, results, stats));
+            true
+        });
+        let mut committed = committed.into_inner().unwrap();
+        committed.sort_by_key(|&(i, ..)| i);
+        assert_eq!(committed.len(), shards.len());
+        let mut total = ExecutorStats::default();
+        for (i, results, stats) in &committed {
+            let ids: Vec<u32> = results.iter().map(|r| r.experiment.id).collect();
+            let want: Vec<u32> = shards[*i].iter().map(|e| e.id).collect();
+            assert_eq!(ids, want, "shard {i} out of order or incomplete");
+            assert_eq!(stats.experiments, want.len() as u64);
+            assert_eq!(stats.workers, 2, "the call's worker count");
+            assert_eq!(stats.gate_shards_on + stats.gate_shards_off, 1);
+            total.absorb_batch(stats);
+        }
+        assert_eq!(total.experiments, plan.len() as u64);
+        let mut results: Vec<ExperimentResult> =
+            committed.into_iter().flat_map(|(_, r, _)| r).collect();
+        results.sort_by_key(|r| r.experiment.id);
+        let mut naive = c.run_experiments_naive(FaultDomain::Memory, plan);
+        naive.sort_by_key(|r| r.experiment.id);
+        assert_eq!(results, naive);
+
+        // One worker whose third commit says stop runs no fourth shard.
+        let one = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
+        let calls = Mutex::new(0);
+        one.run_shards(FaultDomain::Memory, &shards, |_, _, _| {
+            let mut n = calls.lock().unwrap();
+            *n += 1;
+            *n < 3
+        });
+        assert_eq!(calls.into_inner().unwrap(), 3);
+    }
+
+    #[test]
     fn cycle_span_chunks_are_contiguous_and_cover() {
         let experiments: Vec<Experiment> = (0..40u32)
             .map(|i| Experiment {
@@ -1490,7 +1684,7 @@ mod tests {
                 weight: 1,
             })
             .collect();
-        let chunks = super::chunk_by_cycle_span(&experiments, 4);
+        let chunks = super::chunk_by_cycle_span(&experiments, 4, |e| e.coord.cycle);
         assert!(!chunks.is_empty() && chunks.len() <= 4);
         let total: usize = chunks.iter().map(|c| c.len()).sum();
         assert_eq!(total, experiments.len());
@@ -1845,21 +2039,70 @@ mod tests {
     }
 
     #[test]
-    fn memo_gate_harvest_never_reviews_and_short_programs_start_off() {
-        let mut harvest = MemoGate::new(0, false, true);
-        assert_eq!((harvest.probing, harvest.deciding), (true, false));
-        harvest.probes = 1 << 20;
-        harvest.review(4, &ExecutorStats::default());
-        harvest.review(GATE_FULL_REVIEW, &ExecutorStats::default());
-        assert!(harvest.probing, "harvest locks probing on");
+    fn memo_gate_short_programs_start_off_and_warm_caches_get_a_trial() {
         let short = MemoGate::new(GATE_MIN_GOLDEN_CYCLES - 1, false, false);
         assert_eq!((short.probing, short.deciding), (false, false));
+        assert!(!short.probes_injection());
         let warm = MemoGate::new(GATE_MIN_GOLDEN_CYCLES - 1, true, false);
         assert_eq!(
             (warm.probing, warm.deciding),
             (true, true),
             "warm cache gets a trial"
         );
+    }
+
+    #[test]
+    fn memo_gate_harvest_forces_only_the_injection_probe() {
+        // Cut a priori: crossing probes stay off, the injection probe runs.
+        let short = MemoGate::new(GATE_MIN_GOLDEN_CYCLES - 1, false, true);
+        assert_eq!((short.probing, short.deciding), (false, false));
+        assert!(short.probes_injection());
+        // Harvest does not exempt the gate from its reviews; a cut
+        // leaves the injection probe on.
+        let mut cut = MemoGate {
+            probes: 1 << 20,
+            ..MemoGate::new(GATE_MIN_GOLDEN_CYCLES, false, true)
+        };
+        assert_eq!((cut.probing, cut.deciding), (true, true));
+        cut.review(4, &ExecutorStats::default());
+        assert_eq!((cut.probing, cut.deciding), (false, false));
+        assert!(cut.probes_injection());
+
+        // In a campaign: `hi` (8 cycles) is cut a priori, so under
+        // harvest every experiment probes once, at its injection point,
+        // and never at one of its checkpoint crossings.
+        let c = Campaign::with_config(&hi_program(), CampaignConfig::sequential()).unwrap();
+        c.set_memo_harvest();
+        let experiments = &c.plan().experiments;
+        let (results, stats) = c.run_experiments_stats(FaultDomain::Memory, experiments);
+        assert_eq!(
+            results,
+            c.run_experiments_naive(FaultDomain::Memory, experiments)
+        );
+        assert_eq!(stats.memo_misses, stats.experiments, "{stats:?}");
+        assert_eq!(stats.memo_hits, 0, "a crossing probe ran: {stats:?}");
+        assert_eq!((stats.gate_shards_on, stats.gate_shards_off), (0, 1));
+        assert_eq!(c.export_memo().len(), experiments.len());
+    }
+
+    #[test]
+    fn export_memo_returns_each_injection_point_fact_once() {
+        let p = sofi_workloads::fib(sofi_workloads::Variant::Baseline);
+        let c = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
+        c.set_memo_harvest();
+        let experiments = &c.plan().experiments;
+        let (head, tail) = experiments.split_at(experiments.len() / 2);
+        // Distinct coordinates give distinct post-injection states, so
+        // each run adds exactly one fact per experiment, whatever its
+        // checkpoint crossings recorded.
+        c.run_experiments_in(FaultDomain::Memory, head);
+        let first = c.export_memo();
+        assert_eq!(first.len(), head.len());
+        c.run_experiments_in(FaultDomain::Memory, tail);
+        let second = c.export_memo();
+        assert_eq!(second.len(), tail.len(), "only the new facts");
+        assert!(second.iter().all(|r| !first.contains(r)));
+        assert!(c.export_memo().is_empty(), "nothing new to export");
     }
 
     #[test]

@@ -67,7 +67,7 @@ fn parallel_workers_merge_into_campaign_totals() {
     assert!(stats.workers > 1, "expected a parallel run");
     let snap = c.telemetry().snapshot();
 
-    // Every worker's forked registry was absorbed: per-experiment
+    // Every worker recorded into the campaign's registry: per-experiment
     // histograms and counters cover the whole campaign, one shard span
     // per worker, one merge span for the join.
     let lens = snap.histogram(names::FAULTED_RUN_CYCLES).unwrap();

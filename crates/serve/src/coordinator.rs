@@ -7,19 +7,24 @@
 //! fault-list tail into fixed-size *shards* ([`sofi_campaign::resume`]).
 //! Each shard is then executed under a **lease**:
 //!
-//! * the local driver claims pending shards itself (worker id 0) and runs
-//!   them through the in-process [`sofi_campaign::Campaign`] executor;
+//! * the local driver claims pending shards itself (worker 0) — every
+//!   pending shard while no remote worker is live, otherwise one per
+//!   campaign thread — and streams them through one
+//!   [`sofi_campaign::Campaign::run_shards`] call, whose finished shards
+//!   a committer thread journals in groups;
 //! * registered remote workers poll [`Coordinator::request_lease`], get a
 //!   shard's experiment list plus the full spec, execute it with their
 //!   own campaign instance, and stream the outcomes back through
 //!   [`Coordinator::upload`].
 //!
-//! Both paths converge on one idempotent commit: a shard commit is valid
-//! only while the job is `Running`, the shard is still leased under the
+//! Both paths converge on one idempotent commit of a group of shards (an
+//! upload is a group of one): a shard commit is valid only while the job
+//! is `Running` and not cancelled, the shard is still leased under the
 //! uploaded lease id, and the uploaded experiment ids are exactly the
-//! shard's ids. Committed outcomes are journaled *before* progress
-//! advances, so a crash at any point loses at most in-flight shards,
-//! never a reported one. A lease that is not committed before its
+//! shard's ids. Committed outcomes are journaled — one `Batch` record
+//! per shard, one fsync per group — *before* progress advances, so a
+//! crash at any point loses at most shards not yet journaled, never a
+//! reported one. A lease that is not committed before its
 //! deadline (dead or partitioned worker) is re-queued — the worker loses
 //! only its uncommitted work. Duplicate uploads after a re-grant are
 //! detected by the shard's phase and acknowledged without a second
@@ -39,7 +44,7 @@ use crate::journal::{self, Journal, Record};
 use crate::protocol::UploadOutcome;
 use crate::store::{self, WarmStore};
 use sofi_campaign::{
-    resume, Campaign, CampaignResult, ExecutorStats, ExperimentResult, MemoRecord,
+    resume, Campaign, CampaignResult, ExecutorStats, ExperimentResult, FaultDomain, MemoRecord,
 };
 use sofi_isa::assemble_text;
 use sofi_space::Experiment;
@@ -47,7 +52,8 @@ use sofi_telemetry::{names, Registry, Snapshot};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -59,9 +65,10 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bounded queue depth; submissions beyond it get a Busy response.
     pub queue_capacity: usize,
-    /// Experiments per journaled shard (progress granularity, the unit
-    /// of work leased to remote workers, and the upper bound on work
-    /// lost in a crash).
+    /// Experiments per journaled shard: the unit of commit (one `Batch`
+    /// record each, so also the progress granularity) and of the work
+    /// leased to remote workers. A crash loses only shards not yet
+    /// journaled.
     pub batch_size: usize,
     /// Idle-client read timeout on daemon connections.
     pub idle_timeout: Duration,
@@ -76,9 +83,10 @@ pub struct ServeConfig {
     /// live if every worker dies.
     pub remote_only: bool,
     /// Test hook: simulate the daemon being killed after this many shard
-    /// commits in this process — drivers stop dead, no end records are
-    /// written, the journal is left exactly as a real kill would leave
-    /// it. `None` (the default) in production.
+    /// commits in this process (counted per shard, also inside a commit
+    /// group) — drivers stop dead, no end records are written, the
+    /// journal is left exactly as a real kill would leave it. `None` (the
+    /// default) in production.
     pub crash_after_commits: Option<u64>,
     /// Path of the persistent cross-campaign warm store
     /// ([`crate::store::WarmStore`]); `None` (the default) disables the
@@ -297,12 +305,12 @@ struct Inner {
 }
 
 impl Inner {
-    /// Journals one record, timing the write+fsync into the
-    /// `serve.journal_fsync_ns` histogram. Call with the state lock held
-    /// (the journal lives inside it).
-    fn append_timed(&self, st: &mut CoordState, record: &Record) -> io::Result<()> {
+    /// Journals a group of records with one fsync, timing the
+    /// write+fsync into the `serve.journal_fsync_ns` histogram. Call with
+    /// the state lock held (the journal lives inside it).
+    fn append_timed(&self, st: &mut CoordState, records: &[Record]) -> io::Result<()> {
         let span = self.telemetry.span(names::JOURNAL_FSYNC_NS);
-        let result = st.journal.append(record);
+        let result = st.journal.append(records);
         span.finish();
         result
     }
@@ -456,10 +464,10 @@ impl Coordinator {
             .inner
             .append_timed(
                 &mut st,
-                &Record::JobStart {
+                &[Record::JobStart {
                     job: id,
                     spec: spec.clone(),
-                },
+                }],
             )
             .is_err()
         {
@@ -492,8 +500,9 @@ impl Coordinator {
     }
 
     /// Requests cancellation. Queued jobs are cancelled immediately
-    /// (with a journaled end record); running jobs stop at the next
-    /// shard boundary.
+    /// (with a journaled end record); a running job commits nothing
+    /// further — the check runs per commit group — and its workers stop
+    /// at their next shard boundary.
     pub fn cancel(&self, id: u64) -> CancelOutcome {
         let mut st = self.inner.state.lock().unwrap();
         let Some(job) = st.jobs.get_mut(&id) else {
@@ -509,10 +518,10 @@ impl Coordinator {
             if !st.crashed {
                 let _ = self.inner.append_timed(
                     &mut st,
-                    &Record::End {
+                    &[Record::End {
                         job: id,
                         state: JobState::Cancelled,
-                    },
+                    }],
                 );
             }
             self.inner.telemetry.counter(names::JOBS_FINISHED).incr();
@@ -678,12 +687,12 @@ impl Coordinator {
         // Advisory timeline record; recovery ignores it.
         let _ = self.inner.append_timed(
             &mut st,
-            &Record::Lease {
+            &[Record::Lease {
                 job: jid,
                 shard: idx as u32,
                 lease,
                 worker,
-            },
+            }],
         );
         self.inner.telemetry.counter(names::LEASES_GRANTED).incr();
         self.inner
@@ -717,7 +726,13 @@ impl Coordinator {
         stats: &ExecutorStats,
         memo: &[MemoRecord],
     ) -> UploadOutcome {
-        let outcome = commit_shard(&self.inner, worker, lease, job, shard, results, stats);
+        let upload = ShardCommit {
+            shard,
+            lease,
+            results,
+            stats: *stats,
+        };
+        let outcome = commit_group(&self.inner, worker, job, vec![upload])[0];
         match outcome {
             UploadOutcome::Committed => {
                 self.inner.telemetry.counter(names::SHARDS_UPLOADED).incr();
@@ -894,10 +909,10 @@ fn fail_job(inner: &Inner, id: u64, message: String) {
     if !st.crashed {
         let _ = inner.append_timed(
             &mut st,
-            &Record::End {
+            &[Record::End {
                 job: id,
                 state: JobState::Failed,
-            },
+            }],
         );
     }
     if let Some(job) = st.jobs.get_mut(&id) {
@@ -918,10 +933,10 @@ fn finalize_cancelled(inner: &Inner, id: u64) {
     if !st.crashed {
         let _ = inner.append_timed(
             &mut st,
-            &Record::End {
+            &[Record::End {
                 job: id,
                 state: JobState::Cancelled,
-            },
+            }],
         );
     }
     if let Some(job) = st.jobs.get_mut(&id) {
@@ -934,108 +949,233 @@ fn finalize_cancelled(inner: &Inner, id: u64) {
     inner.watch_cv.notify_all();
 }
 
-/// The single idempotent commit path every executed shard goes through,
-/// local (`from_worker == 0`) or uploaded. A commit is accepted only
-/// when the job is still `Running`, the shard is `Leased` under exactly
-/// `lease`, and the uploaded experiment ids are exactly the shard's ids
-/// — so a late upload against a re-granted lease, a replay against a
-/// restarted coordinator, or a mangled result set can never corrupt the
-/// merged result. Returns `Duplicate` for an already-committed shard
-/// without touching anything.
-fn commit_shard(
+/// One executed shard on its way to the journal.
+struct ShardCommit {
+    /// Shard index within the job's dispatch tail.
+    shard: u32,
+    /// The lease the shard was executed under.
+    lease: u64,
+    /// The shard's outcomes.
+    results: Vec<ExperimentResult>,
+    /// The shard's executor counter delta.
+    stats: ExecutorStats,
+}
+
+/// Checks one shard commit against the job and its lease table:
+/// `Committed` means it may be journaled. A commit is valid only while
+/// the job is `Running` and not cancelled, the shard is `Leased` under
+/// exactly the commit's lease, and the experiment ids are exactly the
+/// shard's ids — so a late upload against a re-granted lease, a replay
+/// against a restarted coordinator, or a mangled result set can never
+/// corrupt the merged result. An already-committed shard is a
+/// `Duplicate`.
+fn validate(st: &CoordState, job_id: u64, commit: &ShardCommit) -> UploadOutcome {
+    let Some(job) = st.jobs.get(&job_id) else {
+        return UploadOutcome::StaleLease;
+    };
+    if job.state != JobState::Running || job.cancel {
+        return UploadOutcome::StaleLease;
+    }
+    let Some(shard) = job.shards.get(commit.shard as usize) else {
+        return UploadOutcome::StaleLease;
+    };
+    match shard.phase {
+        ShardPhase::Committed => return UploadOutcome::Duplicate,
+        ShardPhase::Leased { lease: held, .. } if held == commit.lease => {}
+        _ => return UploadOutcome::StaleLease,
+    }
+    // Contents must cover the shard exactly: same cardinality, same
+    // experiment id set. Outcomes are deterministic, so any upload
+    // passing this check carries the shard's true outcomes.
+    if commit.results.len() != shard.experiments.len() {
+        return UploadOutcome::StaleLease;
+    }
+    let want: HashSet<u32> = shard.experiments.iter().map(|e| e.id).collect();
+    let got: HashSet<u32> = commit.results.iter().map(|r| r.experiment.id).collect();
+    if want != got {
+        return UploadOutcome::StaleLease;
+    }
+    UploadOutcome::Committed
+}
+
+/// The single idempotent commit path every executed shard goes through:
+/// a group of the shards the local stream finished since the last group
+/// (`from_worker == 0`), or one remote upload. Each shard is checked by
+/// [`validate`]; the valid ones are journaled as one `Batch` record each
+/// under one fsync, and only then marked committed and counted as
+/// progress. A failed append rolls the whole group back and fails the
+/// job. Returns each shard's outcome, in group order.
+fn commit_group(
     inner: &Inner,
     from_worker: u64,
-    lease: u64,
     job_id: u64,
-    shard_idx: u32,
-    results: Vec<ExperimentResult>,
-    batch_stats: &ExecutorStats,
-) -> UploadOutcome {
+    group: Vec<ShardCommit>,
+) -> Vec<UploadOutcome> {
+    let mut outcomes = vec![UploadOutcome::StaleLease; group.len()];
     let mut st = inner.state.lock().unwrap();
     if st.crashed {
-        return UploadOutcome::StaleLease;
+        return outcomes;
     }
-    {
-        let Some(job) = st.jobs.get(&job_id) else {
-            return UploadOutcome::StaleLease;
-        };
-        if job.state != JobState::Running {
-            return UploadOutcome::StaleLease;
+    let mut accepted = Vec::with_capacity(group.len());
+    let mut crash = false;
+    for (outcome, commit) in outcomes.iter_mut().zip(group) {
+        *outcome = validate(&st, job_id, &commit);
+        if *outcome != UploadOutcome::Committed {
+            continue;
         }
-        let Some(shard) = job.shards.get(shard_idx as usize) else {
-            return UploadOutcome::StaleLease;
-        };
-        match shard.phase {
-            ShardPhase::Committed => return UploadOutcome::Duplicate,
-            ShardPhase::Leased { lease: held, .. } if held == lease => {}
-            _ => return UploadOutcome::StaleLease,
+        // The crash hook models a kill between two shard commits: this
+        // shard and the rest of its group are lost, exactly like a real
+        // crash mid-shard, while the shards before it still commit.
+        let commits = st.batch_commits + accepted.len() as u64;
+        if inner
+            .config
+            .crash_after_commits
+            .is_some_and(|limit| commits >= limit)
+        {
+            *outcome = UploadOutcome::StaleLease;
+            crash = true;
+            break;
         }
-        // Contents must cover the shard exactly: same cardinality, same
-        // experiment id set. Outcomes are deterministic, so any upload
-        // passing this check carries the shard's true outcomes.
-        if results.len() != shard.experiments.len() {
-            return UploadOutcome::StaleLease;
-        }
-        let want: HashSet<u32> = shard.experiments.iter().map(|e| e.id).collect();
-        let got: HashSet<u32> = results.iter().map(|r| r.experiment.id).collect();
-        if want != got {
-            return UploadOutcome::StaleLease;
-        }
+        accepted.push(commit);
     }
-    // The crash hook models a kill between two journal commits: the
-    // shard just computed is lost, exactly like a real crash mid-shard.
-    if let Some(limit) = inner.config.crash_after_commits {
-        if st.batch_commits >= limit {
-            st.crashed = true;
-            drop(st);
-            inner.work_cv.notify_all();
-            inner.watch_cv.notify_all();
-            return UploadOutcome::StaleLease;
-        }
-    }
-    if inner
-        .append_timed(
-            &mut st,
-            &Record::Batch {
+    if !accepted.is_empty() {
+        let records: Vec<Record> = accepted
+            .iter()
+            .map(|c| Record::Batch {
                 job: job_id,
-                results: results.clone(),
-            },
-        )
-        .is_err()
-    {
-        drop(st);
-        fail_job(inner, job_id, "journal write failed".into());
-        return UploadOutcome::StaleLease;
-    }
-    st.batch_commits += 1;
-    inner.telemetry.counter(names::BATCHES_COMMITTED).incr();
-    let n = results.len() as u64;
-    {
-        let CoordState { jobs, workers, .. } = &mut *st;
-        let job = jobs.get_mut(&job_id).expect("checked above");
-        job.shards[shard_idx as usize].phase = ShardPhase::Committed;
-        job.done += n;
-        job.stats.absorb_batch(batch_stats);
-        job.results.extend(results);
-        if from_worker != 0 {
-            if let Some(w) = workers.get_mut(&from_worker) {
-                w.last_seen = Instant::now();
-                w.leases = w.leases.saturating_sub(1);
-                w.shards_committed += 1;
-                w.experiments_committed += n;
-            }
+                results: c.results.clone(),
+            })
+            .collect();
+        if inner.append_timed(&mut st, &records).is_err() {
+            drop(st);
+            fail_job(inner, job_id, "journal write failed".into());
+            return vec![UploadOutcome::StaleLease; outcomes.len()];
         }
-    }
-    if from_worker != 0 {
+        st.batch_commits += accepted.len() as u64;
         inner
             .telemetry
-            .gauge(names::LEASES_ACTIVE)
-            .set(active_leases(&st));
+            .counter(names::BATCHES_COMMITTED)
+            .add(accepted.len() as u64);
+        let CoordState { jobs, workers, .. } = &mut *st;
+        let job = jobs.get_mut(&job_id).expect("validated above");
+        for commit in accepted {
+            let n = commit.results.len() as u64;
+            job.shards[commit.shard as usize].phase = ShardPhase::Committed;
+            job.done += n;
+            job.stats.absorb_batch(&commit.stats);
+            job.results.extend(commit.results);
+            if from_worker != 0 {
+                if let Some(w) = workers.get_mut(&from_worker) {
+                    w.last_seen = Instant::now();
+                    w.leases = w.leases.saturating_sub(1);
+                    w.shards_committed += 1;
+                    w.experiments_committed += n;
+                }
+            }
+        }
+        if from_worker != 0 {
+            inner
+                .telemetry
+                .gauge(names::LEASES_ACTIVE)
+                .set(active_leases(&st));
+        }
     }
+    st.crashed |= crash;
     drop(st);
     inner.work_cv.notify_all();
     inner.watch_cv.notify_all();
-    UploadOutcome::Committed
+    outcomes
+}
+
+/// Leases up to `limit` pending shards of job `id` to the local driver
+/// (worker 0), returning each one's index, lease and experiments. Local
+/// claims never expire: the driver thread is alive for as long as it
+/// holds one.
+fn claim_local(st: &mut CoordState, id: u64, limit: usize) -> Vec<(u32, u64, Vec<Experiment>)> {
+    let CoordState {
+        jobs, next_lease, ..
+    } = st;
+    let Some(job) = jobs.get_mut(&id) else {
+        return Vec::new();
+    };
+    let deadline = Instant::now() + Duration::from_secs(3600);
+    job.shards
+        .iter_mut()
+        .enumerate()
+        .filter(|(_, shard)| shard.phase == ShardPhase::Pending)
+        .take(limit)
+        .map(|(idx, shard)| {
+            let lease = *next_lease;
+            *next_lease += 1;
+            shard.phase = ShardPhase::Leased {
+                lease,
+                worker: 0,
+                deadline,
+            };
+            (idx as u32, lease, shard.experiments.clone())
+        })
+        .collect()
+}
+
+/// Runs the locally claimed shards of job `id` as one stream
+/// ([`Campaign::run_shards`]) and group-commits them. The campaign's
+/// workers hand each finished shard over a channel and go on computing;
+/// one committer thread journals every shard queued since its last
+/// fsync as one group ([`commit_group`]). When a group does not commit
+/// whole — cancel, crash hook, failed journal write — the workers stop at
+/// their next shard boundary, and claims the stream never committed go
+/// back to pending.
+fn stream_local(
+    inner: &Inner,
+    campaign: &Campaign,
+    id: u64,
+    domain: FaultDomain,
+    claimed: Vec<(u32, u64, Vec<Experiment>)>,
+) {
+    let (leases, shards): (Vec<(u32, u64)>, Vec<Vec<Experiment>>) = claimed
+        .into_iter()
+        .map(|(shard, lease, experiments)| ((shard, lease), experiments))
+        .unzip();
+    let stop = &AtomicBool::new(false);
+    let (tx, rx) = mpsc::channel::<ShardCommit>();
+    std::thread::scope(|scope| {
+        let committer = scope.spawn(move || {
+            while let Ok(first) = rx.recv() {
+                let mut group = vec![first];
+                group.extend(rx.try_iter());
+                // After a stop, drain what the workers still send.
+                if stop.load(Ordering::Relaxed) {
+                    continue;
+                }
+                let outcomes = commit_group(inner, 0, id, group);
+                if outcomes.iter().any(|&o| o != UploadOutcome::Committed) {
+                    stop.store(true, Ordering::Relaxed);
+                }
+            }
+        });
+        campaign.run_shards(domain, &shards, |i, results, stats| {
+            let (shard, lease) = leases[i];
+            let _ = tx.send(ShardCommit {
+                shard,
+                lease,
+                results,
+                stats,
+            });
+            !stop.load(Ordering::Relaxed)
+        });
+        drop(tx);
+        committer.join().expect("shard committer panicked");
+    });
+    let mut st = inner.state.lock().unwrap();
+    if let Some(job) = st.jobs.get_mut(&id) {
+        for &(idx, lease) in &leases {
+            if let Some(shard) = job.shards.get_mut(idx as usize) {
+                if matches!(shard.phase, ShardPhase::Leased { lease: held, .. } if held == lease) {
+                    shard.phase = ShardPhase::Pending;
+                }
+            }
+        }
+    }
 }
 
 fn run_job(inner: &Inner, id: u64, spec: &JobSpec, recovered: &HashSet<u32>, job_tel: Registry) {
@@ -1052,9 +1192,10 @@ fn run_job(inner: &Inner, id: u64, spec: &JobSpec, recovered: &HashSet<u32>, job
     let warm = spec.warm_store && inner.store.is_some();
     let ctx = store::context_key(&spec.source, spec.domain, &spec.config);
     if warm {
-        // This job both consumes and feeds the store: lock probing on
-        // (even where the per-campaign cost gate would cut it) so fresh
-        // facts are harvested for future submissions over this context.
+        // This job both consumes and feeds the store: probe every
+        // experiment at its injection point (even where the cost gate
+        // cuts probing) so its fact is harvested for future submissions
+        // over this context.
         campaign.set_memo_harvest();
         if let Some(store) = &inner.store {
             let facts = store.lock().unwrap().lookup(ctx);
@@ -1091,66 +1232,58 @@ fn run_job(inner: &Inner, id: u64, spec: &JobSpec, recovered: &HashSet<u32>, job
     inner.watch_cv.notify_all();
 
     // The drive loop: claim pending shards for local execution (unless
-    // remote workers should get them), wait for remote commits, re-queue
-    // expired leases, and finish when every shard has committed.
+    // remote workers should get them) and stream them, wait for remote
+    // commits, re-queue expired leases, and finish when every shard has
+    // committed.
     let tick = (inner.config.lease_timeout / 8)
         .clamp(Duration::from_millis(5), Duration::from_millis(500));
+    let threads = campaign.config().effective_threads();
     loop {
-        let claim =
-            {
-                let mut st = inner.state.lock().unwrap();
-                loop {
-                    if st.crashed {
-                        return;
-                    }
-                    reclaim_expired(&inner.telemetry, &mut st);
-                    let Some(job) = st.jobs.get(&id) else {
-                        return;
-                    };
-                    if job.state.is_terminal() {
-                        return;
-                    }
-                    if job.cancel {
-                        drop(st);
-                        finalize_cancelled(inner, id);
-                        return;
-                    }
-                    if job.shards.iter().all(|s| s.phase == ShardPhase::Committed) {
-                        break None;
-                    }
-                    // In remote-only mode the driver defers to live workers
-                    // and only falls back to local execution when none are
-                    // registered or all have gone quiet.
-                    let local_allowed = !inner.config.remote_only
-                        || !any_live_worker(&st, inner.config.lease_timeout);
-                    if local_allowed {
-                        if let Some(idx) = st.jobs.get(&id).and_then(|j| {
-                            j.shards.iter().position(|s| s.phase == ShardPhase::Pending)
-                        }) {
-                            let lease = st.next_lease;
-                            st.next_lease += 1;
-                            let job = st.jobs.get_mut(&id).expect("checked above");
-                            // Local claims never expire: the driver thread
-                            // is alive for as long as it holds one.
-                            job.shards[idx].phase = ShardPhase::Leased {
-                                lease,
-                                worker: 0,
-                                deadline: Instant::now() + Duration::from_secs(3600),
-                            };
-                            break Some((idx, lease, job.shards[idx].experiments.clone()));
-                        }
-                    }
-                    // Nothing to run locally: wait for an upload, a lease
-                    // expiry, or a cancellation.
-                    let (guard, _) = inner.work_cv.wait_timeout(st, tick).unwrap();
-                    st = guard;
+        let claimed = {
+            let mut st = inner.state.lock().unwrap();
+            loop {
+                if st.crashed {
+                    return;
                 }
-            };
-        let Some((idx, lease, experiments)) = claim else {
+                reclaim_expired(&inner.telemetry, &mut st);
+                let Some(job) = st.jobs.get(&id) else {
+                    return;
+                };
+                if job.state.is_terminal() {
+                    return;
+                }
+                if job.cancel {
+                    drop(st);
+                    finalize_cancelled(inner, id);
+                    return;
+                }
+                if job.shards.iter().all(|s| s.phase == ShardPhase::Committed) {
+                    break None;
+                }
+                // With no live remote worker the local pool streams every
+                // pending shard. Otherwise it takes one shard per campaign
+                // thread, so workers keep a share — or none at all in
+                // remote-only mode, which falls back to local execution
+                // only when no worker is registered or all have gone
+                // quiet.
+                let live = any_live_worker(&st, inner.config.lease_timeout);
+                if !live || !inner.config.remote_only {
+                    let limit = if live { threads } else { usize::MAX };
+                    let claimed = claim_local(&mut st, id, limit);
+                    if !claimed.is_empty() {
+                        break Some(claimed);
+                    }
+                }
+                // Nothing to run locally: wait for an upload, a lease
+                // expiry, or a cancellation.
+                let (guard, _) = inner.work_cv.wait_timeout(st, tick).unwrap();
+                st = guard;
+            }
+        };
+        let Some(claimed) = claimed else {
             break;
         };
-        let (results, batch_stats) = campaign.run_experiments_stats(spec.domain, &experiments);
-        commit_shard(inner, 0, lease, id, idx as u32, results, &batch_stats);
+        stream_local(inner, &campaign, id, spec.domain, claimed);
     }
 
     // All shards committed: merge (replayed + fresh + uploaded) into the
@@ -1171,16 +1304,16 @@ fn run_job(inner: &Inner, id: u64, spec: &JobSpec, recovered: &HashSet<u32>, job
     job.shards = Vec::new();
     let _ = inner.append_timed(
         &mut st,
-        &Record::End {
+        &[Record::End {
             job: id,
             state: JobState::Done,
-        },
+        }],
     );
     inner.telemetry.counter(names::JOBS_FINISHED).incr();
     drop(st);
     inner.watch_cv.notify_all();
 
-    // Persist the fault-equivalence facts this job's local runs
+    // Persist the injection-point facts this job's local runs
     // established, so later jobs over the same context start warm.
     // (Remote workers' facts arrive incrementally with their uploads.)
     // Best-effort and after the result is already visible: a store

@@ -2,10 +2,11 @@
 //!
 //! An append-only file of [`Record`]s kept by the private `record_log`
 //! module, which owns the framing, the replay, the refusal of a record in
-//! another format and the rollback of a failed append. Each record is
-//! committed with `fsync` before the daemon reports the batch as done,
-//! so a restarted daemon continues exactly where the last committed
-//! batch ended. A journal written by a build speaking another protocol
+//! another format and the rollback of a failed append. Records are
+//! committed with `fsync` — a group of `Batch` records, one per shard,
+//! shares one — before the daemon reports their batches as done, so a
+//! restarted daemon continues exactly where the last committed batch
+//! ended. A journal written by a build speaking another protocol
 //! (e.g. a protocol-v6 `JobStart` with its nine packed config words) is
 //! refused untouched. Experiment outcomes are journaled *before* the
 //! in-memory progress counter advances, so replay can only
@@ -175,17 +176,19 @@ impl Journal {
         ))
     }
 
-    /// Appends one record and commits it: the write is flushed and
-    /// `fsync`ed before this returns, so a crash afterwards cannot lose
-    /// it.
+    /// Appends a group of records and commits them with one `fsync`: the
+    /// write is flushed and `fsync`ed before this returns, so a crash
+    /// afterwards cannot lose them.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures; on error the record is uncommitted and
-    /// the file is rolled back to the last record boundary.
-    pub fn append(&mut self, record: &Record) -> io::Result<()> {
-        self.log.append(&record.encode())?;
-        self.commits += 1;
+    /// Propagates I/O failures; on error no record of the group is
+    /// committed and the file is rolled back to the record boundary
+    /// before the group.
+    pub fn append(&mut self, records: &[Record]) -> io::Result<()> {
+        let payloads: Vec<Vec<u8>> = records.iter().map(Record::encode).collect();
+        self.log.append(payloads.iter().map(Vec::as_slice))?;
+        self.commits += records.len() as u64;
         Ok(())
     }
 
@@ -319,7 +322,7 @@ mod tests {
             let (mut j, replayed) = Journal::open(&path).unwrap();
             assert!(replayed.is_empty());
             for r in &records {
-                j.append(r).unwrap();
+                j.append(std::slice::from_ref(r)).unwrap();
             }
             assert_eq!(j.commits(), 4);
         }
@@ -335,12 +338,12 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let (mut j, _) = Journal::open(&path).unwrap();
-            j.append(&Record::JobStart {
+            j.append(&[Record::JobStart {
                 job: 1,
                 spec: spec(),
-            })
+            }])
             .unwrap();
-            j.append(&batch(1, &[0])).unwrap();
+            j.append(&[batch(1, &[0])]).unwrap();
         }
         // Simulate a crash mid-write: append half a record.
         let full = std::fs::read(&path).unwrap();
@@ -352,7 +355,7 @@ mod tests {
         assert_eq!(replayed.len(), 2, "torn tail must not hide commits");
         assert_eq!(std::fs::metadata(&path).unwrap().len(), full.len() as u64);
         // The journal stays appendable at the committed boundary.
-        j.append(&batch(1, &[1])).unwrap();
+        j.append(&[batch(1, &[1])]).unwrap();
         drop(j);
         let (_, replayed) = Journal::open(&path).unwrap();
         assert_eq!(replayed.len(), 3);
@@ -365,13 +368,13 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let (mut j, _) = Journal::open(&path).unwrap();
-            j.append(&Record::JobStart {
+            j.append(&[Record::JobStart {
                 job: 1,
                 spec: spec(),
-            })
+            }])
             .unwrap();
-            j.append(&batch(1, &[0])).unwrap();
-            j.append(&batch(1, &[1])).unwrap();
+            j.append(&[batch(1, &[0])]).unwrap();
+            j.append(&[batch(1, &[1])]).unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
         // Flip a byte inside the *second* record's payload.
@@ -442,13 +445,13 @@ mod tests {
         };
         {
             let (mut j, _) = Journal::open(&path).unwrap();
-            j.append(&Record::JobStart {
+            j.append(&[Record::JobStart {
                 job: 1,
                 spec: spec(),
-            })
+            }])
             .unwrap();
-            j.append(&lease).unwrap();
-            j.append(&batch(1, &[0])).unwrap();
+            j.append(std::slice::from_ref(&lease)).unwrap();
+            j.append(&[batch(1, &[0])]).unwrap();
         }
         let (_, replayed) = Journal::open(&path).unwrap();
         assert_eq!(replayed[1], lease);

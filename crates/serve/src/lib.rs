@@ -14,9 +14,9 @@
 //!   restart and resumes interrupted campaigns from the uncovered tail
 //!   of their fault lists.
 //! - [`coordinator`] — the bounded in-memory job queue, the shard/lease
-//!   table for remote workers, and the local driver pool dispatching
-//!   fault-list shards through
-//!   [`sofi_campaign::Campaign::run_experiments_stats`].
+//!   table for remote workers, and the local driver pool streaming
+//!   fault-list shards through [`sofi_campaign::Campaign::run_shards`]
+//!   and group-committing them to the journal.
 //! - [`worker`] — the remote worker loop: register, poll for shard
 //!   leases, execute, heartbeat, and stream partial results back.
 //! - [`store`] — the persistent cross-campaign warm store

@@ -3,7 +3,8 @@
 //! of their framing, replay and append.
 //!
 //! Each record is framed as `len:u32 | fnv1a32(payload):u32 | payload`
-//! (little-endian) and committed with `fsync`. The laws:
+//! (little-endian). An append commits a group of records — one or more
+//! — with one write and one `fsync`. The laws:
 //!
 //! * [`RecordLog::open`] replays the valid prefix and truncates the torn
 //!   tail a crash left behind — the first short frame or checksum
@@ -14,9 +15,10 @@
 //!   naming the byte offset and leaves the file untouched (truncating
 //!   there would drop every committed record behind it);
 //! * a failed append (`write_all` or `fsync`) truncates the file back to
-//!   the last record boundary, so a later successful append never lands
-//!   behind a torn frame that replay would stop at. If that truncate
-//!   fails too, the log refuses every later append.
+//!   the record boundary before its group, rolling back every record of
+//!   the group, so a later successful append never lands behind a torn
+//!   frame that replay would stop at. If that truncate fails too, the log
+//!   refuses every later append.
 
 use crate::wire::{self, WireError};
 use std::fs::{File, OpenOptions};
@@ -91,21 +93,28 @@ impl RecordLog {
 }
 
 impl<S: Storage> RecordLog<S> {
-    /// Frames `payload`, appends it and commits it with `fsync`.
+    /// Frames every payload, appends the group with one write and commits
+    /// it with one `fsync`.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures; the record is then uncommitted and the
-    /// file is back at its last record boundary. After a failed rollback
-    /// every call fails without writing.
-    pub(crate) fn append(&mut self, payload: &[u8]) -> io::Result<()> {
+    /// Propagates I/O failures; every record of the group is then
+    /// uncommitted and the file is back at the record boundary before the
+    /// group. After a failed rollback every call fails without writing.
+    pub(crate) fn append<'a>(
+        &mut self,
+        payloads: impl IntoIterator<Item = &'a [u8]>,
+    ) -> io::Result<()> {
         if self.broken {
             return Err(io::Error::other(
                 "an earlier failed append could not be rolled back; refusing to append \
                  behind a torn record",
             ));
         }
-        let framed = frame(payload);
+        let mut framed = Vec::new();
+        for payload in payloads {
+            frame_into(&mut framed, payload);
+        }
         match self.file.write_all(&framed).and_then(|()| self.file.sync()) {
             Ok(()) => {
                 self.end += framed.len() as u64;
@@ -120,12 +129,18 @@ impl<S: Storage> RecordLog<S> {
 }
 
 /// One record as it sits in the file: length, checksum, payload.
+#[cfg(test)]
 pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
     let mut framed = Vec::with_capacity(8 + payload.len());
-    framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    framed.extend_from_slice(&wire::fnv1a32(payload).to_le_bytes());
-    framed.extend_from_slice(payload);
+    frame_into(&mut framed, payload);
     framed
+}
+
+/// Appends the framed `payload` to `buf`.
+fn frame_into(buf: &mut Vec<u8>, payload: &[u8]) {
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&wire::fnv1a32(payload).to_le_bytes());
+    buf.extend_from_slice(payload);
 }
 
 /// Decodes the valid record prefix of `bytes`, returning the records and
@@ -237,34 +252,64 @@ mod tests {
     #[test]
     fn failed_appends_roll_back_to_the_last_record_boundary() {
         let mut log = log();
-        log.append(b"first").unwrap();
+        log.append([&b"first"[..]]).unwrap();
         // A short write tears the frame mid-payload; a failed fsync
         // after a complete write is rolled back too.
         log.file.budget = Some(11);
-        assert!(log.append(b"torn by a short write").is_err());
+        assert!(log.append([&b"torn by a short write"[..]]).is_err());
         assert_eq!(log.file.data, frame(b"first"), "torn frame kept");
         log.file.budget = None;
         log.file.fail_sync = true;
-        assert!(log.append(b"unsynced").is_err());
+        assert!(log.append([&b"unsynced"[..]]).is_err());
         assert_eq!(log.file.data, frame(b"first"));
         // The next append lands on the boundary: replay keeps it.
         log.file.fail_sync = false;
-        log.append(b"second").unwrap();
+        log.append([&b"second"[..]]).unwrap();
         let (records, _) = replayed(&log.file.data);
         assert_eq!(records, [b"first".to_vec(), b"second".to_vec()]);
     }
 
     #[test]
+    fn a_failed_group_rolls_back_every_record_of_the_group() {
+        let mut log = log();
+        log.append([&b"first"[..]]).unwrap();
+        let group: [&[u8]; 3] = [b"alpha", b"beta", b"gamma"];
+        // Torn mid-write: the first record of the group lands whole, the
+        // second is cut inside its payload.
+        log.file.budget = Some(frame(b"alpha").len() + 10);
+        assert!(log.append(group).is_err());
+        assert_eq!(log.file.data, frame(b"first"), "a torn group kept");
+        // Written whole, then the group's one fsync fails.
+        log.file.budget = None;
+        log.file.fail_sync = true;
+        assert!(log.append(group).is_err());
+        assert_eq!(log.file.data, frame(b"first"), "an unsynced group kept");
+        // The next group lands on the record boundary: replay keeps it.
+        log.file.fail_sync = false;
+        log.append(group).unwrap();
+        let (records, end) = replayed(&log.file.data);
+        assert_eq!(
+            records,
+            [&b"first"[..], b"alpha", b"beta", b"gamma"].map(<[u8]>::to_vec)
+        );
+        assert_eq!(end, log.end);
+        assert_eq!(log.end, log.file.data.len() as u64);
+    }
+
+    #[test]
     fn a_failed_rollback_refuses_every_later_append() {
         let mut log = log();
-        log.append(b"first").unwrap();
+        log.append([&b"first"[..]]).unwrap();
         log.file.budget = Some(3);
         log.file.fail_truncate = true;
-        assert!(log.append(b"torn").is_err());
+        assert!(log.append([&b"torn"[..]]).is_err());
         let torn = log.file.data.clone();
         log.file.budget = None;
         log.file.fail_truncate = false;
-        assert!(log.append(b"second").is_err(), "append behind a torn frame");
+        assert!(
+            log.append([&b"second"[..]]).is_err(),
+            "append behind a torn frame"
+        );
         assert_eq!(log.file.data, torn, "nothing written");
     }
 }

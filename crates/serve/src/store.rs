@@ -2,8 +2,10 @@
 //!
 //! A daemon-side, append-only file of fault-equivalence outcome facts
 //! ([`sofi_campaign::MemoRecord`]): `(cycle, state digest) → (outcome,
-//! final cycle)` entries exported by completed jobs and preloaded into
-//! later campaigns over the same *context* — program source, fault
+//! final cycle)` entries exported by completed jobs — one per experiment,
+//! at its post-injection state, the fact a resubmission probes first
+//! ([`sofi_campaign::Campaign::export_memo`]) — and preloaded into later
+//! campaigns over the same *context* — program source, fault
 //! domain, and the outcome-relevant configuration (timeout factor,
 //! timeout slack, serial limit). State digests are purely
 //! content-determined, so a fact recorded by one daemon process is valid
@@ -188,7 +190,7 @@ impl WarmStore {
         if fresh.is_empty() {
             return Ok(0);
         }
-        self.log.append(&encode_batch(ctx, &fresh))?;
+        self.log.append([encode_batch(ctx, &fresh).as_slice()])?;
         let known = self.index.entry(ctx).or_default();
         for r in &fresh {
             known.insert((r.cycle, r.digest.to_bits()), *r);

@@ -175,8 +175,9 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerReport, ClientError> {
                                 }
                             };
                             if spec.warm_store {
-                                // Harvest memo facts so the upload can
-                                // feed the coordinator's warm store.
+                                // Harvest injection-point facts so the
+                                // upload can feed the coordinator's warm
+                                // store.
                                 c.set_memo_harvest();
                             }
                             campaigns.entry(job).or_insert(c)
@@ -184,6 +185,11 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerReport, ClientError> {
                     };
                     let (results, stats) =
                         campaign.run_experiments_stats(spec.domain, &experiments);
+                    // Only the facts this shard added: `export_memo`
+                    // returns each fact once, so the uploads of one job
+                    // do not grow with its shard count. Facts of a
+                    // rejected upload are not re-sent — that costs the
+                    // store warmth, never an outcome.
                     let memo = if spec.warm_store {
                         campaign.export_memo()
                     } else {

@@ -15,9 +15,9 @@
 //! * **Global-free.** There is no process-wide singleton: every
 //!   [`Registry`] is an explicit value, cloned (shared) or
 //!   [`Registry::fork`]ed (fresh) along the ownership paths that need
-//!   it. Worker threads record into forked child registries which the
-//!   parent absorbs after join — merging is associative and
-//!   commutative, so the shard structure does not affect totals.
+//!   it. A forked child records apart and its parent absorbs it later —
+//!   merging is associative and commutative, so how work was split does
+//!   not affect totals.
 //! * **Zero-cost when disabled.** A [`Registry::disabled`] registry
 //!   hands out handles whose inner `Option<Arc<..>>` is `None`; every
 //!   record call is a single never-taken branch, and span timing skips

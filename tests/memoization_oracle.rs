@@ -5,10 +5,11 @@
 //! involved.
 //!
 //! Memoization always runs composed with convergence termination. The
-//! first test pins ungated probing through warm-store harvest mode
-//! ([`Campaign::set_memo_harvest`]) and runs each plan twice — cold, then
-//! warm with the cache fully populated — because the warm pass exercises
-//! the injection-time hit branch for every single experiment. The second
+//! first test forces every experiment's injection-point probe through
+//! warm-store harvest mode ([`Campaign::set_memo_harvest`]) and runs each
+//! plan twice — cold, then warm with the cache fully populated — because
+//! the warm pass exercises the injection-time hit branch for every
+//! single experiment. The second
 //! test holds the default executor, behind the cost gate that prices
 //! probes and re-hashed pages in simulated cycles, to the same reference.
 
@@ -21,8 +22,9 @@ fn memoized_executor_matches_naive_on_every_workload() {
     let mut total_saved = 0u64;
     for program in all_baselines() {
         let campaign = Campaign::new(&program).expect("golden run");
-        // Harvest mode locks memo probing on for every shard regardless
-        // of golden-run length; the warm pass's 100% hit rate depends on it.
+        // Harvest mode probes every experiment at its injection point
+        // regardless of the cost gate; the warm pass's 100% hit rate
+        // depends on it.
         campaign.set_memo_harvest();
         for domain in [FaultDomain::Memory, FaultDomain::RegisterFile] {
             let experiments = &campaign.plan_for(domain).experiments;

@@ -266,3 +266,55 @@ fn journal_in_another_format_is_refused_not_truncated() {
     );
     std::fs::remove_file(&journal).unwrap();
 }
+
+/// A job cancelled while its shards stream commits nothing further: it
+/// ends `Cancelled` with part of its plan done, and a restarted daemon
+/// replays it as `Cancelled` with exactly the shards committed before.
+#[test]
+fn cancelled_stream_stops_and_replays_as_cancelled() {
+    let journal = temp_journal("cancel-stream");
+    let program = sofi::workloads::crc32();
+    let sched = Coordinator::open(
+        &journal,
+        ServeConfig {
+            workers: 1,
+            batch_size: 4,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let SubmitOutcome::Accepted(job) = sched.submit(JobSpec {
+        name: program.name.clone(),
+        source: program.to_source(),
+        domain: FaultDomain::RegisterFile,
+        config: CampaignConfig::default(),
+        warm_store: false,
+    }) else {
+        panic!("refused");
+    };
+    let first = sched.wait_progress(job, 0).unwrap().status;
+    assert_eq!(first.state, JobState::Running, "{}", first.error);
+    assert!(first.done > 0);
+    assert_eq!(
+        sched.cancel(job),
+        sofi_serve::CancelOutcome::Cancelled,
+        "a running job is cancellable"
+    );
+    sched.wait_idle();
+    let status = sched.status(Some(job)).unwrap().remove(0);
+    assert_eq!(status.state, JobState::Cancelled);
+    assert!(
+        status.done < status.total,
+        "the stream ran to the end: {} of {}",
+        status.done,
+        status.total
+    );
+    drop(sched);
+
+    let sched = Coordinator::open(&journal, ServeConfig::default()).unwrap();
+    let replayed = sched.status(Some(job)).unwrap().remove(0);
+    assert_eq!(replayed.state, JobState::Cancelled);
+    assert_eq!(replayed.done, status.done, "journaled work drifted");
+    drop(sched);
+    std::fs::remove_file(&journal).unwrap();
+}

@@ -9,8 +9,8 @@
 //! store, is then dropped ("killed") with garbage appended to the store
 //! file to simulate a write torn by the kill, and a second incarnation
 //! re-submits every campaign. Each second run must return a
-//! bit-identical [`sofi_campaign::CampaignResult`] *and* report >0
-//! persisted-store hits.
+//! bit-identical [`sofi_campaign::CampaignResult`], report >0
+//! persisted-store hits, and miss the memo nowhere.
 
 use sofi::campaign::FaultDomain;
 use sofi::workloads::all_baselines;
@@ -130,6 +130,12 @@ fn second_submission_hits_persisted_facts_across_daemon_restart() {
         assert!(
             stats.store_hits > 0,
             "{name}/{domain:?}: no persisted hits on a warmed store"
+        );
+        // The store holds every experiment's injection-point fact, which
+        // the resubmission probes first: nothing may miss.
+        assert_eq!(
+            stats.memo_misses, 0,
+            "{name}/{domain:?}: a warm resubmission missed the store"
         );
         // Visible with --nocapture: the measured warm-run hit profile.
         eprintln!(
