@@ -300,7 +300,8 @@ struct Inner {
     telemetry: Registry,
     /// The persistent cross-campaign warm store, when configured. Its
     /// own lock (not the coordinator state's): store appends fsync, and
-    /// stalling status queries behind a disk flush would be rude.
+    /// stalling status queries behind a disk flush would be rude. Where
+    /// both are held, the store lock is taken first.
     store: Option<Mutex<WarmStore>>,
 }
 
@@ -1289,6 +1290,15 @@ fn run_job(inner: &Inner, id: u64, spec: &JobSpec, recovered: &HashSet<u32>, job
     // All shards committed: merge (replayed + fresh + uploaded) into the
     // canonical result — bit-identical to an uninterrupted in-process
     // run, because `assemble_result` orders by experiment id.
+    //
+    // A warm job takes the store lock before its result becomes visible
+    // and holds it until its facts are appended, so a resubmission that
+    // follows the result (its preload takes the same lock) always sees
+    // them. Lock order: store, then state.
+    let store = match &inner.store {
+        Some(store) if warm => Some(store.lock().unwrap()),
+        _ => None,
+    };
     let mut st = inner.state.lock().unwrap();
     if st.crashed {
         return;
@@ -1319,16 +1329,14 @@ fn run_job(inner: &Inner, id: u64, spec: &JobSpec, recovered: &HashSet<u32>, job
     // Best-effort and after the result is already visible: a store
     // write failure can only cost future speed, never this job's
     // outcome.
-    if warm {
-        if let Some(store) = &inner.store {
-            let fresh = campaign.export_memo();
-            if !fresh.is_empty() {
-                let span = inner.telemetry.span(names::STORE_APPEND_NS);
-                let appended = store.lock().unwrap().append(ctx, &fresh);
-                span.finish();
-                if let Ok(n) = appended {
-                    inner.telemetry.counter(names::STORE_APPENDS).add(n);
-                }
+    if let Some(mut store) = store {
+        let fresh = campaign.export_memo();
+        if !fresh.is_empty() {
+            let span = inner.telemetry.span(names::STORE_APPEND_NS);
+            let appended = store.append(ctx, &fresh);
+            span.finish();
+            if let Ok(n) = appended {
+                inner.telemetry.counter(names::STORE_APPENDS).add(n);
             }
         }
     }

@@ -5,21 +5,24 @@
 //! until the client closes, the idle read-timeout expires, or a protocol
 //! error occurs (reported back as an `Error` frame where the transport
 //! still allows it). Remote workers use the same connections for their
-//! register/heartbeat/lease/upload RPCs. A `Shutdown` request flips the
-//! drain flag: queued and running jobs finish, new submissions get
-//! `ShuttingDown`, and [`Server::run`] returns once the accept loop and
+//! register/heartbeat/lease/upload RPCs. Every TCP stream, dialed or
+//! accepted, sets `TCP_NODELAY`: a reply frame written behind an
+//! unacknowledged one must not wait out the peer's delayed ACK. A
+//! `Shutdown` request flips the drain flag: queued and running jobs
+//! finish, new submissions get `ShuttingDown`, idle connections are
+//! closed at once, and [`Server::run`] returns once the accept loop and
 //! all drivers have stopped.
 
 use crate::coordinator::{CancelOutcome, Coordinator, LeaseOffer, ServeConfig, SubmitOutcome};
 use crate::job::JobSpec;
 use crate::protocol::{read_message, write_message, Message, ProtocolError};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// `true` when `addr` names a Unix-domain socket path rather than a TCP
@@ -38,16 +41,19 @@ pub enum Conn {
 }
 
 impl Conn {
-    /// Connects to `addr` (Unix socket iff the address contains `/`).
+    /// Connects to `addr` (Unix socket iff the address contains `/`),
+    /// with `TCP_NODELAY` set on a TCP stream.
     ///
     /// # Errors
     ///
-    /// Propagates connection failures.
+    /// Propagates connection and `setsockopt` failures.
     pub fn connect(addr: &str) -> io::Result<Conn> {
         if is_unix_addr(addr) {
             Ok(Conn::Unix(UnixStream::connect(addr)?))
         } else {
-            Ok(Conn::Tcp(TcpStream::connect(addr)?))
+            let stream = TcpStream::connect(addr)?;
+            stream.set_nodelay(true)?;
+            Ok(Conn::Tcp(stream))
         }
     }
 
@@ -60,6 +66,22 @@ impl Conn {
         match self {
             Conn::Tcp(s) => s.set_read_timeout(dur),
             Conn::Unix(s) => s.set_read_timeout(dur),
+        }
+    }
+
+    fn try_clone(&self) -> io::Result<Conn> {
+        match self {
+            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
+            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
+        }
+    }
+
+    /// Ends the read half: a blocked or later read returns EOF once the
+    /// bytes already received are consumed. Writes still go through.
+    fn shutdown_read(&self) -> io::Result<()> {
+        match self {
+            Conn::Tcp(s) => s.shutdown(Shutdown::Read),
+            Conn::Unix(s) => s.shutdown(Shutdown::Read),
         }
     }
 }
@@ -98,7 +120,13 @@ enum Listener {
 impl Listener {
     fn accept(&self) -> io::Result<Conn> {
         match self {
-            Listener::Tcp(l) => Ok(Conn::Tcp(l.accept()?.0)),
+            Listener::Tcp(l) => {
+                let stream = l.accept()?.0;
+                // Without NODELAY the connection is slower, not broken:
+                // no reason to end the daemon, as an accept error would.
+                let _ = stream.set_nodelay(true);
+                Ok(Conn::Tcp(stream))
+            }
             Listener::Unix(l, _) => Ok(Conn::Unix(l.accept()?.0)),
         }
     }
@@ -109,6 +137,26 @@ impl Drop for Listener {
         if let Listener::Unix(_, path) = self {
             let _ = std::fs::remove_file(path);
         }
+    }
+}
+
+/// Clones of the open connections, keyed by handler, so the drain can
+/// end their read halves. Every update is one insert or remove, so a
+/// poisoned lock still guards a valid map.
+type OpenConns = Arc<Mutex<HashMap<usize, Conn>>>;
+
+/// A handler's entry in [`OpenConns`], removed when the handler exits
+/// (or panics): a clone left behind would hold the socket open, and the
+/// peer would never see EOF.
+struct Registration {
+    open: OpenConns,
+    id: usize,
+}
+
+impl Drop for Registration {
+    fn drop(&mut self) {
+        let mut open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+        open.remove(&self.id);
     }
 }
 
@@ -172,14 +220,18 @@ impl Server {
     }
 
     /// Serves connections until a `Shutdown` request (or
-    /// [`ShutdownHandle::shutdown`]), then drains: running and queued
-    /// jobs finish, handler threads join, and the method returns.
+    /// [`ShutdownHandle::shutdown`]), then drains: every open
+    /// connection's read half is ended, so a handler waiting on an idle
+    /// client reads EOF and exits at once, while one streaming a job
+    /// still sends its `JobResult` first. Handler threads join, running
+    /// and queued jobs finish, and the method returns.
     ///
     /// # Errors
     ///
     /// Propagates accept-loop I/O failures.
     pub fn run(self) -> io::Result<()> {
-        let handles: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
+        let mut handles = Vec::new();
+        let open = OpenConns::default();
         loop {
             let conn = match self.listener.accept() {
                 Ok(c) => c,
@@ -196,14 +248,31 @@ impl Server {
                 // stop accepting.
                 break;
             }
+            // Registered before the handler starts, so the drain below
+            // reaches every handler. One that cannot be cloned is still
+            // served; the drain just cannot hurry it.
+            let id = handles.len();
+            if let Ok(clone) = conn.try_clone() {
+                open.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .insert(id, clone);
+            }
+            let registration = Registration {
+                open: Arc::clone(&open),
+                id,
+            };
             let sched = Arc::clone(&self.sched);
             let shutdown = Arc::clone(&self.shutdown);
             let addr = self.addr.clone();
-            handles.lock().unwrap().push(std::thread::spawn(move || {
+            handles.push(std::thread::spawn(move || {
+                let _registration = registration;
                 handle_connection(conn, &sched, &shutdown, &addr);
             }));
         }
-        for h in handles.into_inner().unwrap() {
+        for conn in open.lock().unwrap_or_else(PoisonError::into_inner).values() {
+            let _ = conn.shutdown_read();
+        }
+        for h in handles {
             let _ = h.join();
         }
         self.sched.drain();
@@ -422,5 +491,28 @@ fn handle_submit(conn: &mut Conn, sched: &Coordinator, spec: JobSpec, wait: bool
             let _ = conn.set_read_timeout(Some(sched.config().idle_timeout));
             return true;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn nodelay(conn: &Conn) -> io::Result<bool> {
+        match conn {
+            Conn::Tcp(s) => s.nodelay(),
+            Conn::Unix(_) => panic!("expected a TCP stream"),
+        }
+    }
+
+    #[test]
+    fn tcp_streams_set_nodelay_on_both_ends() {
+        let tcp = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = tcp.local_addr().unwrap().to_string();
+        let listener = Listener::Tcp(tcp);
+        let dialed = Conn::connect(&addr).unwrap();
+        let accepted = listener.accept().unwrap();
+        assert!(matches!(nodelay(&dialed), Ok(true)), "connecting end");
+        assert!(matches!(nodelay(&accepted), Ok(true)), "accepted end");
     }
 }

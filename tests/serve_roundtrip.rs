@@ -3,16 +3,21 @@
 //! control-flow — over the socket, and check the streamed results are
 //! bit-identical to running the same campaign in-process. Also covers
 //! status over the wire, warm-store replay of a control-flow job,
-//! Unix-socket transport, idle-client timeouts and graceful protocol
-//! shutdown.
+//! Unix-socket transport, idle-client timeouts, graceful protocol
+//! shutdown, and a drain that closes idle connections at once while
+//! finishing a result stream in flight.
 
 use sofi_campaign::{Campaign, CampaignConfig, FaultDomain};
 use sofi_isa::assemble_text;
 use sofi_serve::protocol::{read_message, write_message, Message, ProtocolError};
 use sofi_serve::server::Conn;
-use sofi_serve::{Client, JobSpec, JobState, ServeConfig, Server};
+use sofi_serve::{Client, ClientPool, JobSpec, JobState, ServeConfig, Server};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long a drain may take once nothing is left to run: far below
+/// any idle timeout the drain tests configure.
+const PROMPT_DRAIN: Duration = Duration::from_secs(5);
 
 const PROG: &str = "
     .data
@@ -177,6 +182,12 @@ fn cf_job_warm_store_replay_is_bit_identical() {
         second_stats.store_hits > 0,
         "no persisted hits on a warmed store"
     );
+    // The first job's facts were appended before its result reached
+    // us, so the resubmission probes every injection point warm.
+    assert_eq!(
+        second_stats.memo_misses, 0,
+        "the resubmission missed the store"
+    );
 
     client.shutdown().unwrap();
     daemon.join().unwrap();
@@ -301,6 +312,104 @@ fn backpressure_and_drain_over_the_wire() {
         }
     }
     daemon.join().unwrap();
+    std::fs::remove_file(&journal).unwrap();
+}
+
+/// A drain does not wait out the idle timeout: a pooled connection
+/// parked after one request is closed at once, and the daemon exits.
+#[test]
+fn drain_closes_an_idle_pooled_connection_at_once() {
+    let journal = temp_path("idledrain.journal");
+    let _ = std::fs::remove_file(&journal);
+    let server = Server::bind(
+        "127.0.0.1:0",
+        &journal,
+        ServeConfig {
+            idle_timeout: Duration::from_secs(60),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    let handle = server.shutdown_handle();
+    let daemon = std::thread::spawn(move || server.run().unwrap());
+
+    let pool = ClientPool::new(&addr);
+    let jobs = pool.with(|client| client.status(None)).unwrap();
+    assert!(jobs.is_empty());
+    assert_eq!(pool.idle_count(), 1, "the connection is parked, still open");
+
+    let t = Instant::now();
+    handle.shutdown();
+    daemon.join().unwrap();
+    assert!(
+        t.elapsed() < PROMPT_DRAIN,
+        "drain waited {:?} on an idle connection",
+        t.elapsed()
+    );
+    std::fs::remove_file(&journal).unwrap();
+}
+
+/// A drain that starts while a job streams to its client still delivers
+/// the job's result, bit-identical to the in-process run, and then exits
+/// promptly.
+#[test]
+fn drain_mid_stream_still_delivers_the_result() {
+    let journal = temp_path("streamdrain.journal");
+    let _ = std::fs::remove_file(&journal);
+    let server = Server::bind(
+        "127.0.0.1:0",
+        &journal,
+        ServeConfig {
+            batch_size: 8,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    let handle = server.shutdown_handle();
+    let daemon = std::thread::spawn(move || server.run().unwrap());
+
+    let source = sofi_workloads::crc32().to_source();
+    let expected = Campaign::with_config(
+        &assemble_text("crc32", &source).unwrap(),
+        CampaignConfig::default(),
+    )
+    .unwrap()
+    .run_full_defuse_in(FaultDomain::Memory);
+    assert!(
+        expected.results.len() > 8,
+        "the job must span several shards"
+    );
+    let job = JobSpec {
+        name: "crc32".into(),
+        source,
+        domain: FaultDomain::Memory,
+        config: CampaignConfig::default(),
+        warm_store: true,
+    };
+
+    let mut client = Client::connect(&addr).unwrap();
+    let mut frames = 0;
+    let (_, result, stats) = client
+        .submit_wait(job, |_, _, _| {
+            frames += 1;
+            if frames == 1 {
+                handle.shutdown();
+            }
+        })
+        .unwrap();
+    assert!(frames >= 1);
+    assert_eq!(result, expected, "a drain mid-stream changed the result");
+    assert_eq!(stats.experiments, expected.results.len() as u64);
+
+    let t = Instant::now();
+    daemon.join().unwrap();
+    assert!(
+        t.elapsed() < PROMPT_DRAIN,
+        "drain took {:?} after the result was delivered",
+        t.elapsed()
+    );
     std::fs::remove_file(&journal).unwrap();
 }
 
