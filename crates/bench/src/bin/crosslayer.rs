@@ -21,7 +21,7 @@
 //! comparing extrapolated absolute failure counts (each coarse result
 //! weighted by its granule) agrees within the aliasing error.
 
-use sofi::campaign::{Campaign, OutcomeClass};
+use sofi::campaign::{Campaign, FaultDomain, OutcomeClass};
 use sofi::space::{ClassIndex, ClassRef, FaultCoord};
 use sofi::workloads::{bin_sem2, fib, Variant};
 use sofi_bench::save_artifact;
@@ -50,8 +50,11 @@ sofi::report::impl_to_json!(LayerRow {
 
 fn evaluate(program: &sofi::isa::Program, granule: u64) -> LayerRow {
     let campaign = Campaign::new(program).expect("golden run");
-    let fine = campaign.run_full_defuse();
-    let index = ClassIndex::new(campaign.analysis(), campaign.plan());
+    let fine = campaign.run_full_defuse_in(FaultDomain::Memory);
+    let index = ClassIndex::new(
+        campaign.analysis_for(FaultDomain::Memory),
+        campaign.plan_for(FaultDomain::Memory),
+    );
     let class_of: HashMap<u32, OutcomeClass> = fine
         .results
         .iter()
@@ -60,7 +63,7 @@ fn evaluate(program: &sofi::isa::Program, granule: u64) -> LayerRow {
 
     // The coarse simulator scans cycles k, 2k, 3k, ... — every bit, each
     // result standing for k cycles of exposure.
-    let space = campaign.plan().space;
+    let space = campaign.plan_for(FaultDomain::Memory).space;
     let mut coarse_fail_points = 0u64;
     let mut coarse_points = 0u64;
     let mut cycle = granule;

@@ -8,7 +8,7 @@
 //! fault space shrinks from ~10⁶ coordinates to a few thousand
 //! experiments.
 
-use sofi::campaign::Campaign;
+use sofi::campaign::{Campaign, FaultDomain};
 use sofi::isa::MemWidth;
 use sofi::machine::{AccessKind, MemAccess};
 use sofi::report::fault_space_diagram;
@@ -71,7 +71,7 @@ fn main() {
 
     // --- The same pruning on a real benchmark (§III-C's sync2 numbers). ---
     let campaign = Campaign::new(&sync2(Variant::Baseline)).expect("golden run");
-    let s2 = stats(campaign.analysis());
+    let s2 = stats(campaign.analysis_for(FaultDomain::Memory));
     println!("== def/use pruning on the real sync2 benchmark ==");
     println!(
         "raw fault-space size w = {}   experiments = {}   reduction factor = {:.0}x",

@@ -7,7 +7,7 @@
 //! further with more padding) while the absolute failure count stays at
 //! exactly 48 — the proof that coverage cannot compare programs.
 
-use sofi::campaign::Campaign;
+use sofi::campaign::{Campaign, FaultDomain};
 use sofi::metrics::{fault_coverage, Weighting};
 use sofi::report::outcome_diagram;
 use sofi::workloads::{hi, hi_dft, hi_dft_prime};
@@ -28,11 +28,12 @@ sofi::report::impl_to_json!(Fig3Row {
 
 fn scan(program: &sofi::isa::Program, draw: bool) -> Fig3Row {
     let campaign = Campaign::new(program).expect("golden run");
-    let result = campaign.run_full_defuse();
+    let result = campaign.run_full_defuse_in(FaultDomain::Memory);
     if draw {
         println!(
             "{}",
-            outcome_diagram(campaign.analysis(), &result).expect("small space")
+            outcome_diagram(campaign.analysis_for(FaultDomain::Memory), &result)
+                .expect("small space")
         );
     }
     Fig3Row {

@@ -6,7 +6,7 @@
 //! prints the lifetime distribution of its def/use classes and the
 //! resulting gap between unweighted and weighted fault coverage.
 
-use sofi::campaign::Campaign;
+use sofi::campaign::{Campaign, FaultDomain};
 use sofi::metrics::{fault_coverage, Weighting};
 use sofi::report::{bar_chart, Table};
 use sofi_bench::save_artifact;
@@ -38,8 +38,8 @@ fn main() {
     for program in sofi::workloads::all_baselines() {
         eprintln!("analyzing {} ...", program.name);
         let campaign = Campaign::new(&program).expect("golden run");
-        let stats = campaign.analysis().lifetime_stats();
-        let result = campaign.run_full_defuse();
+        let stats = campaign.analysis_for(FaultDomain::Memory).lifetime_stats();
+        let result = campaign.run_full_defuse_in(FaultDomain::Memory);
         let gap = (fault_coverage(&result, Weighting::Weighted)
             - fault_coverage(&result, Weighting::Unweighted))
             * 100.0;

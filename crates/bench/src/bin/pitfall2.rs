@@ -15,7 +15,7 @@
 //!    and the bias is correspondingly small — showing the pitfall is
 //!    workload-dependent and therefore treacherous.
 
-use sofi::campaign::{Campaign, SamplingMode};
+use sofi::campaign::{Campaign, FaultDomain, SamplingMode};
 use sofi::isa::{Asm, Program, Reg};
 use sofi::report::Table;
 use sofi::workloads::{bin_sem2, Variant};
@@ -64,8 +64,8 @@ sofi::report::impl_to_json!(Estimate {
 
 fn run_estimates(program: &Program, out: &mut Vec<Estimate>) {
     let campaign = Campaign::new(program).expect("golden run");
-    let full = campaign.run_full_defuse();
-    let w_prime = campaign.plan().experiment_weight() as f64;
+    let full = campaign.run_full_defuse_in(FaultDomain::Memory);
+    let w_prime = campaign.plan_for(FaultDomain::Memory).experiment_weight() as f64;
     let truth = full.failure_weight() as f64 / w_prime;
 
     let mut rng = DefaultRng::seed_from_u64(0xB1A5);
@@ -79,7 +79,7 @@ fn run_estimates(program: &Program, out: &mut Vec<Estimate>) {
             "uniform per class (PITFALL 2)",
         ),
     ] {
-        let s = campaign.run_sampled(DRAWS, mode, &mut rng);
+        let s = campaign.run_sampled_in(FaultDomain::Memory, DRAWS, mode, &mut rng);
         out.push(Estimate {
             benchmark: program.name.clone(),
             sampler: label.to_string(),

@@ -36,7 +36,7 @@ fn main() {
         for program in [base, hard] {
             eprintln!("scanning {} (memory + registers) ...", program.name);
             let campaign = Campaign::new(&program).expect("golden run");
-            let mem = campaign.run_full_defuse();
+            let mem = campaign.run_full_defuse_in(FaultDomain::Memory);
             let reg = campaign.run_full_defuse_in(FaultDomain::RegisterFile);
             rows.push(DomainRow {
                 variant: program.name.clone(),

@@ -4,7 +4,7 @@
 //! (default: all Figure 2 variants). Prints each RAM byte's weighted
 //! failure fraction with its data-section symbol, highest first.
 
-use sofi::campaign::Campaign;
+use sofi::campaign::{Campaign, FaultDomain};
 use sofi::isa::Program;
 use sofi::metrics::byte_vulnerability;
 use sofi::report::Table;
@@ -26,7 +26,7 @@ fn symbol_for(program: &Program, addr: u32) -> String {
 
 fn report(program: &Program) {
     let campaign = Campaign::new(program).expect("golden run");
-    let result = campaign.run_full_defuse();
+    let result = campaign.run_full_defuse_in(FaultDomain::Memory);
     let map = byte_vulnerability(&result);
     println!(
         "== {} (F_weighted = {}, w = {}) ==",

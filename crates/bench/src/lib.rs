@@ -7,9 +7,7 @@
 //! `SOFI_RESULTS_DIR` environment variable is set, writes a JSON artifact
 //! with the underlying numbers into that directory.
 
-pub mod harness;
-
-use sofi::campaign::{Campaign, CampaignResult, SampledResult, SamplingMode};
+use sofi::campaign::{Campaign, CampaignResult, FaultDomain, SampledResult, SamplingMode};
 use sofi::isa::Program;
 use sofi::trace::TraceStats;
 use std::path::PathBuf;
@@ -36,9 +34,14 @@ pub struct EvaluatedVariant {
 pub fn evaluate(program: &Program, sample_draws: u64, seed: u64) -> EvaluatedVariant {
     let campaign = Campaign::new(program).expect("golden run must succeed");
     let stats = TraceStats::from_golden(campaign.golden());
-    let full = campaign.run_full_defuse();
+    let full = campaign.run_full_defuse_in(FaultDomain::Memory);
     let mut rng = sofi_rng::DefaultRng::seed_from_u64(seed);
-    let sampled = campaign.run_sampled(sample_draws, SamplingMode::UniformRaw, &mut rng);
+    let sampled = campaign.run_sampled_in(
+        FaultDomain::Memory,
+        sample_draws,
+        SamplingMode::UniformRaw,
+        &mut rng,
+    );
     EvaluatedVariant {
         name: program.name.clone(),
         stats,

@@ -52,26 +52,11 @@ impl BurstSampledResult {
 
 impl Campaign {
     /// Runs a sampling campaign under the burst fault model: each of the
-    /// `n` draws picks a uniform (cycle, anchor-bit) coordinate and flips
-    /// `width` adjacent memory bits at once.
+    /// `n` draws picks a uniform (cycle, anchor-bit) coordinate of
+    /// `domain` and flips `width` adjacent bits at once.
     ///
     /// `width = 1` reproduces the single-bit model (useful for validating
-    /// the estimator against [`Campaign::run_sampled`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is 0 or exceeds the RAM width, or if the fault
-    /// space is empty.
-    pub fn run_burst_sampled<R: Rng + ?Sized>(
-        &self,
-        n: u64,
-        width: u32,
-        rng: &mut R,
-    ) -> BurstSampledResult {
-        self.run_burst_sampled_in(FaultDomain::Memory, n, width, rng)
-    }
-
-    /// [`Campaign::run_burst_sampled`] with an explicit fault domain.
+    /// the estimator against [`Campaign::run_sampled_in`]).
     ///
     /// Adjacency is defined per domain: [`FaultDomain::Memory`] and
     /// [`FaultDomain::RegisterFile`] flip `width` adjacent bits of the
@@ -248,7 +233,7 @@ mod tests {
     fn width_one_matches_single_bit_model() {
         let c = hi_campaign();
         let mut rng = DefaultRng::seed_from_u64(31);
-        let b = c.run_burst_sampled(20_000, 1, &mut rng);
+        let b = c.run_burst_sampled_in(FaultDomain::Memory, 20_000, 1, &mut rng);
         assert_eq!(b.population, 128);
         // True failure fraction 48/128 = 0.375.
         let frac = b.failure_draws as f64 / b.draws as f64;
@@ -262,7 +247,7 @@ mod tests {
         let mut fractions = Vec::new();
         for width in [1u32, 2, 4, 8] {
             let mut rng = DefaultRng::seed_from_u64(32);
-            let b = c.run_burst_sampled(8_000, width, &mut rng);
+            let b = c.run_burst_sampled_in(FaultDomain::Memory, 8_000, width, &mut rng);
             fractions.push(b.failure_draws as f64 / b.draws as f64);
         }
         // A wider burst covers a superset of vulnerable windows (minus
@@ -275,7 +260,7 @@ mod tests {
     fn accounting_is_complete() {
         let c = hi_campaign();
         let mut rng = DefaultRng::seed_from_u64(33);
-        let b = c.run_burst_sampled(2_000, 3, &mut rng);
+        let b = c.run_burst_sampled_in(FaultDomain::Memory, 2_000, 3, &mut rng);
         assert_eq!(b.by_kind.iter().sum::<u64>(), b.draws);
         assert!(b.benign_skips > 0);
     }
@@ -285,7 +270,7 @@ mod tests {
     fn oversized_width_panics() {
         let c = hi_campaign();
         let mut rng = DefaultRng::seed_from_u64(34);
-        c.run_burst_sampled(10, 17, &mut rng);
+        c.run_burst_sampled_in(FaultDomain::Memory, 10, 17, &mut rng);
     }
 
     #[test]

@@ -661,18 +661,6 @@ impl Campaign {
         &self.golden
     }
 
-    /// The def/use analysis of the golden run (memory domain; the
-    /// shorthand for `analysis_for(FaultDomain::Memory)`).
-    pub fn analysis(&self) -> &DefUseAnalysis {
-        self.analysis_for(FaultDomain::Memory)
-    }
-
-    /// The pruned injection plan (memory domain; the shorthand for
-    /// `plan_for(FaultDomain::Memory)`).
-    pub fn plan(&self) -> &InjectionPlan {
-        self.plan_for(FaultDomain::Memory)
-    }
-
     /// The (analysis, plan) pair of `domain`, built on first use. Building
     /// a data domain's pair is timed as [`names::SPAN_DEFUSE_NS`].
     fn pair(&self, domain: FaultDomain) -> &(DefUseAnalysis, InjectionPlan) {
@@ -704,9 +692,7 @@ impl Campaign {
         &self.pair(domain).0
     }
 
-    /// The pruned injection plan for `domain` (the campaign service and
-    /// other callers that carry the domain as data rather than picking an
-    /// accessor statically).
+    /// The pruned injection plan for `domain`, built on first use.
     pub fn plan_for(&self, domain: FaultDomain) -> &InjectionPlan {
         &self.pair(domain).1
     }
@@ -726,44 +712,26 @@ impl Campaign {
         &self.events
     }
 
-    /// Executes the def/use-pruned full scan of the memory fault space:
-    /// one experiment per equivalence class, covering the entire space
-    /// exactly (the shorthand for `run_full_defuse_in(FaultDomain::Memory)`).
-    pub fn run_full_defuse(&self) -> CampaignResult {
-        self.run_full_defuse_in(FaultDomain::Memory)
-    }
-
-    /// Executes a brute-force scan of the memory fault space: one
-    /// experiment for *every* raw coordinate, no pruning. Exponentially
-    /// more experiments than [`Campaign::run_full_defuse`] — only for tiny
-    /// programs and for validating that pruning is outcome-preserving.
-    pub fn run_brute_force(&self) -> CampaignResult {
-        self.run_brute_force_in(FaultDomain::Memory)
-    }
-
-    /// Executes the pruned full scan of `domain`'s fault space. Register
-    /// file coordinates are `(cycle, (reg − 1)·32 + bit)` over `r1..r15`
-    /// (§VI-B).
+    /// Executes the pruned full scan of `domain`'s fault space: one
+    /// experiment per equivalence class, covering the entire space
+    /// exactly. Register file coordinates are `(cycle, (reg − 1)·32 +
+    /// bit)` over `r1..r15` (§VI-B).
     pub fn run_full_defuse_in(&self, domain: FaultDomain) -> CampaignResult {
-        self.run_plan_in(domain, self.plan_for(domain))
+        self.run_plan_stats(domain, self.plan_for(domain)).0
     }
 
-    /// Brute-force scan of `domain`'s fault space — one experiment per
-    /// raw coordinate, no pruning (tiny programs only; the oracle the
-    /// pruning-soundness battery compares [`Campaign::run_full_defuse_in`]
-    /// against).
+    /// Brute-force scan of `domain`'s fault space: one experiment for
+    /// *every* raw coordinate, no pruning. Exponentially more experiments
+    /// than [`Campaign::run_full_defuse_in`] — tiny programs only; the
+    /// oracle the pruning-soundness battery compares it against.
     pub fn run_brute_force_in(&self, domain: FaultDomain) -> CampaignResult {
         let plan = InjectionPlan::full_scan(self.analysis_for(domain).space);
-        self.run_plan_in(domain, &plan)
+        self.run_plan_stats(domain, &plan).0
     }
 
-    /// Executes an arbitrary plan with injections into the given domain.
-    pub fn run_plan_in(&self, domain: FaultDomain, plan: &InjectionPlan) -> CampaignResult {
-        self.run_plan_stats(domain, plan).0
-    }
-
-    /// [`Campaign::run_plan_in`] plus executor instrumentation, for
-    /// reporting pristine/faulted cycle counts and convergence savings.
+    /// Executes an arbitrary plan with injections into the given domain,
+    /// plus executor instrumentation, for reporting pristine/faulted cycle
+    /// counts and convergence savings.
     pub fn run_plan_stats(
         &self,
         domain: FaultDomain,
@@ -798,16 +766,7 @@ impl Campaign {
 
     /// Executes a list of experiments (any order) with injections into
     /// the given domain and returns their outcomes (unordered; callers
-    /// sort as needed).
-    pub fn run_experiments_in(
-        &self,
-        domain: FaultDomain,
-        experiments: &[Experiment],
-    ) -> Vec<ExperimentResult> {
-        self.run_experiments_stats(domain, experiments).0
-    }
-
-    /// [`Campaign::run_experiments_in`] plus executor instrumentation.
+    /// sort as needed) plus executor instrumentation.
     ///
     /// Parallel runs partition the cycle-sorted experiment list into one
     /// contiguous chunk per worker, balanced by cycle span (not by
@@ -1166,8 +1125,8 @@ impl Campaign {
     /// instead of forking a forward-running pristine machine. Costs
     /// `O(Σ cycle_i)` extra work, with no checkpoint, convergence or memo
     /// involved — the single oracle every executor optimization is held
-    /// to (`tests/*_oracle.rs`) and the baseline of
-    /// `benches/campaign.rs`.
+    /// to (`tests/*_oracle.rs`) and the baseline of the `bench_campaign`
+    /// binary.
     pub fn run_experiments_naive(
         &self,
         domain: FaultDomain,
@@ -1482,7 +1441,7 @@ mod tests {
         let c = Campaign::new(&hi_program()).unwrap();
         assert_eq!(c.golden().serial, b"Hi");
         assert_eq!(c.golden().fault_space_size(), 128);
-        let r = c.run_full_defuse();
+        let r = c.run_full_defuse_in(FaultDomain::Memory);
         assert!(r.covers_space());
         // All 16 experiment classes are failures (weight 3 each): F = 48.
         assert_eq!(r.results.len(), 16);
@@ -1495,14 +1454,17 @@ mod tests {
         // The defining property of def/use pruning: expanding each class
         // result over its coordinates reproduces the brute-force scan.
         let c = Campaign::with_config(&hi_program(), CampaignConfig::sequential()).unwrap();
-        let brute = c.run_brute_force();
-        let pruned = c.run_full_defuse();
+        let brute = c.run_brute_force_in(FaultDomain::Memory);
+        let pruned = c.run_full_defuse_in(FaultDomain::Memory);
         assert_eq!(brute.results.len(), 128);
         assert_eq!(brute.failure_weight(), pruned.failure_weight());
         assert_eq!(brute.benign_weight(), pruned.benign_weight());
 
         // Per-coordinate agreement via the class index.
-        let index = sofi_space::ClassIndex::new(c.analysis(), c.plan());
+        let index = sofi_space::ClassIndex::new(
+            c.analysis_for(FaultDomain::Memory),
+            c.plan_for(FaultDomain::Memory),
+        );
         let by_id: HashMap<u32, Outcome> = pruned
             .results
             .iter()
@@ -1525,8 +1487,14 @@ mod tests {
     #[test]
     fn naive_replay_agrees_with_forking_executor() {
         let c = Campaign::with_config(&hi_program(), CampaignConfig::sequential()).unwrap();
-        let fast = c.run_experiments_in(FaultDomain::Memory, &c.plan().experiments);
-        let naive = c.run_experiments_naive(crate::FaultDomain::Memory, &c.plan().experiments);
+        let (fast, _) = c.run_experiments_stats(
+            FaultDomain::Memory,
+            &c.plan_for(FaultDomain::Memory).experiments,
+        );
+        let naive = c.run_experiments_naive(
+            crate::FaultDomain::Memory,
+            &c.plan_for(FaultDomain::Memory).experiments,
+        );
         assert_eq!(fast, naive);
     }
 
@@ -1536,7 +1504,7 @@ mod tests {
         let p = hi_program();
         let seq = Campaign::with_config(&p, CampaignConfig::sequential())
             .unwrap()
-            .run_full_defuse();
+            .run_full_defuse_in(FaultDomain::Memory);
         let par = Campaign::with_config(
             &p,
             CampaignConfig {
@@ -1545,7 +1513,7 @@ mod tests {
             },
         )
         .unwrap()
-        .run_full_defuse();
+        .run_full_defuse_in(FaultDomain::Memory);
         assert_eq!(seq, par);
 
         // …and a plan large enough that every worker gets a
@@ -1561,9 +1529,9 @@ mod tests {
         )
         .unwrap();
         assert!(
-            seq.plan().experiments.len() >= 64,
+            seq.plan_for(FaultDomain::Memory).experiments.len() >= 64,
             "memory plan too small ({}) to exercise chunking",
-            seq.plan().experiments.len()
+            seq.plan_for(FaultDomain::Memory).experiments.len()
         );
         let registers = FaultDomain::RegisterFile;
         assert!(
@@ -1571,7 +1539,10 @@ mod tests {
             "register plan too small ({}) to exercise chunking",
             seq.plan_for(registers).experiments.len()
         );
-        assert_eq!(seq.run_full_defuse(), par.run_full_defuse());
+        assert_eq!(
+            seq.run_full_defuse_in(FaultDomain::Memory),
+            par.run_full_defuse_in(FaultDomain::Memory)
+        );
         assert_eq!(
             seq.run_full_defuse_in(registers),
             par.run_full_defuse_in(registers)
@@ -1587,8 +1558,10 @@ mod tests {
         // ~1.2× of the single-worker executor.
         let p = sofi_workloads::fib(sofi_workloads::Variant::Baseline);
         let seq = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
-        let (mut seq_res, seq_stats) =
-            seq.run_experiments_stats(FaultDomain::Memory, &seq.plan().experiments);
+        let (mut seq_res, seq_stats) = seq.run_experiments_stats(
+            FaultDomain::Memory,
+            &seq.plan_for(FaultDomain::Memory).experiments,
+        );
         assert_eq!(seq_stats.workers, 1);
         assert!(seq_stats.pristine_cycles > 0);
 
@@ -1600,8 +1573,10 @@ mod tests {
             },
         )
         .unwrap();
-        let (mut par_res, par_stats) =
-            par.run_experiments_stats(FaultDomain::Memory, &par.plan().experiments);
+        let (mut par_res, par_stats) = par.run_experiments_stats(
+            FaultDomain::Memory,
+            &par.plan_for(FaultDomain::Memory).experiments,
+        );
         assert!(par_stats.workers > 1, "expected a parallel run");
 
         seq_res.sort_by_key(|r| r.experiment.id);
@@ -1631,7 +1606,7 @@ mod tests {
             ..CampaignConfig::default()
         };
         let c = Campaign::with_config(&p, config).unwrap();
-        let plan = &c.plan().experiments;
+        let plan = &c.plan_for(FaultDomain::Memory).experiments;
         let shards: Vec<Vec<Experiment>> = plan.chunks(8).map(<[_]>::to_vec).collect();
         let committed = Mutex::new(Vec::new());
         c.run_shards(FaultDomain::Memory, &shards, |i, results, stats| {
@@ -1754,7 +1729,7 @@ mod tests {
         // checkpoint crossing, so collapsing trajectories resolve as hits.
         let p = scrub_program();
         let c = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
-        let experiments = c.plan().experiments.clone();
+        let experiments = c.plan_for(FaultDomain::Memory).experiments.clone();
         let naive = c.run_experiments_naive(FaultDomain::Memory, &experiments);
         let (results, stats) = c.run_experiments_stats(FaultDomain::Memory, &experiments);
         assert_eq!(results, naive, "memoization changed outcomes");
@@ -1797,7 +1772,10 @@ mod tests {
         // register domain (cross-domain dynamic equivalence).
         let p = scrub_program();
         let c = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
-        let (_, mem_stats) = c.run_experiments_stats(FaultDomain::Memory, &c.plan().experiments);
+        let (_, mem_stats) = c.run_experiments_stats(
+            FaultDomain::Memory,
+            &c.plan_for(FaultDomain::Memory).experiments,
+        );
         let registers = &c.plan_for(FaultDomain::RegisterFile).experiments;
         let (reg_results, reg_stats) =
             c.run_experiments_stats(FaultDomain::RegisterFile, registers);
@@ -1845,8 +1823,12 @@ mod tests {
         let p = a.build().unwrap();
 
         let c = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
-        let (result, stats) = c.run_plan_stats(FaultDomain::Memory, c.plan());
-        let naive = c.run_experiments_naive(FaultDomain::Memory, &c.plan().experiments);
+        let (result, stats) =
+            c.run_plan_stats(FaultDomain::Memory, c.plan_for(FaultDomain::Memory));
+        let naive = c.run_experiments_naive(
+            FaultDomain::Memory,
+            &c.plan_for(FaultDomain::Memory).experiments,
+        );
         let mut naive_sorted = naive;
         naive_sorted.sort_by_key(|r| r.experiment.id);
         assert_eq!(result.results, naive_sorted);
@@ -1871,7 +1853,7 @@ mod tests {
         // instruction executes.
         let p = hi_program();
         let c = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
-        let bit = c.plan().experiments[0].coord.bit;
+        let bit = c.plan_for(FaultDomain::Memory).experiments[0].coord.bit;
         let experiments: Vec<Experiment> = [0u64, 1u64]
             .iter()
             .map(|&cycle| Experiment {
@@ -1900,7 +1882,7 @@ mod tests {
         // full prefix sum of injection cycles.
         let p = sofi_workloads::fib(sofi_workloads::Variant::Baseline);
         let c = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
-        let mut reversed = c.plan().experiments.clone();
+        let mut reversed = c.plan_for(FaultDomain::Memory).experiments.clone();
         reversed.sort_unstable_by_key(|e| std::cmp::Reverse((e.coord.cycle, e.coord.bit)));
 
         let (mut results, stats) = c.run_experiments_stats(FaultDomain::Memory, &reversed);
@@ -1935,7 +1917,7 @@ mod tests {
         a.bne(Reg::R1, Reg::R0, top);
         let p = a.build().unwrap();
         let c = Campaign::new(&p).unwrap();
-        let r = c.run_full_defuse();
+        let r = c.run_full_defuse_in(FaultDomain::Memory);
         let outcomes: Vec<Outcome> = r.results.iter().map(|x| x.outcome).collect();
         assert!(
             outcomes.contains(&Outcome::Timeout),
@@ -1960,7 +1942,7 @@ mod tests {
         a.serial_out(Reg::R1);
         let p = a.build().unwrap();
         let c = Campaign::new(&p).unwrap();
-        let r = c.run_full_defuse();
+        let r = c.run_full_defuse_in(FaultDomain::Memory);
         assert!(r.results.iter().all(
             |res| res.outcome == Outcome::DetectedCorrected || res.outcome == Outcome::NoEffect
         ));
@@ -2073,7 +2055,7 @@ mod tests {
         // and never at one of its checkpoint crossings.
         let c = Campaign::with_config(&hi_program(), CampaignConfig::sequential()).unwrap();
         c.set_memo_harvest();
-        let experiments = &c.plan().experiments;
+        let experiments = &c.plan_for(FaultDomain::Memory).experiments;
         let (results, stats) = c.run_experiments_stats(FaultDomain::Memory, experiments);
         assert_eq!(
             results,
@@ -2090,15 +2072,15 @@ mod tests {
         let p = sofi_workloads::fib(sofi_workloads::Variant::Baseline);
         let c = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
         c.set_memo_harvest();
-        let experiments = &c.plan().experiments;
+        let experiments = &c.plan_for(FaultDomain::Memory).experiments;
         let (head, tail) = experiments.split_at(experiments.len() / 2);
         // Distinct coordinates give distinct post-injection states, so
         // each run adds exactly one fact per experiment, whatever its
         // checkpoint crossings recorded.
-        c.run_experiments_in(FaultDomain::Memory, head);
+        c.run_experiments_stats(FaultDomain::Memory, head);
         let first = c.export_memo();
         assert_eq!(first.len(), head.len());
-        c.run_experiments_in(FaultDomain::Memory, tail);
+        c.run_experiments_stats(FaultDomain::Memory, tail);
         let second = c.export_memo();
         assert_eq!(second.len(), tail.len(), "only the new facts");
         assert!(second.iter().all(|r| !first.contains(r)));

@@ -4,7 +4,7 @@
 //! list in fixed-size batches and journals each completed batch. After a
 //! crash it replays the journal and re-dispatches only the *uncovered
 //! tail* of the fault list; the helpers here compute that tail and the
-//! batch boundaries. They are plain functions over experiment slices so
+//! shard boundaries. They are plain functions over experiment slices so
 //! any executor front-end (daemon, CLI, tests) slices identically.
 
 use sofi_space::Experiment;
@@ -32,25 +32,17 @@ pub fn recovered_count(plan: &[Experiment], done: &HashSet<u32>) -> u64 {
     plan.iter().filter(|e| done.contains(&e.id)).count() as u64
 }
 
-/// Splits `experiments` into contiguous batches of at most `batch_size`
-/// (the last batch may be shorter). `batch_size` of 0 is treated as 1 so
-/// the schedule always makes progress.
-pub fn batches(
-    experiments: &[Experiment],
-    batch_size: usize,
-) -> impl Iterator<Item = &[Experiment]> {
-    experiments.chunks(batch_size.max(1))
-}
-
 /// Splits `experiments` into *owned* contiguous shards of at most
-/// `batch_size` — the unit of work the distributed coordinator leases to
-/// remote workers. Shard indices are stable for a given `(experiments,
-/// batch_size)` pair: shard `i` always covers the same experiment ids,
-/// so an upload can be validated against the shard it claims to cover.
-/// Covers each experiment exactly once, in plan order; `batch_size` of 0
-/// is treated as 1.
+/// `batch_size` (the last shard may be shorter) — the unit of work the
+/// distributed coordinator leases to remote workers. Shard indices are
+/// stable for a given `(experiments, batch_size)` pair: shard `i` always
+/// covers the same experiment ids, so an upload can be validated against
+/// the shard it claims to cover. Covers each experiment exactly once, in
+/// plan order; `batch_size` of 0 is treated as 1 so the schedule always
+/// makes progress.
 pub fn shards(experiments: &[Experiment], batch_size: usize) -> Vec<Vec<Experiment>> {
-    batches(experiments, batch_size)
+    experiments
+        .chunks(batch_size.max(1))
         .map(<[_]>::to_vec)
         .collect()
 }
@@ -102,8 +94,11 @@ mod tests {
         let plan: Vec<Experiment> = (0..10).map(exp).collect();
         for size in [0, 1, 3, 10, 99] {
             let owned = shards(&plan, size);
-            let sliced: Vec<Vec<Experiment>> = batches(&plan, size).map(<[_]>::to_vec).collect();
-            assert_eq!(owned, sliced, "batch size {size}");
+            // Every shard but the last holds exactly one batch size.
+            let full = size.max(1);
+            let (last, head) = owned.split_last().unwrap();
+            assert!(head.iter().all(|s| s.len() == full), "batch size {size}");
+            assert!((1..=full).contains(&last.len()), "batch size {size}");
             // Stable: recomputing yields identical shard boundaries.
             assert_eq!(owned, shards(&plan, size));
         }
@@ -118,12 +113,13 @@ mod tests {
     fn batches_cover_exactly_once() {
         let plan: Vec<Experiment> = (0..10).map(exp).collect();
         for size in [0, 1, 3, 10, 99] {
-            let all: Vec<u32> = batches(&plan, size)
-                .flat_map(|b| b.iter().map(|e| e.id))
+            let all: Vec<u32> = shards(&plan, size)
+                .iter()
+                .flat_map(|s| s.iter().map(|e| e.id))
                 .collect();
             assert_eq!(all, (0..10).collect::<Vec<u32>>(), "batch size {size}");
         }
-        assert_eq!(batches(&plan, 3).count(), 4);
-        assert_eq!(batches(&[], 3).count(), 0);
+        assert_eq!(shards(&plan, 3).len(), 4);
+        assert!(shards(&[], 3).is_empty());
     }
 }

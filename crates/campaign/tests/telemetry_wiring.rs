@@ -29,7 +29,7 @@ fn enabled_registry_collects_the_documented_metrics() {
     };
     let c = Campaign::with_config(&p, config).unwrap();
     assert!(c.telemetry().is_enabled());
-    let (_, stats) = c.run_plan_stats(FaultDomain::Memory, c.plan());
+    let (_, stats) = c.run_plan_stats(FaultDomain::Memory, c.plan_for(FaultDomain::Memory));
     let snap = c.telemetry().snapshot();
 
     // Construction spans.
@@ -63,7 +63,7 @@ fn parallel_workers_merge_into_campaign_totals() {
         ..CampaignConfig::default()
     };
     let c = Campaign::with_config(&p, config).unwrap();
-    let (_, stats) = c.run_plan_stats(FaultDomain::Memory, c.plan());
+    let (_, stats) = c.run_plan_stats(FaultDomain::Memory, c.plan_for(FaultDomain::Memory));
     assert!(stats.workers > 1, "expected a parallel run");
     let snap = c.telemetry().snapshot();
 
@@ -101,8 +101,8 @@ fn disabled_registry_stays_empty_and_outcomes_are_identical() {
     )
     .unwrap();
 
-    let off_result = off.run_full_defuse();
-    let on_result = on.run_full_defuse();
+    let off_result = off.run_full_defuse_in(FaultDomain::Memory);
+    let on_result = on.run_full_defuse_in(FaultDomain::Memory);
     assert_eq!(off_result, on_result, "telemetry changed outcomes");
     assert!(off.telemetry().snapshot().is_empty());
     assert!(!on.telemetry().snapshot().is_empty());
@@ -115,6 +115,9 @@ fn explicit_registry_wins_over_config_flag() {
     let reg = Registry::enabled();
     let c =
         Campaign::with_config_telemetry(&hi(), CampaignConfig::sequential(), reg.clone()).unwrap();
-    let _ = c.run_experiments_in(FaultDomain::Memory, &c.plan().experiments);
+    let _ = c.run_experiments_stats(
+        FaultDomain::Memory,
+        &c.plan_for(FaultDomain::Memory).experiments,
+    );
     assert!(reg.snapshot().counter(names::EXPERIMENTS) > 0);
 }

@@ -138,12 +138,17 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
 type FlagSpec = (&'static str, bool);
 
 /// Rejects any `--flag` not in `known`, naming the offending flag in the
-/// error so typos are diagnosable (`--thread` vs `--threads`).
+/// error so typos are diagnosable (`--thread` vs `--threads`), and a
+/// value-taking flag with nothing after it, which would otherwise fall
+/// back to its default.
 fn reject_unknown_flags(args: &[String], known: &[FlagSpec]) -> Result<(), CliError> {
     let mut i = 0;
     while i < args.len() {
         let arg = args[i].as_str();
         if let Some(&(_, takes_value)) = known.iter().find(|(name, _)| *name == arg) {
+            if takes_value && i + 1 == args.len() {
+                return Err(CliError(format!("{arg} expects a value")));
+            }
             i += 1 + usize::from(takes_value);
         } else if arg.starts_with("--") {
             let mut names: Vec<&str> = known.iter().map(|&(name, _)| name).collect();
@@ -348,7 +353,7 @@ fn cmd_sample(args: &[String]) -> Result<String, CliError> {
     let campaign =
         Campaign::new(&program).map_err(|e| CliError(format!("golden run failed: {e}")))?;
     let mut rng = DefaultRng::seed_from_u64(seed);
-    let sampled = campaign.run_sampled(draws, mode, &mut rng);
+    let sampled = campaign.run_sampled_in(FaultDomain::Memory, draws, mode, &mut rng);
     let est = extrapolated_failures(&sampled, 0.95);
     let mut out = String::new();
     let _ = writeln!(out, "mode            : {mode:?}");
@@ -379,7 +384,7 @@ fn cmd_diagram(args: &[String]) -> Result<String, CliError> {
     let program = load_program(positional(args, 0)?)?;
     let campaign =
         Campaign::new(&program).map_err(|e| CliError(format!("golden run failed: {e}")))?;
-    fault_space_diagram(campaign.analysis()).ok_or_else(|| {
+    fault_space_diagram(campaign.analysis_for(FaultDomain::Memory)).ok_or_else(|| {
         CliError(format!(
             "fault space too large to draw ({} cycles x {} bits)",
             campaign.golden().cycles,
@@ -484,8 +489,8 @@ fn cmd_compare(args: &[String]) -> Result<String, CliError> {
         .map_err(|e| CliError(format!("{}: golden run failed: {e}", baseline.name)))?;
     let ch = Campaign::new(&hardened)
         .map_err(|e| CliError(format!("{}: golden run failed: {e}", hardened.name)))?;
-    let rb = cb.run_full_defuse();
-    let rh = ch.run_full_defuse();
+    let rb = cb.run_full_defuse_in(FaultDomain::Memory);
+    let rh = ch.run_full_defuse_in(FaultDomain::Memory);
     let cmp = compare_failures(&exact_failures(&rb), &exact_failures(&rh));
     let mut out = String::new();
     let mut t = Table::new(vec!["variant", "w", "F", "coverage"]);
@@ -1181,6 +1186,20 @@ mod tests {
             .unwrap_err()
             .0;
         assert!(err.contains("unknown flag `--limits`"), "{err}");
+    }
+
+    #[test]
+    fn trailing_value_flag_is_an_error() {
+        let p = write_temp("hi_trailing.s", HI);
+        let p = p.to_str().unwrap();
+        for (cmd, flag) in [
+            ("campaign", "--domain"),
+            ("sample", "--draws"),
+            ("run", "--limit"),
+        ] {
+            let err = dispatch(&args(&[cmd, p, flag])).unwrap_err().0;
+            assert_eq!(err, format!("{flag} expects a value"), "{cmd}");
+        }
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub fn sampled_breakdown(sampled: &SampledResult, confidence: f64) -> OutcomeBre
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sofi_campaign::{Campaign, SamplingMode};
+    use sofi_campaign::{Campaign, FaultDomain, SamplingMode};
     use sofi_isa::{Asm, Reg};
     use sofi_rng::DefaultRng;
 
@@ -119,7 +119,7 @@ mod tests {
     #[test]
     fn exact_breakdown_sums_to_space() {
         let c = Campaign::new(&multi_mode_program()).unwrap();
-        let r = c.run_full_defuse();
+        let r = c.run_full_defuse_in(FaultDomain::Memory);
         let b = outcome_breakdown(&r);
         assert!(b.exact);
         let total: f64 = b.counts.iter().sum();
@@ -133,9 +133,14 @@ mod tests {
     #[test]
     fn sampled_breakdown_matches_exact_per_kind() {
         let c = Campaign::new(&multi_mode_program()).unwrap();
-        let exact = outcome_breakdown(&c.run_full_defuse());
+        let exact = outcome_breakdown(&c.run_full_defuse_in(FaultDomain::Memory));
         let mut rng = DefaultRng::seed_from_u64(3);
-        let s = c.run_sampled(40_000, SamplingMode::UniformRaw, &mut rng);
+        let s = c.run_sampled_in(
+            FaultDomain::Memory,
+            40_000,
+            SamplingMode::UniformRaw,
+            &mut rng,
+        );
         let est = sampled_breakdown(&s, 0.99);
         for i in 0..8 {
             assert!(
@@ -151,7 +156,7 @@ mod tests {
     #[test]
     fn failure_rows_sorted() {
         let c = Campaign::new(&multi_mode_program()).unwrap();
-        let b = outcome_breakdown(&c.run_full_defuse());
+        let b = outcome_breakdown(&c.run_full_defuse_in(FaultDomain::Memory));
         let rows = b.failure_rows();
         for pair in rows.windows(2) {
             assert!(pair[0].1 >= pair[1].1);

@@ -1395,7 +1395,7 @@ mod tests {
 
         let program = assemble_text("hi", HI).unwrap();
         let campaign = Campaign::with_config(&program, CampaignConfig::sequential()).unwrap();
-        assert_eq!(result, campaign.run_full_defuse());
+        assert_eq!(result, campaign.run_full_defuse_in(FaultDomain::Memory));
         assert_eq!(stats.experiments, result.results.len() as u64);
         drop(coord);
         std::fs::remove_file(&path).unwrap();
@@ -1602,7 +1602,7 @@ mod tests {
         let campaign = Campaign::with_config(&program, CampaignConfig::sequential()).unwrap();
         assert_eq!(
             result,
-            campaign.run_full_defuse(),
+            campaign.run_full_defuse_in(FaultDomain::Memory),
             "remote-shard result drifted"
         );
         drop(coord);
@@ -1661,7 +1661,7 @@ mod tests {
             CampaignConfig::sequential(),
         )
         .unwrap();
-        assert_eq!(result, campaign.run_full_defuse());
+        assert_eq!(result, campaign.run_full_defuse_in(FaultDomain::Memory));
         drop(coord);
         std::fs::remove_file(&path).unwrap();
     }

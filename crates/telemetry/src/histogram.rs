@@ -92,29 +92,10 @@ impl HistogramCore {
         self.max.fetch_max(value, Relaxed);
     }
 
-    /// Adds `other`'s contents into `self`. Used when a parent registry
-    /// absorbs a forked child after the worker joined; with exclusive
-    /// access to `other` the absorption is exact.
-    pub(crate) fn absorb(&self, other: &HistogramCore) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            let n = theirs.load(Relaxed);
-            if n != 0 {
-                mine.fetch_add(n, Relaxed);
-            }
-        }
-        let count = other.count.load(Relaxed);
-        if count != 0 {
-            self.count.fetch_add(count, Relaxed);
-            self.sum.fetch_add(other.sum.load(Relaxed), Relaxed);
-            self.min.fetch_min(other.min.load(Relaxed), Relaxed);
-            self.max.fetch_max(other.max.load(Relaxed), Relaxed);
-        }
-    }
-
     /// Adds pre-aggregated contents (bucket counts in grid order plus
     /// the scalar moments) — the flush path of
-    /// [`crate::LocalHistogram`]. Exact for the same reason as
-    /// [`HistogramCore::absorb`]: the caller owns the aggregate.
+    /// [`crate::LocalHistogram`]. Exact because the caller owns the
+    /// aggregate.
     pub(crate) fn absorb_parts(
         &self,
         buckets: impl Iterator<Item = u64>,
@@ -240,22 +221,5 @@ mod tests {
         let s = HistogramCore::new().snapshot();
         assert_eq!((s.count, s.min, s.max), (0, 0, 0));
         assert!(s.buckets.is_empty());
-    }
-
-    #[test]
-    fn absorb_matches_combined_recording() {
-        let a = HistogramCore::new();
-        let b = HistogramCore::new();
-        let combined = HistogramCore::new();
-        for v in [1u64, 17, 300] {
-            a.record(v);
-            combined.record(v);
-        }
-        for v in [2u64, 90_000] {
-            b.record(v);
-            combined.record(v);
-        }
-        a.absorb(&b);
-        assert_eq!(a.snapshot(), combined.snapshot());
     }
 }

@@ -13,11 +13,10 @@
 //! # Design
 //!
 //! * **Global-free.** There is no process-wide singleton: every
-//!   [`Registry`] is an explicit value, cloned (shared) or
-//!   [`Registry::fork`]ed (fresh) along the ownership paths that need
-//!   it. A forked child records apart and its parent absorbs it later —
-//!   merging is associative and commutative, so how work was split does
-//!   not affect totals.
+//!   [`Registry`] is an explicit value, cloned (shared) along the
+//!   ownership paths that need it. Registries kept apart combine through
+//!   their [`Snapshot`]s — merging is associative and commutative, so
+//!   how work was split does not affect totals.
 //! * **Zero-cost when disabled.** A [`Registry::disabled`] registry
 //!   hands out handles whose inner `Option<Arc<..>>` is `None`; every
 //!   record call is a single never-taken branch, and span timing skips

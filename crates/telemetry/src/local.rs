@@ -13,10 +13,9 @@ use std::cell::Cell;
 /// and pushes the aggregate into its sink on [`LocalHistogram::flush`]
 /// or drop — once per worker shard instead of once per observation.
 ///
-/// Buffering is invisible in the totals: flushing uses the same
-/// bucketwise merge as [`crate::Registry::absorb`], which is exact when
-/// the flusher has exclusive access to the buffer (guaranteed here,
-/// `LocalHistogram` is `!Sync`).
+/// Buffering is invisible in the totals: flushing adds the buffer
+/// bucketwise, which is exact when the flusher has exclusive access to
+/// the buffer (guaranteed here, `LocalHistogram` is `!Sync`).
 #[derive(Debug)]
 pub struct LocalHistogram {
     sink: Histogram,

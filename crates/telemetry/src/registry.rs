@@ -11,11 +11,10 @@ use std::time::Instant;
 /// A named collection of counters, gauges and histograms.
 ///
 /// Cloning a `Registry` shares the underlying state (both clones see
-/// the same metrics); [`Registry::fork`] creates an independent empty
-/// registry for a worker shard, absorbed back with
-/// [`Registry::absorb`]. The [`Registry::disabled`] registry (also
-/// [`Default`]) hands out no-op handles — see the crate docs for the
-/// zero-cost argument.
+/// the same metrics); registries kept apart combine through their
+/// [`Snapshot`]s ([`Snapshot::merge`]). The [`Registry::disabled`]
+/// registry (also [`Default`]) hands out no-op handles — see the crate
+/// docs for the zero-cost argument.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     inner: Option<Arc<Inner>>,
@@ -115,51 +114,6 @@ impl Registry {
             Span::started(self.histogram(name), Instant::now())
         } else {
             Span::noop()
-        }
-    }
-
-    /// A fresh registry with the same enabledness, for a worker shard.
-    #[must_use]
-    pub fn fork(&self) -> Registry {
-        Registry::with_enabled(self.is_enabled())
-    }
-
-    /// Adds all of `other`'s metrics into `self` (counters sum, gauges
-    /// take the max, histograms add bucketwise) — the in-place
-    /// counterpart of [`Snapshot::merge`], used by a parent to absorb a
-    /// [`Registry::fork`]ed child once its worker joined. Disabled
-    /// registries absorb nothing.
-    pub fn absorb(&self, other: &Registry) {
-        let (Some(mine), Some(theirs)) = (self.inner.as_ref(), other.inner.as_ref()) else {
-            return;
-        };
-        for (name, value) in theirs.counters.lock().expect("telemetry lock").iter() {
-            let v = value.load(Relaxed);
-            mine.counters
-                .lock()
-                .expect("telemetry lock")
-                .entry(name.clone())
-                .or_default()
-                .fetch_add(v, Relaxed);
-        }
-        for (name, value) in theirs.gauges.lock().expect("telemetry lock").iter() {
-            let v = value.load(Relaxed);
-            mine.gauges
-                .lock()
-                .expect("telemetry lock")
-                .entry(name.clone())
-                .or_default()
-                .fetch_max(v, Relaxed);
-        }
-        for (name, hist) in theirs.histograms.lock().expect("telemetry lock").iter() {
-            Arc::clone(
-                mine.histograms
-                    .lock()
-                    .expect("telemetry lock")
-                    .entry(name.clone())
-                    .or_insert_with(|| Arc::new(HistogramCore::new())),
-            )
-            .absorb(hist);
         }
     }
 
@@ -284,12 +238,6 @@ mod tests {
         let shared = reg.clone();
         shared.counter("c").incr();
         assert_eq!(reg.snapshot().counter("c"), 1);
-
-        let fork = reg.fork();
-        fork.counter("c").add(10);
-        assert_eq!(reg.snapshot().counter("c"), 1);
-        reg.absorb(&fork);
-        assert_eq!(reg.snapshot().counter("c"), 11);
     }
 
     #[test]
@@ -300,11 +248,7 @@ mod tests {
         reg.gauge("g").set(9);
         reg.histogram("h").record(1);
         reg.span("s").finish();
-        reg.absorb(&Registry::enabled());
         assert!(reg.snapshot().is_empty());
-        // Forks inherit enabledness.
-        assert!(!reg.fork().is_enabled());
-        assert!(Registry::enabled().fork().is_enabled());
     }
 
     #[test]
@@ -339,24 +283,5 @@ mod tests {
         reg.span("phase").finish();
         let h = reg.snapshot();
         assert_eq!(h.histogram("phase").unwrap().count, 2);
-    }
-
-    #[test]
-    fn absorb_merges_every_kind() {
-        let a = Registry::enabled();
-        a.counter("c").add(1);
-        a.gauge("g").set(4);
-        a.histogram("h").record(10);
-        let b = a.fork();
-        b.counter("c").add(2);
-        b.gauge("g").set(9);
-        b.histogram("h").record(20);
-        b.histogram("only_b").record(5);
-        a.absorb(&b);
-        let snap = a.snapshot();
-        assert_eq!(snap.counter("c"), 3);
-        assert_eq!(snap.gauge("g"), 9);
-        assert_eq!(snap.histogram("h").unwrap().count, 2);
-        assert_eq!(snap.histogram("only_b").unwrap().count, 1);
     }
 }

@@ -1,7 +1,7 @@
 //! Boundary behaviour of the pipeline: degenerate programs, empty fault
 //! spaces, and limit handling.
 
-use sofi::campaign::{Campaign, CampaignConfig, Outcome, SamplingMode};
+use sofi::campaign::{Campaign, CampaignConfig, FaultDomain, Outcome, SamplingMode};
 use sofi::isa::{Asm, Reg};
 use sofi::metrics::{fault_coverage, Weighting};
 
@@ -13,15 +13,18 @@ fn ram_without_accesses_is_fully_benign() {
     a.li(Reg::R1, 42);
     a.serial_out(Reg::R1);
     let c = Campaign::new(&a.build().unwrap()).unwrap();
-    assert_eq!(c.plan().experiments.len(), 0);
-    assert_eq!(c.plan().known_benign_weight, c.plan().space.size());
-    let r = c.run_full_defuse();
+    assert_eq!(c.plan_for(FaultDomain::Memory).experiments.len(), 0);
+    assert_eq!(
+        c.plan_for(FaultDomain::Memory).known_benign_weight,
+        c.plan_for(FaultDomain::Memory).space.size()
+    );
+    let r = c.run_full_defuse_in(FaultDomain::Memory);
     assert!(r.covers_space());
     assert_eq!(r.failure_weight(), 0);
     assert_eq!(fault_coverage(&r, Weighting::Weighted), 1.0);
     // Raw-space sampling works (every draw is benign) ...
     let mut rng = sofi_rng::DefaultRng::seed_from_u64(1);
-    let s = c.run_sampled(100, SamplingMode::UniformRaw, &mut rng);
+    let s = c.run_sampled_in(FaultDomain::Memory, 100, SamplingMode::UniformRaw, &mut rng);
     assert_eq!(s.benign_draws, 100);
     assert_eq!(s.failure_hits(), 0);
 }
@@ -34,8 +37,8 @@ fn zero_ram_program_scans_vacuously() {
     a.li(Reg::R1, 7);
     a.serial_out(Reg::R1);
     let c = Campaign::new(&a.build().unwrap()).unwrap();
-    assert_eq!(c.plan().space.size(), 0);
-    let r = c.run_full_defuse();
+    assert_eq!(c.plan_for(FaultDomain::Memory).space.size(), 0);
+    let r = c.run_full_defuse_in(FaultDomain::Memory);
     assert!(r.covers_space());
     assert_eq!(r.experiments_run(), 0);
 }
@@ -48,7 +51,7 @@ fn single_instruction_benchmark() {
     a.lb(Reg::R1, Reg::R0, x.offset());
     let c = Campaign::new(&a.build().unwrap()).unwrap();
     assert_eq!(c.golden().cycles, 1);
-    let r = c.run_full_defuse();
+    let r = c.run_full_defuse_in(FaultDomain::Memory);
     assert_eq!(r.space.size(), 8);
     // The value is never emitted, so every flip is masked.
     assert_eq!(r.failure_weight(), 0);
@@ -74,7 +77,7 @@ fn output_flood_classification() {
     // binding constraint.
     config.timeout_slack = 1_000_000;
     let c = Campaign::with_config(&p, config).unwrap();
-    let r = c.run_full_defuse();
+    let r = c.run_full_defuse_in(FaultDomain::Memory);
     assert!(
         r.results.iter().any(|x| x.outcome == Outcome::OutputFlood),
         "expected an OutputFlood outcome, got {:?}",
@@ -124,7 +127,7 @@ fn timeout_factor_respected() {
     a.serial_out(Reg::R2);
     let p = a.build().unwrap();
     let c = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
-    let r = c.run_full_defuse();
+    let r = c.run_full_defuse_in(FaultDomain::Memory);
     // Flag flips divert to the slow path but output is identical: every
     // experiment is benign, none is a timeout.
     assert_eq!(r.failure_weight(), 0);

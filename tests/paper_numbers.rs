@@ -1,6 +1,6 @@
 //! The concrete numbers the paper derives, regenerated end to end.
 
-use sofi::campaign::Campaign;
+use sofi::campaign::{Campaign, FaultDomain};
 use sofi::metrics::{
     compare_failures, exact_failures, fault_coverage, table1, PoissonModel, Weighting,
 };
@@ -11,7 +11,7 @@ use sofi::workloads::{bin_sem2, hi, hi_dft, hi_dft_prime, sync2, Variant};
 fn hi_baseline_numbers() {
     let c = Campaign::new(&hi()).unwrap();
     assert_eq!(c.golden().serial, b"Hi");
-    let r = c.run_full_defuse();
+    let r = c.run_full_defuse_in(FaultDomain::Memory);
     assert_eq!(r.space.size(), 128);
     assert_eq!(r.failure_weight(), 48);
     assert_eq!(fault_coverage(&r, Weighting::Weighted), 0.625);
@@ -20,7 +20,9 @@ fn hi_baseline_numbers() {
 /// §IV-B: DFT raises coverage to exactly 75 % without touching F.
 #[test]
 fn dft_dilution_numbers() {
-    let r = Campaign::new(&hi_dft(4)).unwrap().run_full_defuse();
+    let r = Campaign::new(&hi_dft(4))
+        .unwrap()
+        .run_full_defuse_in(FaultDomain::Memory);
     assert_eq!(r.space.size(), 192);
     assert_eq!(r.failure_weight(), 48);
     assert_eq!(fault_coverage(&r, Weighting::Weighted), 0.75);
@@ -29,7 +31,9 @@ fn dft_dilution_numbers() {
 /// §IV-B: DFT′ (activated faults) behaves identically.
 #[test]
 fn dft_prime_numbers() {
-    let r = Campaign::new(&hi_dft_prime(4)).unwrap().run_full_defuse();
+    let r = Campaign::new(&hi_dft_prime(4))
+        .unwrap()
+        .run_full_defuse_in(FaultDomain::Memory);
     assert_eq!(r.space.size(), 192);
     assert_eq!(r.failure_weight(), 48);
     assert_eq!(fault_coverage(&r, Weighting::Weighted), 0.75);
@@ -58,8 +62,8 @@ fn figure2_verdicts() {
     // bin_sem2: genuinely improves.
     let cb = Campaign::new(&bin_sem2(Variant::Baseline)).unwrap();
     let ch = Campaign::new(&bin_sem2(Variant::SumDmr)).unwrap();
-    let fb = cb.run_full_defuse();
-    let fh = ch.run_full_defuse();
+    let fb = cb.run_full_defuse_in(FaultDomain::Memory);
+    let fh = ch.run_full_defuse_in(FaultDomain::Memory);
     let cmp = compare_failures(&exact_failures(&fb), &exact_failures(&fh));
     assert!(cmp.ratio < 0.5, "bin_sem2 should improve strongly: {cmp}");
     assert!(
@@ -70,8 +74,8 @@ fn figure2_verdicts() {
     // sync2: coverage improves, failure count worsens > 5x.
     let cb = Campaign::new(&sync2(Variant::Baseline)).unwrap();
     let ch = Campaign::new(&sync2(Variant::SumDmr)).unwrap();
-    let fb = cb.run_full_defuse();
-    let fh = ch.run_full_defuse();
+    let fb = cb.run_full_defuse_in(FaultDomain::Memory);
+    let fh = ch.run_full_defuse_in(FaultDomain::Memory);
     assert!(
         fault_coverage(&fh, Weighting::Weighted) > fault_coverage(&fb, Weighting::Weighted),
         "sync2's coverage must (misleadingly) improve"
@@ -88,7 +92,9 @@ fn figure2_verdicts() {
 #[test]
 fn weighting_changes_coverage_substantially() {
     for program in [bin_sem2(Variant::Baseline), sync2(Variant::Baseline)] {
-        let r = Campaign::new(&program).unwrap().run_full_defuse();
+        let r = Campaign::new(&program)
+            .unwrap()
+            .run_full_defuse_in(FaultDomain::Memory);
         let unweighted = fault_coverage(&r, Weighting::Unweighted);
         let weighted = fault_coverage(&r, Weighting::Weighted);
         assert!(
@@ -104,5 +110,5 @@ fn weighting_changes_coverage_substantially() {
 #[test]
 fn pruning_reduction_factor() {
     let c = Campaign::new(&sync2(Variant::Baseline)).unwrap();
-    assert!(c.plan().reduction_factor() > 50.0);
+    assert!(c.plan_for(FaultDomain::Memory).reduction_factor() > 50.0);
 }

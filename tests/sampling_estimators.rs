@@ -3,7 +3,7 @@
 //! sampler diverges when class weight correlates with outcome, and
 //! extrapolated counts are invariant to the sample size.
 
-use sofi::campaign::{Campaign, SamplingMode};
+use sofi::campaign::{Campaign, FaultDomain, SamplingMode};
 use sofi::isa::{Asm, Program, Reg};
 use sofi::metrics::extrapolated_failures;
 use sofi::workloads::{crc32, strrev};
@@ -33,10 +33,12 @@ fn skewed_program() -> Program {
 fn estimators_converge_to_exact_counts() {
     for program in [crc32(), strrev()] {
         let campaign = Campaign::new(&program).unwrap();
-        let exact = campaign.run_full_defuse().failure_weight() as f64;
+        let exact = campaign
+            .run_full_defuse_in(FaultDomain::Memory)
+            .failure_weight() as f64;
         let mut rng = DefaultRng::seed_from_u64(99);
         for mode in [SamplingMode::UniformRaw, SamplingMode::WeightedClasses] {
-            let sampled = campaign.run_sampled(60_000, mode, &mut rng);
+            let sampled = campaign.run_sampled_in(FaultDomain::Memory, 60_000, mode, &mut rng);
             let est = extrapolated_failures(&sampled, 0.99);
             assert!(
                 est.ci.0 <= exact && exact <= est.ci.1,
@@ -57,12 +59,23 @@ fn estimators_converge_to_exact_counts() {
 #[test]
 fn biased_sampler_is_demonstrably_biased() {
     let campaign = Campaign::new(&skewed_program()).unwrap();
-    let full = campaign.run_full_defuse();
-    let truth = full.failure_weight() as f64 / campaign.plan().experiment_weight() as f64;
+    let full = campaign.run_full_defuse_in(FaultDomain::Memory);
+    let truth = full.failure_weight() as f64
+        / campaign.plan_for(FaultDomain::Memory).experiment_weight() as f64;
 
     let mut rng = DefaultRng::seed_from_u64(5);
-    let fair = campaign.run_sampled(40_000, SamplingMode::WeightedClasses, &mut rng);
-    let biased = campaign.run_sampled(40_000, SamplingMode::BiasedPerClass, &mut rng);
+    let fair = campaign.run_sampled_in(
+        FaultDomain::Memory,
+        40_000,
+        SamplingMode::WeightedClasses,
+        &mut rng,
+    );
+    let biased = campaign.run_sampled_in(
+        FaultDomain::Memory,
+        40_000,
+        SamplingMode::BiasedPerClass,
+        &mut rng,
+    );
 
     let fair_frac = fair.failure_hits() as f64 / fair.draws as f64;
     let biased_frac = biased.failure_hits() as f64 / biased.draws as f64;
@@ -83,7 +96,12 @@ fn extrapolation_is_sample_size_invariant() {
     let mut estimates = Vec::new();
     for (seed, draws) in [(1u64, 20_000u64), (2, 60_000), (3, 120_000)] {
         let mut rng = DefaultRng::seed_from_u64(seed);
-        let s = campaign.run_sampled(draws, SamplingMode::UniformRaw, &mut rng);
+        let s = campaign.run_sampled_in(
+            FaultDomain::Memory,
+            draws,
+            SamplingMode::UniformRaw,
+            &mut rng,
+        );
         estimates.push(extrapolated_failures(&s, 0.95).failures);
     }
     let spread = estimates

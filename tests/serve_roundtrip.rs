@@ -52,12 +52,7 @@ fn spec(domain: FaultDomain) -> JobSpec {
 fn in_process(domain: FaultDomain) -> sofi_campaign::CampaignResult {
     let program = assemble_text("hi", PROG).unwrap();
     let campaign = Campaign::with_config(&program, CampaignConfig::default()).unwrap();
-    match domain {
-        // The memory shorthand, so the wire test also pins it to the
-        // generic dispatch.
-        FaultDomain::Memory => campaign.run_full_defuse(),
-        _ => campaign.run_full_defuse_in(domain),
-    }
+    campaign.run_full_defuse_in(domain)
 }
 
 #[test]
