@@ -137,35 +137,92 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
 /// One accepted flag: its name and whether it consumes a value argument.
 type FlagSpec = (&'static str, bool);
 
-/// Rejects any `--flag` not in `known`, naming the offending flag in the
-/// error so typos are diagnosable (`--thread` vs `--threads`), and a
-/// value-taking flag with nothing after it, which would otherwise fall
-/// back to its default.
-fn reject_unknown_flags(args: &[String], known: &[FlagSpec]) -> Result<(), CliError> {
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        if let Some(&(_, takes_value)) = known.iter().find(|(name, _)| *name == arg) {
-            if takes_value && i + 1 == args.len() {
-                return Err(CliError(format!("{arg} expects a value")));
-            }
-            i += 1 + usize::from(takes_value);
-        } else if arg.starts_with("--") {
-            let mut names: Vec<&str> = known.iter().map(|&(name, _)| name).collect();
-            names.sort_unstable();
-            return Err(CliError(format!(
-                "unknown flag `{arg}` (accepted here: {})",
-                if names.is_empty() {
-                    "none".to_string()
-                } else {
-                    names.join(", ")
+/// A subcommand's arguments, classified once against its [`FlagSpec`]
+/// table: every argument is a known flag, the value of the value flag
+/// before it, or a positional.
+struct Args<'a> {
+    positionals: Vec<&'a str>,
+    values: Vec<(&'static str, &'a str)>,
+    switches: Vec<&'static str>,
+}
+
+impl<'a> Args<'a> {
+    /// Classifies `args`. An unknown `--flag` is an error naming it (so
+    /// typos are diagnosable: `--thread` vs `--threads`), and so is a
+    /// value flag with nothing after it, which would otherwise fall back
+    /// to its default, or one given twice.
+    fn parse(args: &'a [String], known: &[FlagSpec]) -> Result<Args<'a>, CliError> {
+        let mut parsed = Args {
+            positionals: Vec::new(),
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            match known.iter().find(|(name, _)| name == arg) {
+                Some(&(name, true)) => {
+                    let value = rest
+                        .next()
+                        .ok_or_else(|| CliError(format!("{name} expects a value")))?;
+                    if parsed.value(name).is_some() {
+                        return Err(CliError(format!("{name} given twice")));
+                    }
+                    parsed.values.push((name, value));
                 }
-            )));
-        } else {
-            i += 1; // positional argument
+                Some(&(name, false)) => parsed.switches.push(name),
+                None if arg.starts_with("--") => {
+                    let mut names: Vec<&str> = known.iter().map(|&(name, _)| name).collect();
+                    names.sort_unstable();
+                    return Err(CliError(format!(
+                        "unknown flag `{arg}` (accepted here: {})",
+                        if names.is_empty() {
+                            "none".to_string()
+                        } else {
+                            names.join(", ")
+                        }
+                    )));
+                }
+                None => parsed.positionals.push(arg),
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// The `n`th positional argument.
+    fn positional(&self, n: usize) -> Result<&'a str, CliError> {
+        self.positionals
+            .get(n)
+            .copied()
+            .ok_or_else(|| CliError(format!("missing argument #{n}\n\n{USAGE}")))
+    }
+
+    /// The value given with `flag`.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.values
+            .iter()
+            .find(|&&(name, _)| name == flag)
+            .map(|&(_, value)| value)
+    }
+
+    /// `true` when the switch `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.switches.contains(&flag)
+    }
+
+    /// The numeric value given with `flag`, or `default`.
+    fn u64(&self, flag: &str, default: u64) -> Result<u64, CliError> {
+        match self.value(flag) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| CliError(format!("{flag} expects a number, got `{v}`"))),
         }
     }
-    Ok(())
+}
+
+fn parse_job_id(id: &str) -> Result<u64, CliError> {
+    id.parse()
+        .map_err(|_| CliError(format!("job id must be a number, got `{id}`")))
 }
 
 fn load_program(path: &str) -> Result<Program, CliError> {
@@ -178,50 +235,21 @@ fn load_program(path: &str) -> Result<Program, CliError> {
     assemble_text(name, &source).map_err(|e| CliError(format!("{path}: {e}")))
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn parse_u64(args: &[String], flag: &str, default: u64) -> Result<u64, CliError> {
-    match flag_value(args, flag) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError(format!("{flag} expects a number, got `{v}`"))),
-    }
-}
-
-fn positional(args: &[String], n: usize) -> Result<&str, CliError> {
-    args.iter()
-        .filter(|a| !a.starts_with("--"))
-        .filter(|a| {
-            // Skip values that directly follow a flag.
-            let idx = args.iter().position(|x| x == *a).unwrap_or(0);
-            idx == 0 || !args[idx - 1].starts_with("--")
-        })
-        .nth(n)
-        .map(String::as_str)
-        .ok_or_else(|| CliError(format!("missing argument #{n}\n\n{USAGE}")))
-}
-
 /// Resolves the fault domain from `--domain NAME` (any spelling
 /// [`FaultDomain`]'s `FromStr` accepts) or the legacy `--registers` /
 /// `--memory` shorthands. Unknown names are rejected by name; combining
 /// `--domain` with a shorthand is an error rather than a silent
 /// precedence rule, as is combining the two shorthands.
-fn parse_domain_flags(args: &[String]) -> Result<FaultDomain, CliError> {
-    let named = match flag_value(args, "--domain") {
+fn parse_domain_flags(args: &Args) -> Result<FaultDomain, CliError> {
+    let named = match args.value("--domain") {
         Some(v) => Some(
             v.parse::<FaultDomain>()
                 .map_err(|e| CliError(e.to_string()))?,
         ),
         None => None,
     };
-    let registers = args.iter().any(|a| a == "--registers");
-    let memory = args.iter().any(|a| a == "--memory");
+    let registers = args.has("--registers");
+    let memory = args.has("--memory");
     if registers && memory {
         return Err(CliError(
             "--registers and --memory are mutually exclusive".into(),
@@ -240,9 +268,9 @@ fn parse_domain_flags(args: &[String]) -> Result<FaultDomain, CliError> {
 }
 
 fn cmd_run(args: &[String]) -> Result<String, CliError> {
-    reject_unknown_flags(args, &[("--limit", true)])?;
-    let program = load_program(positional(args, 0)?)?;
-    let limit = parse_u64(args, "--limit", 50_000_000)?;
+    let args = Args::parse(args, &[("--limit", true)])?;
+    let program = load_program(args.positional(0)?)?;
+    let limit = args.u64("--limit", 50_000_000)?;
     let mut m = sofi_machine::Machine::new(&program);
     let status = m.run(limit);
     let mut out = String::new();
@@ -302,7 +330,7 @@ fn campaign_report(result: &CampaignResult, campaign: &Campaign) -> String {
 }
 
 fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
-    reject_unknown_flags(
+    let args = Args::parse(
         args,
         &[
             ("--domain", true),
@@ -312,11 +340,11 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
             ("--telemetry", true),
         ],
     )?;
-    let program = load_program(positional(args, 0)?)?;
-    let domain = parse_domain_flags(args)?;
-    let telemetry_path = flag_value(args, "--telemetry");
+    let program = load_program(args.positional(0)?)?;
+    let domain = parse_domain_flags(&args)?;
+    let telemetry_path = args.value("--telemetry");
     let config = CampaignConfig {
-        threads: parse_u64(args, "--threads", 0)? as usize,
+        threads: args.u64("--threads", 0)? as usize,
         telemetry: telemetry_path.is_some(),
         ..CampaignConfig::default()
     };
@@ -330,21 +358,21 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
         std::fs::write(path, artifact)
             .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
     }
-    if args.iter().any(|a| a == "--json") {
+    if args.has("--json") {
         return Ok(sofi_report::to_json(&result));
     }
     Ok(campaign_report(&result, &campaign))
 }
 
 fn cmd_sample(args: &[String]) -> Result<String, CliError> {
-    reject_unknown_flags(
+    let args = Args::parse(
         args,
         &[("--draws", true), ("--seed", true), ("--mode", true)],
     )?;
-    let program = load_program(positional(args, 0)?)?;
-    let draws = parse_u64(args, "--draws", 10_000)?;
-    let seed = parse_u64(args, "--seed", 1)?;
-    let mode = match flag_value(args, "--mode").unwrap_or("raw") {
+    let program = load_program(args.positional(0)?)?;
+    let draws = args.u64("--draws", 10_000)?;
+    let seed = args.u64("--seed", 1)?;
+    let mode = match args.value("--mode").unwrap_or("raw") {
         "raw" => SamplingMode::UniformRaw,
         "weighted" => SamplingMode::WeightedClasses,
         "biased" => SamplingMode::BiasedPerClass,
@@ -380,8 +408,8 @@ fn cmd_sample(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_diagram(args: &[String]) -> Result<String, CliError> {
-    reject_unknown_flags(args, &[])?;
-    let program = load_program(positional(args, 0)?)?;
+    let args = Args::parse(args, &[])?;
+    let program = load_program(args.positional(0)?)?;
     let campaign =
         Campaign::new(&program).map_err(|e| CliError(format!("golden run failed: {e}")))?;
     fault_space_diagram(campaign.analysis_for(FaultDomain::Memory)).ok_or_else(|| {
@@ -394,7 +422,7 @@ fn cmd_diagram(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_compile(args: &[String]) -> Result<String, CliError> {
-    reject_unknown_flags(
+    let args = Args::parse(
         args,
         &[
             ("--emit", true),
@@ -404,7 +432,7 @@ fn cmd_compile(args: &[String]) -> Result<String, CliError> {
             ("--out", true),
         ],
     )?;
-    let path = positional(args, 0)?;
+    let path = args.positional(0)?;
     let source =
         std::fs::read_to_string(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
     let name = std::path::Path::new(path)
@@ -412,7 +440,7 @@ fn cmd_compile(args: &[String]) -> Result<String, CliError> {
         .and_then(|s| s.to_str())
         .unwrap_or("program");
 
-    let harden = match flag_value(args, "--harden") {
+    let harden = match args.value("--harden") {
         None => None,
         Some(m) => Some(
             LangHarden::ALL
@@ -429,11 +457,11 @@ fn cmd_compile(args: &[String]) -> Result<String, CliError> {
         harden,
         ..LangOptions::default()
     };
-    opts.stack_bytes = parse_u64(args, "--stack", u64::from(opts.stack_bytes))? as u32;
+    opts.stack_bytes = args.u64("--stack", u64::from(opts.stack_bytes))? as u32;
     let program =
         lang_compile_with(name, &source, &opts).map_err(|e| CliError(format!("{path}: {e}")))?;
 
-    let emitted = match flag_value(args, "--emit") {
+    let emitted = match args.value("--emit") {
         None => None,
         Some("asm") => Some(program.to_source()),
         Some("bin") => {
@@ -459,7 +487,7 @@ fn cmd_compile(args: &[String]) -> Result<String, CliError> {
         program.ram_size,
         harden.map_or(String::new(), |h| format!(" [{}]", h.name())),
     );
-    match (emitted, flag_value(args, "--out")) {
+    match (emitted, args.value("--out")) {
         (Some(text), Some(dest)) => {
             std::fs::write(dest, &text)
                 .map_err(|e| CliError(format!("cannot write {dest}: {e}")))?;
@@ -471,7 +499,7 @@ fn cmd_compile(args: &[String]) -> Result<String, CliError> {
         }
         (None, None) => {}
     }
-    if args.iter().any(|a| a == "--run") {
+    if args.has("--run") {
         let mut m = sofi_machine::Machine::new(&program);
         let status = m.run(50_000_000);
         let _ = writeln!(out, "status  : {status:?}");
@@ -482,9 +510,9 @@ fn cmd_compile(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_compare(args: &[String]) -> Result<String, CliError> {
-    reject_unknown_flags(args, &[])?;
-    let baseline = load_program(positional(args, 0)?)?;
-    let hardened = load_program(positional(args, 1)?)?;
+    let args = Args::parse(args, &[])?;
+    let baseline = load_program(args.positional(0)?)?;
+    let hardened = load_program(args.positional(1)?)?;
     let cb = Campaign::new(&baseline)
         .map_err(|e| CliError(format!("{}: golden run failed: {e}", baseline.name)))?;
     let ch = Campaign::new(&hardened)
@@ -514,19 +542,17 @@ fn cmd_compare(args: &[String]) -> Result<String, CliError> {
 
 // --- service subcommands ------------------------------------------------
 
-fn addr_of(args: &[String]) -> String {
-    flag_value(args, "--addr")
-        .unwrap_or(DEFAULT_ADDR)
-        .to_string()
+fn addr_of(args: &Args) -> String {
+    args.value("--addr").unwrap_or(DEFAULT_ADDR).to_string()
 }
 
-fn connect(args: &[String]) -> Result<Client, CliError> {
+fn connect(args: &Args) -> Result<Client, CliError> {
     let addr = addr_of(args);
     Client::connect(&addr).map_err(|e| CliError(format!("{addr}: {e}")))
 }
 
 fn cmd_serve(args: &[String]) -> Result<String, CliError> {
-    reject_unknown_flags(
+    let args = Args::parse(
         args,
         &[
             ("--addr", true),
@@ -539,24 +565,20 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
             ("--remote-only", false),
         ],
     )?;
-    let addr = addr_of(args);
-    let journal = flag_value(args, "--journal").unwrap_or(DEFAULT_JOURNAL);
-    let store = flag_value(args, "--store").map(std::path::PathBuf::from);
+    let addr = addr_of(&args);
+    let journal = args.value("--journal").unwrap_or(DEFAULT_JOURNAL);
+    let store = args.value("--store").map(std::path::PathBuf::from);
     let defaults = ServeConfig::default();
-    let lease_ms = parse_u64(
-        args,
-        "--lease-ms",
-        defaults.lease_timeout.as_millis() as u64,
-    )?;
+    let lease_ms = args.u64("--lease-ms", defaults.lease_timeout.as_millis() as u64)?;
     if lease_ms == 0 {
         return Err(CliError("--lease-ms must be positive".into()));
     }
     let config = ServeConfig {
-        workers: parse_u64(args, "--workers", defaults.workers as u64)? as usize,
-        queue_capacity: parse_u64(args, "--queue", defaults.queue_capacity as u64)? as usize,
-        batch_size: parse_u64(args, "--batch", defaults.batch_size as u64)? as usize,
+        workers: args.u64("--workers", defaults.workers as u64)? as usize,
+        queue_capacity: args.u64("--queue", defaults.queue_capacity as u64)? as usize,
+        batch_size: args.u64("--batch", defaults.batch_size as u64)? as usize,
         lease_timeout: std::time::Duration::from_millis(lease_ms),
-        remote_only: args.iter().any(|a| a == "--remote-only"),
+        remote_only: args.has("--remote-only"),
         warm_store: store.clone(),
         ..defaults
     };
@@ -580,7 +602,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_worker(args: &[String]) -> Result<String, CliError> {
-    reject_unknown_flags(
+    let args = Args::parse(
         args,
         &[
             ("--connect", true),
@@ -589,20 +611,17 @@ fn cmd_worker(args: &[String]) -> Result<String, CliError> {
             ("--max-idle-polls", true),
         ],
     )?;
-    let addr = flag_value(args, "--connect")
+    let addr = args
+        .value("--connect")
         .ok_or_else(|| CliError("worker needs --connect <coordinator address>".into()))?;
     let defaults = WorkerConfig::default();
     let config = WorkerConfig {
         addr: addr.to_string(),
-        name: flag_value(args, "--name")
-            .unwrap_or(&defaults.name)
-            .to_string(),
-        poll_interval: std::time::Duration::from_millis(parse_u64(
-            args,
-            "--poll-ms",
-            defaults.poll_interval.as_millis() as u64,
-        )?),
-        max_idle_polls: match parse_u64(args, "--max-idle-polls", 0)? {
+        name: args.value("--name").unwrap_or(&defaults.name).to_string(),
+        poll_interval: std::time::Duration::from_millis(
+            args.u64("--poll-ms", defaults.poll_interval.as_millis() as u64)?,
+        ),
+        max_idle_polls: match args.u64("--max-idle-polls", 0)? {
             0 => None,
             n => Some(n),
         },
@@ -626,8 +645,8 @@ fn cmd_worker(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn submit_spec(args: &[String]) -> Result<JobSpec, CliError> {
-    let path = positional(args, 0)?;
+fn submit_spec(args: &Args) -> Result<JobSpec, CliError> {
+    let path = args.positional(0)?;
     let source =
         std::fs::read_to_string(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
     let name = std::path::Path::new(path)
@@ -644,17 +663,17 @@ fn submit_spec(args: &[String]) -> Result<JobSpec, CliError> {
         source,
         domain,
         config: CampaignConfig {
-            threads: parse_u64(args, "--threads", 0)? as usize,
+            threads: args.u64("--threads", 0)? as usize,
             ..CampaignConfig::default()
         },
         // Warm-store participation is the default; `--cold` opts out for
         // ablation runs and store-independent benchmarking.
-        warm_store: !args.iter().any(|a| a == "--cold"),
+        warm_store: !args.has("--cold"),
     })
 }
 
 fn cmd_submit(args: &[String]) -> Result<String, CliError> {
-    reject_unknown_flags(
+    let args = Args::parse(
         args,
         &[
             ("--addr", true),
@@ -668,11 +687,11 @@ fn cmd_submit(args: &[String]) -> Result<String, CliError> {
             ("--out", true),
         ],
     )?;
-    let spec = submit_spec(args)?;
-    let mut client = connect(args)?;
-    if !args.iter().any(|a| a == "--wait") {
+    let spec = submit_spec(&args)?;
+    let mut client = connect(&args)?;
+    if !args.has("--wait") {
         let job = client.submit(spec).map_err(|e| CliError(e.to_string()))?;
-        return Ok(format!("job {job} queued on {}\n", addr_of(args)));
+        return Ok(format!("job {job} queued on {}\n", addr_of(&args)));
     }
     let (job, result, stats) = client
         .submit_wait(spec, |done, total, stats| {
@@ -689,8 +708,8 @@ fn cmd_submit(args: &[String]) -> Result<String, CliError> {
             }
         })
         .map_err(|e| CliError(e.to_string()))?;
-    let json = args.iter().any(|a| a == "--json");
-    let out_path = flag_value(args, "--out");
+    let json = args.has("--json");
+    let out_path = args.value("--out");
     if json || out_path.is_some() {
         let artifact = sofi_report::to_json(&sofi_report::job_artifact(job, &result, &stats));
         if let Some(path) = out_path {
@@ -732,15 +751,10 @@ fn cmd_submit(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_status(args: &[String]) -> Result<String, CliError> {
-    reject_unknown_flags(args, &[("--addr", true)])?;
-    let job = match positional(args, 0) {
-        Ok(id) => Some(
-            id.parse::<u64>()
-                .map_err(|_| CliError(format!("job id must be a number, got `{id}`")))?,
-        ),
-        Err(_) => None,
-    };
-    let mut client = connect(args)?;
+    let args = Args::parse(args, &[("--addr", true)])?;
+    let job = args.positionals.first().copied().map(parse_job_id);
+    let job = job.transpose()?;
+    let mut client = connect(&args)?;
     let jobs = client.status(job).map_err(|e| CliError(e.to_string()))?;
     // The worker table only renders when remote workers have ever
     // registered, so the plain single-daemon view stays unchanged.
@@ -868,7 +882,7 @@ fn render_snapshot(snap: &Snapshot) -> String {
 }
 
 fn cmd_stats(args: &[String]) -> Result<String, CliError> {
-    reject_unknown_flags(
+    let args = Args::parse(
         args,
         &[
             ("--addr", true),
@@ -877,16 +891,11 @@ fn cmd_stats(args: &[String]) -> Result<String, CliError> {
             ("--out", true),
         ],
     )?;
-    let job = match positional(args, 0) {
-        Ok(id) => Some(
-            id.parse::<u64>()
-                .map_err(|_| CliError(format!("job id must be a number, got `{id}`")))?,
-        ),
-        Err(_) => None,
-    };
-    let mut client = connect(args)?;
+    let job = args.positionals.first().copied().map(parse_job_id);
+    let job = job.transpose()?;
+    let mut client = connect(&args)?;
     let mut snapshot = client.stats(job).map_err(|e| CliError(e.to_string()))?;
-    if args.iter().any(|a| a == "--watch") {
+    if args.has("--watch") {
         // Repaint to stderr roughly once a second until the snapshot
         // stops changing (an idle daemon records nothing new), then fall
         // through and return the final render like a plain `stats` call.
@@ -901,30 +910,27 @@ fn cmd_stats(args: &[String]) -> Result<String, CliError> {
         }
     }
     let artifact = sofi_report::to_json(&sofi_report::telemetry_artifact(&snapshot));
-    if let Some(path) = flag_value(args, "--out") {
+    if let Some(path) = args.value("--out") {
         std::fs::write(path, &artifact)
             .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
     }
-    if args.iter().any(|a| a == "--json") {
+    if args.has("--json") {
         return Ok(artifact);
     }
     Ok(render_snapshot(&snapshot))
 }
 
 fn cmd_cancel(args: &[String]) -> Result<String, CliError> {
-    reject_unknown_flags(args, &[("--addr", true)])?;
-    let id = positional(args, 0)?;
-    let id: u64 = id
-        .parse()
-        .map_err(|_| CliError(format!("job id must be a number, got `{id}`")))?;
-    let mut client = connect(args)?;
+    let args = Args::parse(args, &[("--addr", true)])?;
+    let id = parse_job_id(args.positional(0)?)?;
+    let mut client = connect(&args)?;
     client.cancel(id).map_err(|e| CliError(e.to_string()))?;
     Ok(format!("job {id} cancelled\n"))
 }
 
 fn cmd_shutdown(args: &[String]) -> Result<String, CliError> {
-    reject_unknown_flags(args, &[("--addr", true)])?;
-    let mut client = connect(args)?;
+    let args = Args::parse(args, &[("--addr", true)])?;
+    let mut client = connect(&args)?;
     client.shutdown().map_err(|e| CliError(e.to_string()))?;
     Ok("daemon is draining\n".to_string())
 }
@@ -1200,6 +1206,31 @@ mod tests {
             let err = dispatch(&args(&[cmd, p, flag])).unwrap_err().0;
             assert_eq!(err, format!("{flag} expects a value"), "{cmd}");
         }
+    }
+
+    /// Arguments are classified from the subcommand's flag table: a
+    /// positional after a switch is still a positional, and a value flag
+    /// given twice is an error instead of a silent first-one-wins.
+    #[test]
+    fn positionals_after_switches_and_repeated_value_flags() {
+        let p = write_temp("hi_order.s", HI);
+        let p = p.to_str().unwrap();
+        let out = dispatch(&args(&["campaign", "--registers", p])).unwrap();
+        assert!(out.contains("RegisterFile"), "{out}");
+        // Parsed through to the connection, not stopped at the path.
+        let err = dispatch(&args(&["submit", "--wait", p, "--addr", "127.0.0.1:1"]))
+            .unwrap_err()
+            .0;
+        assert!(err.contains("cannot connect"), "{err}");
+        // The job id after `--json` is the job, not the switch's value.
+        let err = dispatch(&args(&["stats", "--json", "seven"]))
+            .unwrap_err()
+            .0;
+        assert!(err.contains("job id must be a number"), "{err}");
+        let err = dispatch(&args(&["campaign", p, "--threads", "1", "--threads", "2"]))
+            .unwrap_err()
+            .0;
+        assert_eq!(err, "--threads given twice");
     }
 
     #[test]

@@ -245,10 +245,12 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ClientError::Server`] for unknown or already-terminal jobs.
+    /// [`ClientError::Server`] for unknown or already-terminal jobs,
+    /// [`ClientError::ShuttingDown`] when the daemon has stopped.
     pub fn cancel(&mut self, job: u64) -> Result<(), ClientError> {
         match self.roundtrip(&Message::Cancel { job })? {
             Message::Cancelled { .. } => Ok(()),
+            Message::ShuttingDown => Err(ClientError::ShuttingDown),
             Message::Error { message } => Err(ClientError::Server(message)),
             other => Err(ClientError::Unexpected(Box::new(other))),
         }

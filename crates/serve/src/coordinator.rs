@@ -30,6 +30,16 @@
 //! detected by the shard's phase and acknowledged without a second
 //! commit, so outcomes are never double-counted.
 //!
+//! Every journal append — a job's start, a commit group's `Batch`
+//! records, a job's `End` — goes through one call, and every job ends
+//! through one function that journals its `End` record before the job
+//! is seen to end. When the journal refuses an append, the daemon stops
+//! exactly as the `crash_after_commits` hook stops it: nothing more is
+//! journaled, the drivers stop, and no result, cancel or failure is
+//! published beyond what the journal holds, so a restart replays the
+//! committed prefix as it does after a kill. Lease grants are not
+//! journaled: recovery derives progress from `Batch` records alone.
+//!
 //! On startup the coordinator replays the journal: jobs with a terminal
 //! record are kept for status queries; jobs interrupted mid-campaign
 //! (start record, no end record) are re-queued with their committed
@@ -53,7 +63,7 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -134,6 +144,9 @@ pub enum CancelOutcome {
     AlreadyTerminal(JobState),
     /// No such job id.
     Unknown,
+    /// The daemon has stopped — a refused journal append or the crash
+    /// hook — and cancels nothing.
+    ShuttingDown,
 }
 
 /// A progress snapshot returned by [`Coordinator::wait_progress`].
@@ -279,8 +292,8 @@ struct CoordState {
     /// deterministic.)
     next_lease: u64,
     draining: bool,
-    /// Set by the crash hook: every driver stops dead, nothing further
-    /// is journaled.
+    /// Set by the crash hook or a refused journal append: every driver
+    /// stops dead, nothing further is journaled or published.
     crashed: bool,
     batch_commits: u64,
 }
@@ -306,14 +319,27 @@ struct Inner {
 }
 
 impl Inner {
-    /// Journals a group of records with one fsync, timing the
-    /// write+fsync into the `serve.journal_fsync_ns` histogram. Call with
-    /// the state lock held (the journal lives inside it).
-    fn append_timed(&self, st: &mut CoordState, records: &[Record]) -> io::Result<()> {
+    /// Journals a group of records with one fsync — every journal append
+    /// goes through here — timing the write+fsync into the
+    /// `serve.journal_fsync_ns` histogram. Call with the state lock held
+    /// (the journal lives inside it). Returns `true` once the group is
+    /// committed. A journal that refuses the group stops the daemon as
+    /// the crash hook does: nothing more is journaled, the drivers stop,
+    /// and nothing is published beyond what the journal holds, so a
+    /// restart replays the committed prefix as it does after a kill.
+    fn append(&self, st: &mut CoordState, records: &[Record]) -> bool {
+        if st.crashed {
+            return false;
+        }
         let span = self.telemetry.span(names::JOURNAL_FSYNC_NS);
-        let result = st.journal.append(records);
+        let committed = st.journal.append(records).is_ok();
         span.finish();
-        result
+        if !committed {
+            st.crashed = true;
+            self.work_cv.notify_all();
+            self.watch_cv.notify_all();
+        }
+        committed
     }
 }
 
@@ -446,7 +472,8 @@ impl Coordinator {
     }
 
     /// Submits a job: journals the start record and queues it, or
-    /// reports backpressure / drain.
+    /// reports backpressure / drain. A refused start record stops the
+    /// daemon, and the job is refused as during a drain.
     pub fn submit(&self, spec: JobSpec) -> SubmitOutcome {
         let mut st = self.inner.state.lock().unwrap();
         if st.draining || st.crashed {
@@ -461,21 +488,12 @@ impl Coordinator {
         let id = st.next_id;
         // Commit the start record first: a job the client saw accepted
         // survives a crash.
-        if self
-            .inner
-            .append_timed(
-                &mut st,
-                &[Record::JobStart {
-                    job: id,
-                    spec: spec.clone(),
-                }],
-            )
-            .is_err()
-        {
-            return SubmitOutcome::Busy {
-                queued: st.queue.len() as u32,
-                capacity: self.inner.config.queue_capacity as u32,
-            };
+        let start = Record::JobStart {
+            job: id,
+            spec: spec.clone(),
+        };
+        if !self.inner.append(&mut st, &[start]) {
+            return SubmitOutcome::ShuttingDown;
         }
         st.next_id += 1;
         st.jobs
@@ -506,31 +524,23 @@ impl Coordinator {
     /// at their next shard boundary.
     pub fn cancel(&self, id: u64) -> CancelOutcome {
         let mut st = self.inner.state.lock().unwrap();
+        if st.crashed {
+            return CancelOutcome::ShuttingDown;
+        }
         let Some(job) = st.jobs.get_mut(&id) else {
             return CancelOutcome::Unknown;
         };
         if job.state.is_terminal() {
             return CancelOutcome::AlreadyTerminal(job.state);
         }
-        job.cancel = true;
         if job.state == JobState::Queued {
-            job.state = JobState::Cancelled;
-            st.queue.retain(|&q| q != id);
-            if !st.crashed {
-                let _ = self.inner.append_timed(
-                    &mut st,
-                    &[Record::End {
-                        job: id,
-                        state: JobState::Cancelled,
-                    }],
-                );
-            }
-            self.inner.telemetry.counter(names::JOBS_FINISHED).incr();
-            self.inner
-                .telemetry
-                .gauge(names::QUEUE_DEPTH)
-                .set(st.queue.len() as u64);
+            return if end_job(&self.inner, st, id, JobState::Cancelled, |_| {}) {
+                CancelOutcome::Cancelled
+            } else {
+                CancelOutcome::ShuttingDown
+            };
         }
+        job.cancel = true;
         drop(st);
         // Wake drivers so a running job notices the flag at its next
         // claim-loop pass even if no shard commits in the meantime.
@@ -685,16 +695,6 @@ impl Coordinator {
         if let Some(w) = st.workers.get_mut(&worker) {
             w.leases += 1;
         }
-        // Advisory timeline record; recovery ignores it.
-        let _ = self.inner.append_timed(
-            &mut st,
-            &[Record::Lease {
-                job: jid,
-                shard: idx as u32,
-                lease,
-                worker,
-            }],
-        );
         self.inner.telemetry.counter(names::LEASES_GRANTED).incr();
         self.inner
             .telemetry
@@ -834,8 +834,9 @@ impl Coordinator {
         }
     }
 
-    /// `true` once the [`ServeConfig::crash_after_commits`] hook has
-    /// fired.
+    /// `true` once the daemon has stopped: the
+    /// [`ServeConfig::crash_after_commits`] hook fired or the journal
+    /// refused an append.
     pub fn crashed(&self) -> bool {
         self.inner.state.lock().unwrap().crashed
     }
@@ -904,50 +905,44 @@ fn driver_loop(inner: &Inner) {
     }
 }
 
-/// Marks `id` failed (journaled) with a message.
-fn fail_job(inner: &Inner, id: u64, message: String) {
-    let mut st = inner.state.lock().unwrap();
-    if !st.crashed {
-        let _ = inner.append_timed(
-            &mut st,
-            &[Record::End {
-                job: id,
-                state: JobState::Failed,
-            }],
-        );
+/// Ends job `id` in the terminal `state` — the one way a job ends. The
+/// `End` record is journaled first; only once it commits does the job
+/// leave the queue, take `state`, drop its shards, get what `publish`
+/// adds (a `Done` job's result, a `Failed` job's message) and count as
+/// finished. Releases the state lock and wakes status watchers. Returns
+/// `false` when the journal refused the record: the daemon has stopped,
+/// nothing was published, and a restart replays the job from what the
+/// journal holds.
+fn end_job(
+    inner: &Inner,
+    mut st: MutexGuard<'_, CoordState>,
+    id: u64,
+    state: JobState,
+    publish: impl FnOnce(&mut JobEntry),
+) -> bool {
+    if !inner.append(&mut st, &[Record::End { job: id, state }]) {
+        return false;
     }
+    st.queue.retain(|&q| q != id);
+    inner
+        .telemetry
+        .gauge(names::QUEUE_DEPTH)
+        .set(st.queue.len() as u64);
     if let Some(job) = st.jobs.get_mut(&id) {
-        job.state = JobState::Failed;
-        job.error = message;
+        job.state = state;
         job.shards = Vec::new();
+        publish(job);
     }
     inner.telemetry.counter(names::JOBS_FINISHED).incr();
     drop(st);
-    inner.work_cv.notify_all();
     inner.watch_cv.notify_all();
+    true
 }
 
-/// Journals a cancellation end record and marks the job `Cancelled`.
-/// Call without the state lock held.
-fn finalize_cancelled(inner: &Inner, id: u64) {
-    let mut st = inner.state.lock().unwrap();
-    if !st.crashed {
-        let _ = inner.append_timed(
-            &mut st,
-            &[Record::End {
-                job: id,
-                state: JobState::Cancelled,
-            }],
-        );
-    }
-    if let Some(job) = st.jobs.get_mut(&id) {
-        job.state = JobState::Cancelled;
-        job.shards = Vec::new();
-    }
-    inner.telemetry.counter(names::JOBS_FINISHED).incr();
-    drop(st);
-    inner.work_cv.notify_all();
-    inner.watch_cv.notify_all();
+/// Ends `id` as `Failed` with `message`.
+fn fail_job(inner: &Inner, id: u64, message: String) {
+    let st = inner.state.lock().unwrap();
+    end_job(inner, st, id, JobState::Failed, |job| job.error = message);
 }
 
 /// One executed shard on its way to the journal.
@@ -1004,8 +999,9 @@ fn validate(st: &CoordState, job_id: u64, commit: &ShardCommit) -> UploadOutcome
 /// (`from_worker == 0`), or one remote upload. Each shard is checked by
 /// [`validate`]; the valid ones are journaled as one `Batch` record each
 /// under one fsync, and only then marked committed and counted as
-/// progress. A failed append rolls the whole group back and fails the
-/// job. Returns each shard's outcome, in group order.
+/// progress. A refused append rolls the whole group back and stops the
+/// daemon (see [`Inner::append`]); the committed shards before it stay
+/// intact for the restart. Returns each shard's outcome, in group order.
 fn commit_group(
     inner: &Inner,
     from_worker: u64,
@@ -1047,9 +1043,7 @@ fn commit_group(
                 results: c.results.clone(),
             })
             .collect();
-        if inner.append_timed(&mut st, &records).is_err() {
-            drop(st);
-            fail_job(inner, job_id, "journal write failed".into());
+        if !inner.append(&mut st, &records) {
             return vec![UploadOutcome::StaleLease; outcomes.len()];
         }
         st.batch_commits += accepted.len() as u64;
@@ -1123,7 +1117,7 @@ fn claim_local(st: &mut CoordState, id: u64, limit: usize) -> Vec<(u32, u64, Vec
 /// workers hand each finished shard over a channel and go on computing;
 /// one committer thread journals every shard queued since its last
 /// fsync as one group ([`commit_group`]). When a group does not commit
-/// whole — cancel, crash hook, failed journal write — the workers stop at
+/// whole — cancel, crash hook, refused journal write — the workers stop at
 /// their next shard boundary, and claims the stream never committed go
 /// back to pending.
 fn stream_local(
@@ -1254,8 +1248,7 @@ fn run_job(inner: &Inner, id: u64, spec: &JobSpec, recovered: &HashSet<u32>, job
                     return;
                 }
                 if job.cancel {
-                    drop(st);
-                    finalize_cancelled(inner, id);
+                    end_job(inner, st, id, JobState::Cancelled, |_| {});
                     return;
                 }
                 if job.shards.iter().all(|s| s.phase == ShardPhase::Committed) {
@@ -1299,29 +1292,17 @@ fn run_job(inner: &Inner, id: u64, spec: &JobSpec, recovered: &HashSet<u32>, job
         Some(store) if warm => Some(store.lock().unwrap()),
         _ => None,
     };
-    let mut st = inner.state.lock().unwrap();
-    if st.crashed {
-        return;
-    }
-    let Some(job) = st.jobs.get_mut(&id) else {
+    let st = inner.state.lock().unwrap();
+    let Some(job) = st.jobs.get(&id) else {
         return;
     };
-    let merged = job.results.clone();
     let stats = job.stats;
-    let result = campaign.assemble_result(spec.domain, plan, merged);
-    job.outcome = Some((result, stats));
-    job.state = JobState::Done;
-    job.shards = Vec::new();
-    let _ = inner.append_timed(
-        &mut st,
-        &[Record::End {
-            job: id,
-            state: JobState::Done,
-        }],
-    );
-    inner.telemetry.counter(names::JOBS_FINISHED).incr();
-    drop(st);
-    inner.watch_cv.notify_all();
+    let result = campaign.assemble_result(spec.domain, plan, job.results.clone());
+    if !end_job(inner, st, id, JobState::Done, |job| {
+        job.outcome = Some((result, stats));
+    }) {
+        return;
+    }
 
     // Persist the injection-point facts this job's local runs
     // established, so later jobs over the same context start warm.
@@ -1484,6 +1465,89 @@ mod tests {
         assert_eq!(coord.cancel(9999), CancelOutcome::Unknown);
         drop(coord);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The refused-append oracle. For every k up to the number of appends
+    /// a small job needs, the journal refuses its k-th append: the
+    /// daemon must stop as a kill stops it, publishing nothing the
+    /// journal does not hold, and a restart on a working journal must
+    /// finish the job bit-identical to the in-process campaign, with
+    /// every experiment journaled exactly once.
+    #[test]
+    fn a_refused_append_stops_the_daemon_like_a_kill() {
+        let program = assemble_text("hi", HI).unwrap();
+        let campaign = Campaign::with_config(&program, CampaignConfig::sequential()).unwrap();
+        let expected = campaign.run_full_defuse_in(FaultDomain::Memory);
+        let config = ServeConfig {
+            workers: 1,
+            batch_size: 1,
+            ..ServeConfig::default()
+        };
+        for k in 1.. {
+            assert!(k < 64, "a one-shard-per-experiment job of `hi` ran away");
+            let path = temp_journal(&format!("refuse-{k}"));
+            let coord = Coordinator::open(&path, config.clone()).unwrap();
+            coord.inner.state.lock().unwrap().journal.refuse_after = Some(k - 1);
+            let submitted = coord.submit(hi_spec());
+            coord.wait_idle();
+            if !coord.crashed() {
+                // The job needed fewer than k appends: every one was refused once.
+                assert!(k > 3, "start, batch and end are at least three appends");
+                drop(coord);
+                std::fs::remove_file(&path).unwrap();
+                break;
+            }
+            let before = match submitted {
+                SubmitOutcome::Accepted(id) => {
+                    assert_eq!(coord.cancel(id), CancelOutcome::ShuttingDown, "k={k}");
+                    let state = coord.status(Some(id)).unwrap()[0].state;
+                    Some((id, state, coord.result(id)))
+                }
+                _ => None,
+            };
+            drop(coord);
+            let (_, records) = Journal::open(&path).unwrap();
+            let done = records.iter().any(|r| {
+                matches!(
+                    r,
+                    Record::End {
+                        state: JobState::Done,
+                        ..
+                    }
+                )
+            });
+            if let Some((id, state, result)) = &before {
+                assert_eq!(result.is_some(), done, "k={k}: job {id} result");
+                assert_eq!(state.is_terminal(), done, "k={k}: job {id} ended {state}");
+            }
+
+            let coord = Coordinator::open(&path, config.clone()).unwrap();
+            let id = match before {
+                Some((id, ..)) => id,
+                None => match coord.submit(hi_spec()) {
+                    SubmitOutcome::Accepted(id) => id,
+                    other => panic!("k={k}: a working journal refused a job: {other:?}"),
+                },
+            };
+            coord.wait_idle();
+            let (result, _) = coord.result(id).expect("the restart finishes the job");
+            assert_eq!(result, expected, "k={k}: restarted result drifted");
+            drop(coord);
+            let (_, records) = Journal::open(&path).unwrap();
+            let mut ids: Vec<u32> = records
+                .iter()
+                .filter_map(|r| match r {
+                    Record::Batch { job, results } if *job == id => Some(results),
+                    _ => None,
+                })
+                .flatten()
+                .map(|r| r.experiment.id)
+                .collect();
+            ids.sort_unstable();
+            let want: Vec<u32> = expected.results.iter().map(|r| r.experiment.id).collect();
+            assert_eq!(ids, want, "k={k}: every experiment exactly once");
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

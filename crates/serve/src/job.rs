@@ -1,6 +1,6 @@
 //! Job specs and the per-job state machine.
 
-use crate::wire::{self, Reader, WireError, Writer};
+use crate::wire::{self, Codec, Reader, WireError, Writer};
 use sofi_campaign::{CampaignConfig, ExecutorStats, FaultDomain};
 use std::fmt;
 
@@ -29,9 +29,11 @@ pub struct JobSpec {
     pub warm_store: bool,
 }
 
-impl JobSpec {
-    /// Serializes the spec.
-    pub fn encode(&self, w: &mut Writer) {
+impl Codec for JobSpec {
+    /// Name and source lengths, domain tag, five config words, store flag.
+    const MIN_BYTES: usize = 4 + 4 + 1 + 5 * 8 + 1;
+
+    fn put(&self, w: &mut Writer) {
         w.str(&self.name);
         w.str(&self.source);
         wire::put_domain(w, self.domain);
@@ -41,12 +43,7 @@ impl JobSpec {
         w.bool(self.warm_store);
     }
 
-    /// Deserializes a spec.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] on truncation or bad tags.
-    pub fn decode(r: &mut Reader<'_>) -> Result<JobSpec, WireError> {
+    fn take(r: &mut Reader<'_>) -> Result<JobSpec, WireError> {
         let name = r.str()?;
         let source = r.str()?;
         let domain = wire::take_domain(r)?;
@@ -157,9 +154,12 @@ pub struct JobStatus {
     pub stats: ExecutorStats,
 }
 
-impl JobStatus {
-    /// Serializes the status.
-    pub fn encode(&self, w: &mut Writer) {
+impl Codec for JobStatus {
+    /// Id, name length, domain and state tags, done, total, error
+    /// length, stats.
+    const MIN_BYTES: usize = 8 + 4 + 1 + 1 + 8 + 8 + 4 + ExecutorStats::MIN_BYTES;
+
+    fn put(&self, w: &mut Writer) {
         w.u64(self.id);
         w.str(&self.name);
         wire::put_domain(w, self.domain);
@@ -167,15 +167,10 @@ impl JobStatus {
         w.u64(self.done);
         w.u64(self.total);
         w.str(&self.error);
-        wire::put_stats(w, &self.stats);
+        self.stats.put(w);
     }
 
-    /// Deserializes a status.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] on truncation or bad tags.
-    pub fn decode(r: &mut Reader<'_>) -> Result<JobStatus, WireError> {
+    fn take(r: &mut Reader<'_>) -> Result<JobStatus, WireError> {
         Ok(JobStatus {
             id: r.u64()?,
             name: r.str()?,
@@ -184,7 +179,7 @@ impl JobStatus {
             done: r.u64()?,
             total: r.u64()?,
             error: r.str()?,
-            stats: wire::take_stats(r)?,
+            stats: ExecutorStats::take(r)?,
         })
     }
 }
@@ -212,9 +207,12 @@ pub struct WorkerStatus {
     pub last_seen_ms: u64,
 }
 
-impl WorkerStatus {
-    /// Serializes the status.
-    pub fn encode(&self, w: &mut Writer) {
+impl Codec for WorkerStatus {
+    /// Id, name length, alive flag, leases, shards, experiments, last
+    /// seen.
+    const MIN_BYTES: usize = 8 + 4 + 1 + 4 + 8 + 8 + 8;
+
+    fn put(&self, w: &mut Writer) {
         w.u64(self.id);
         w.str(&self.name);
         w.bool(self.alive);
@@ -224,12 +222,7 @@ impl WorkerStatus {
         w.u64(self.last_seen_ms);
     }
 
-    /// Deserializes a status.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] on truncation or bad tags.
-    pub fn decode(r: &mut Reader<'_>) -> Result<WorkerStatus, WireError> {
+    fn take(r: &mut Reader<'_>) -> Result<WorkerStatus, WireError> {
         Ok(WorkerStatus {
             id: r.u64()?,
             name: r.str()?,
@@ -241,9 +234,6 @@ impl WorkerStatus {
         })
     }
 }
-
-/// Minimum encoded size of a [`WorkerStatus`] (empty name).
-pub const WORKER_STATUS_MIN_BYTES: usize = 8 + 4 + 1 + 4 + 8 + 8 + 8;
 
 #[cfg(test)]
 mod tests {
@@ -261,10 +251,10 @@ mod tests {
             last_seen_ms: 17,
         };
         let mut w = Writer::new();
-        ws.encode(&mut w);
+        ws.put(&mut w);
         let buf = w.finish();
         let mut r = Reader::new(&buf);
-        assert_eq!(WorkerStatus::decode(&mut r).unwrap(), ws);
+        assert_eq!(WorkerStatus::take(&mut r).unwrap(), ws);
         r.expect_end().unwrap();
     }
 
@@ -282,10 +272,10 @@ mod tests {
             warm_store: false,
         };
         let mut w = Writer::new();
-        spec.encode(&mut w);
+        spec.put(&mut w);
         let buf = w.finish();
         let mut r = Reader::new(&buf);
-        assert_eq!(JobSpec::decode(&mut r).unwrap(), spec);
+        assert_eq!(JobSpec::take(&mut r).unwrap(), spec);
         r.expect_end().unwrap();
     }
 
@@ -327,8 +317,8 @@ mod tests {
             },
         };
         let mut w = Writer::new();
-        st.encode(&mut w);
+        st.put(&mut w);
         let buf = w.finish();
-        assert_eq!(JobStatus::decode(&mut Reader::new(&buf)).unwrap(), st);
+        assert_eq!(JobStatus::take(&mut Reader::new(&buf)).unwrap(), st);
     }
 }

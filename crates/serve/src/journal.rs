@@ -11,10 +11,16 @@
 //! refused untouched. Experiment outcomes are journaled *before* the
 //! in-memory progress counter advances, so replay can only
 //! over-approximate pending work, never lose a committed result.
+//!
+//! Record tags: 0 `JobStart`, 1 `Batch`, 2 `End`. Tag 3 was an advisory
+//! shard-lease record that recovery never read; it is no longer written,
+//! and replay skips it, so a journal from a daemon that had remote
+//! workers still opens. The coordinator stops when the journal refuses
+//! an append (see [`crate::coordinator`]).
 
 use crate::job::{JobSpec, JobState};
 use crate::record_log::RecordLog;
-use crate::wire::{self, Reader, WireError, Writer};
+use crate::wire::{Codec, Reader, WireError, Writer};
 use sofi_campaign::ExperimentResult;
 use std::collections::HashMap;
 use std::io;
@@ -46,21 +52,6 @@ pub enum Record {
         /// `Done`, `Failed` or `Cancelled`.
         state: JobState,
     },
-    /// Advisory: a fault-list shard was leased to a worker. Purely
-    /// observational — recovery derives progress from `Batch` records
-    /// alone (a lease without a committed batch is simply re-queued on
-    /// restart), but the record gives post-mortem tooling a timeline of
-    /// which worker held which shard.
-    Lease {
-        /// Job id.
-        job: u64,
-        /// Shard index within the job's current dispatch tail.
-        shard: u32,
-        /// Coordinator-assigned lease id.
-        lease: u64,
-        /// Worker id the shard was leased to (0 = the local driver).
-        worker: u64,
-    },
 }
 
 impl Record {
@@ -70,63 +61,49 @@ impl Record {
             Record::JobStart { job, spec } => {
                 w.u8(0);
                 w.u64(*job);
-                spec.encode(&mut w);
+                spec.put(&mut w);
             }
             Record::Batch { job, results } => {
                 w.u8(1);
                 w.u64(*job);
-                w.u32(results.len() as u32);
-                for r in results {
-                    wire::put_experiment_result(&mut w, r);
-                }
+                w.seq(results);
             }
             Record::End { job, state } => {
                 w.u8(2);
                 w.u64(*job);
                 w.u8(state.encode());
             }
-            Record::Lease {
-                job,
-                shard,
-                lease,
-                worker,
-            } => {
-                w.u8(3);
-                w.u64(*job);
-                w.u32(*shard);
-                w.u64(*lease);
-                w.u64(*worker);
-            }
         }
         w.finish()
     }
 
-    fn decode(payload: &[u8]) -> Result<Record, WireError> {
+    /// Decodes one record; `None` for a tag-3 lease record, which replay
+    /// skips.
+    fn decode(payload: &[u8]) -> Result<Option<Record>, WireError> {
         let mut r = Reader::new(payload);
         let rec = match r.u8()? {
-            0 => Record::JobStart {
+            0 => Some(Record::JobStart {
                 job: r.u64()?,
-                spec: JobSpec::decode(&mut r)?,
-            },
-            1 => {
-                let job = r.u64()?;
-                let n = r.seq_len(wire::EXPERIMENT_RESULT_MIN_BYTES)?;
-                let mut results = Vec::with_capacity(n);
-                for _ in 0..n {
-                    results.push(wire::take_experiment_result(&mut r)?);
-                }
-                Record::Batch { job, results }
-            }
-            2 => Record::End {
+                spec: JobSpec::take(&mut r)?,
+            }),
+            1 => Some(Record::Batch {
+                job: r.u64()?,
+                results: r.seq()?,
+            }),
+            2 => Some(Record::End {
                 job: r.u64()?,
                 state: JobState::decode(&mut r)?,
-            },
-            3 => Record::Lease {
-                job: r.u64()?,
-                shard: r.u32()?,
-                lease: r.u64()?,
-                worker: r.u64()?,
-            },
+            }),
+            // A shard-lease record (job u64, shard u32, lease u64, worker
+            // u64): no longer written, but journals from daemons that had
+            // remote workers hold them, and recovery needs none.
+            3 => {
+                r.u64()?;
+                r.u32()?;
+                r.u64()?;
+                r.u64()?;
+                None
+            }
             t => return Err(r.err(format!("bad journal record tag {t}"))),
         };
         r.expect_end()?;
@@ -140,6 +117,10 @@ pub struct Journal {
     log: RecordLog,
     path: PathBuf,
     commits: u64,
+    /// Test seam: how many appends succeed before the one that is
+    /// refused (`None`: none is).
+    #[cfg(test)]
+    pub(crate) refuse_after: Option<u64>,
 }
 
 impl Journal {
@@ -171,8 +152,10 @@ impl Journal {
                 log,
                 path: path.to_path_buf(),
                 commits,
+                #[cfg(test)]
+                refuse_after: None,
             },
-            records,
+            records.into_iter().flatten().collect(),
         ))
     }
 
@@ -186,6 +169,13 @@ impl Journal {
     /// committed and the file is rolled back to the record boundary
     /// before the group.
     pub fn append(&mut self, records: &[Record]) -> io::Result<()> {
+        #[cfg(test)]
+        if let Some(left) = self.refuse_after {
+            self.refuse_after = left.checked_sub(1);
+            if left == 0 {
+                return Err(io::Error::other("append refused by the test seam"));
+            }
+        }
         let payloads: Vec<Vec<u8>> = records.iter().map(Record::encode).collect();
         self.log.append(payloads.iter().map(Vec::as_slice))?;
         self.commits += records.len() as u64;
@@ -247,10 +237,6 @@ pub fn recover(records: Vec<Record>) -> Vec<RecoveredJob> {
                     j.end = Some(state);
                 }
             }
-            // Advisory only: leases carry no outcomes, so recovery
-            // ignores them — an uncommitted leased shard is naturally
-            // part of the uncovered tail and gets re-dispatched.
-            Record::Lease { .. } => {}
         }
     }
     order
@@ -263,6 +249,7 @@ pub fn recover(records: Vec<Record>) -> Vec<RecoveredJob> {
 mod tests {
     use super::*;
     use crate::record_log::frame;
+    use crate::wire;
     use sofi_campaign::{CampaignConfig, FaultDomain, Outcome};
     use sofi_space::{Experiment, FaultCoord};
 
@@ -430,35 +417,6 @@ mod tests {
         let err = Journal::open(&path).unwrap_err();
         assert!(err.to_string().contains(&format!("byte offset {offset}")));
         assert_eq!(std::fs::read(&path).unwrap(), later);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn lease_records_round_trip_and_are_advisory() {
-        let path = temp_path("lease");
-        let _ = std::fs::remove_file(&path);
-        let lease = Record::Lease {
-            job: 1,
-            shard: 4,
-            lease: 77,
-            worker: 3,
-        };
-        {
-            let (mut j, _) = Journal::open(&path).unwrap();
-            j.append(&[Record::JobStart {
-                job: 1,
-                spec: spec(),
-            }])
-            .unwrap();
-            j.append(std::slice::from_ref(&lease)).unwrap();
-            j.append(&[batch(1, &[0])]).unwrap();
-        }
-        let (_, replayed) = Journal::open(&path).unwrap();
-        assert_eq!(replayed[1], lease);
-        let recovered = recover(replayed);
-        assert_eq!(recovered.len(), 1);
-        assert_eq!(recovered[0].results.len(), 1, "lease adds no results");
-        assert_eq!(recovered[0].end, None);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -3,8 +3,13 @@
 //! A std-only (no external dependencies) client/server layer over the
 //! `sofi-campaign` executor:
 //!
+//! - [`wire`] — the one binary codec: a `put_*`/`take_*` pair per tag
+//!   enum and a [`wire::Codec`] impl per record type, whose minimum
+//!   size bounds every sequence of it. Frames, journal records and
+//!   warm-store batches are all built from it.
 //! - [`protocol`] — a versioned, length-prefixed, checksummed binary
-//!   frame format ([`protocol::Message`]); decoding is total and never
+//!   frame format ([`protocol::Message`]), read by one resumable
+//!   [`protocol::FrameReader`] on both ends; decoding is total and never
 //!   panics.
 //! - [`job`] — job specs (name + assembly source + fault domain +
 //!   packed [`sofi_campaign::CampaignConfig`]) and the
@@ -12,7 +17,8 @@
 //! - [`journal`] — an append-only, per-record-checksummed, fsync'd
 //!   result journal; a killed daemon replays the valid prefix on
 //!   restart and resumes interrupted campaigns from the uncovered tail
-//!   of their fault lists.
+//!   of their fault lists. A journal that refuses an append stops the
+//!   daemon the same way a kill does.
 //! - [`coordinator`] — the bounded in-memory job queue, the shard/lease
 //!   table for remote workers, and the local driver pool streaming
 //!   fault-list shards through [`sofi_campaign::Campaign::run_shards`]

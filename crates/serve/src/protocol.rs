@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "SOFI"
-//! 4       2     protocol version (currently 5), little-endian
+//! 4       2     protocol version (currently 7), little-endian
 //! 6       2     message kind, little-endian
 //! 8       4     payload length in bytes, little-endian
 //! 12      4     FNV-1a-32 checksum, little-endian
@@ -23,8 +23,8 @@
 //! the header alone, before any allocation, so a malicious or corrupt
 //! peer cannot balloon the daemon's memory.
 
-use crate::job::{JobSpec, JobStatus, WorkerStatus, WORKER_STATUS_MIN_BYTES};
-use crate::wire::{self, Reader, WireError, Writer};
+use crate::job::{JobSpec, JobStatus, WorkerStatus};
+use crate::wire::{self, Codec, Reader, WireError, Writer};
 use sofi_campaign::{CampaignResult, ExecutorStats, ExperimentResult, MemoRecord};
 use sofi_space::Experiment;
 use sofi_telemetry::Snapshot;
@@ -401,7 +401,7 @@ impl Message {
         let mut w = Writer::new();
         match self {
             Message::Submit { spec, wait } => {
-                spec.encode(&mut w);
+                spec.put(&mut w);
                 w.bool(*wait);
             }
             Message::Status { job } | Message::Stats { job } => match job {
@@ -428,27 +428,16 @@ impl Message {
                 w.u64(*lease);
                 w.u64(*job);
                 w.u32(*shard);
-                w.u32(results.len() as u32);
-                for r in results {
-                    wire::put_experiment_result(&mut w, r);
-                }
-                wire::put_stats(&mut w, stats);
-                w.u32(memo.len() as u32);
-                for m in memo {
-                    wire::put_memo_record(&mut w, m);
-                }
+                w.seq(results);
+                stats.put(&mut w);
+                w.seq(memo);
             }
             Message::Accepted { job } => w.u64(*job),
             Message::Busy { queued, capacity } => {
                 w.u32(*queued);
                 w.u32(*capacity);
             }
-            Message::StatusReport { jobs } => {
-                w.u32(jobs.len() as u32);
-                for j in jobs {
-                    j.encode(&mut w);
-                }
-            }
+            Message::StatusReport { jobs } => w.seq(jobs),
             Message::Progress {
                 job,
                 done,
@@ -458,16 +447,16 @@ impl Message {
                 w.u64(*job);
                 w.u64(*done);
                 w.u64(*total);
-                wire::put_stats(&mut w, stats);
+                stats.put(&mut w);
             }
             Message::JobResult { job, result, stats } => {
                 w.u64(*job);
-                wire::put_campaign_result(&mut w, result);
-                wire::put_stats(&mut w, stats);
+                result.put(&mut w);
+                stats.put(&mut w);
             }
             Message::Cancelled { job } => w.u64(*job),
             Message::Error { message } => w.str(message),
-            Message::Telemetry { snapshot } => wire::put_snapshot(&mut w, snapshot),
+            Message::Telemetry { snapshot } => snapshot.put(&mut w),
             Message::Registered { worker, lease_ms } => {
                 w.u64(*worker);
                 w.u64(*lease_ms);
@@ -482,20 +471,12 @@ impl Message {
                 w.u64(*lease);
                 w.u64(*job);
                 w.u32(*shard);
-                spec.encode(&mut w);
-                w.u32(experiments.len() as u32);
-                for e in experiments {
-                    wire::put_experiment(&mut w, e);
-                }
+                spec.put(&mut w);
+                w.seq(experiments);
             }
             Message::NoWork { draining } => w.bool(*draining),
             Message::UploadAck { outcome } => w.u8(outcome.encode()),
-            Message::WorkerReport { workers } => {
-                w.u32(workers.len() as u32);
-                for ws in workers {
-                    ws.encode(&mut w);
-                }
-            }
+            Message::WorkerReport { workers } => w.seq(workers),
             Message::HeartbeatAck { draining, known } => {
                 w.bool(*draining);
                 w.bool(*known);
@@ -507,11 +488,10 @@ impl Message {
     fn decode_payload(kind: u16, payload: &[u8]) -> Result<Message, ProtocolError> {
         let mut r = Reader::new(payload);
         let msg = match kind {
-            1 => {
-                let spec = JobSpec::decode(&mut r)?;
-                let wait = r.bool()?;
-                Message::Submit { spec, wait }
-            }
+            1 => Message::Submit {
+                spec: JobSpec::take(&mut r)?,
+                wait: r.bool()?,
+            },
             2 => {
                 let job = if r.bool()? { Some(r.u64()?) } else { None };
                 Message::Status { job }
@@ -525,101 +505,57 @@ impl Message {
             6 => Message::Register { name: r.str()? },
             7 => Message::Heartbeat { worker: r.u64()? },
             8 => Message::LeaseRequest { worker: r.u64()? },
-            9 => {
-                let worker = r.u64()?;
-                let lease = r.u64()?;
-                let job = r.u64()?;
-                let shard = r.u32()?;
-                let n = r.seq_len(wire::EXPERIMENT_RESULT_MIN_BYTES)?;
-                let mut results = Vec::with_capacity(n);
-                for _ in 0..n {
-                    results.push(wire::take_experiment_result(&mut r)?);
-                }
-                let stats = wire::take_stats(&mut r)?;
-                let m = r.seq_len(wire::MEMO_RECORD_MIN_BYTES)?;
-                let mut memo = Vec::with_capacity(m);
-                for _ in 0..m {
-                    memo.push(wire::take_memo_record(&mut r)?);
-                }
-                Message::PartialUpload {
-                    worker,
-                    lease,
-                    job,
-                    shard,
-                    results,
-                    stats,
-                    memo,
-                }
-            }
+            9 => Message::PartialUpload {
+                worker: r.u64()?,
+                lease: r.u64()?,
+                job: r.u64()?,
+                shard: r.u32()?,
+                results: r.seq()?,
+                stats: ExecutorStats::take(&mut r)?,
+                memo: r.seq()?,
+            },
             10 => Message::Workers,
             100 => Message::Accepted { job: r.u64()? },
             101 => Message::Busy {
                 queued: r.u32()?,
                 capacity: r.u32()?,
             },
-            102 => {
-                // A JobStatus is ≥ 30 bytes (3 u64s + domain + state +
-                // two length prefixes); 8 is a safe lower bound.
-                let n = r.seq_len(8)?;
-                let mut jobs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    jobs.push(JobStatus::decode(&mut r)?);
-                }
-                Message::StatusReport { jobs }
-            }
+            102 => Message::StatusReport { jobs: r.seq()? },
             103 => Message::Progress {
                 job: r.u64()?,
                 done: r.u64()?,
                 total: r.u64()?,
-                stats: wire::take_stats(&mut r)?,
+                stats: ExecutorStats::take(&mut r)?,
             },
             104 => Message::JobResult {
                 job: r.u64()?,
-                result: wire::take_campaign_result(&mut r)?,
-                stats: wire::take_stats(&mut r)?,
+                result: CampaignResult::take(&mut r)?,
+                stats: ExecutorStats::take(&mut r)?,
             },
             105 => Message::Cancelled { job: r.u64()? },
             106 => Message::Error { message: r.str()? },
             107 => Message::ShuttingDown,
             108 => Message::Telemetry {
-                snapshot: wire::take_snapshot(&mut r)?,
+                snapshot: Snapshot::take(&mut r)?,
             },
             109 => Message::Registered {
                 worker: r.u64()?,
                 lease_ms: r.u64()?,
             },
-            110 => {
-                let lease = r.u64()?;
-                let job = r.u64()?;
-                let shard = r.u32()?;
-                let spec = JobSpec::decode(&mut r)?;
-                let n = r.seq_len(wire::EXPERIMENT_BYTES)?;
-                let mut experiments = Vec::with_capacity(n);
-                for _ in 0..n {
-                    experiments.push(wire::take_experiment(&mut r)?);
-                }
-                Message::LeaseGrant {
-                    lease,
-                    job,
-                    shard,
-                    spec,
-                    experiments,
-                }
-            }
+            110 => Message::LeaseGrant {
+                lease: r.u64()?,
+                job: r.u64()?,
+                shard: r.u32()?,
+                spec: JobSpec::take(&mut r)?,
+                experiments: r.seq()?,
+            },
             111 => Message::NoWork {
                 draining: r.bool()?,
             },
             112 => Message::UploadAck {
                 outcome: UploadOutcome::decode(&mut r)?,
             },
-            113 => {
-                let n = r.seq_len(WORKER_STATUS_MIN_BYTES)?;
-                let mut workers = Vec::with_capacity(n);
-                for _ in 0..n {
-                    workers.push(WorkerStatus::decode(&mut r)?);
-                }
-                Message::WorkerReport { workers }
-            }
+            113 => Message::WorkerReport { workers: r.seq()? },
             114 => Message::HeartbeatAck {
                 draining: r.bool()?,
                 known: r.bool()?,
@@ -715,45 +651,16 @@ pub fn write_message<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads one framed message from `r`.
+/// The frame reader of both ends, daemon and client: it buffers a
+/// partially received frame across read timeouts.
 ///
-/// Returns `Ok(None)` on a clean end-of-stream at a frame boundary (the
-/// peer closed the connection between messages); EOF *inside* a frame is
-/// [`ProtocolError::Truncated`].
-///
-/// # Errors
-///
-/// Returns a typed [`ProtocolError`] on malformed frames or I/O failure
-/// (including [`ProtocolError::Io`] with `TimedOut`/`WouldBlock` when a
-/// read timeout configured on the underlying socket expires).
-pub fn read_message<R: Read>(r: &mut R) -> Result<Option<Message>, ProtocolError> {
-    let mut header = [0u8; HEADER_LEN];
-    match read_exact_or_eof(r, &mut header)? {
-        ReadOutcome::CleanEof => return Ok(None),
-        ReadOutcome::Filled => {}
-    }
-    let (kind, len) = check_header(&header)?;
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload).map_err(|e| match e.kind() {
-        io::ErrorKind::UnexpectedEof => ProtocolError::Truncated,
-        kind => ProtocolError::Io(kind),
-    })?;
-    verify_checksum(&header, &payload)?;
-    Message::decode_payload(kind, &payload).map(Some)
-}
-
-/// A resumable frame reader: buffers partially received frames across
-/// read timeouts.
-///
-/// [`read_message`] loses any bytes already consumed when a socket read
-/// timeout fires mid-frame — a retry then starts in the *middle* of the
-/// old frame and surfaces a bogus `BadMagic`/`BadChecksum` instead of
-/// the retryable timeout it really was. `FrameReader` keeps those bytes:
-/// a call that fails with [`ProtocolError::Io`] (`TimedOut`/`WouldBlock`)
+/// A call that fails with [`ProtocolError::Io`] (`TimedOut`/`WouldBlock`)
 /// leaves the partial frame buffered, and the next call resumes exactly
-/// where the stream stalled. Reads never cross a frame boundary, so one
-/// reader can be dropped between messages without desynchronizing the
-/// stream.
+/// where the stream stalled; dropping those bytes would start the retry
+/// in the *middle* of the frame and surface a bogus
+/// `BadMagic`/`BadChecksum` instead of the retryable timeout it really
+/// was. Reads never cross a frame boundary, so one reader can be dropped
+/// between messages without desynchronizing the stream.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -774,15 +681,16 @@ impl FrameReader {
     }
 
     /// Reads one framed message, resuming any frame a previous timeout
-    /// interrupted. Semantics match [`read_message`] otherwise:
-    /// `Ok(None)` on clean EOF at a frame boundary, typed errors for
-    /// malformed frames.
+    /// interrupted. Returns `Ok(None)` on a clean end-of-stream at a
+    /// frame boundary (the peer closed the connection between messages);
+    /// EOF *inside* a frame is [`ProtocolError::Truncated`].
     ///
     /// # Errors
     ///
-    /// As [`read_message`]; additionally, after an
-    /// [`ProtocolError::Io`] timeout the reader stays valid and the
-    /// next call continues the same frame.
+    /// A typed [`ProtocolError`] on malformed frames or I/O failure,
+    /// including [`ProtocolError::Io`] with `TimedOut`/`WouldBlock` when
+    /// a read timeout set on the socket expires; after such a timeout the
+    /// reader stays valid and the next call continues the same frame.
     pub fn read<R: Read>(&mut self, r: &mut R) -> Result<Option<Message>, ProtocolError> {
         while self.buf.len() < HEADER_LEN {
             if !self.fill(r, HEADER_LEN)? {
@@ -826,32 +734,6 @@ impl FrameReader {
             Err(e) => Err(ProtocolError::Io(e.kind())),
         }
     }
-}
-
-enum ReadOutcome {
-    Filled,
-    CleanEof,
-}
-
-/// `read_exact`, except an EOF before the *first* byte is reported as
-/// clean rather than an error.
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<ReadOutcome, ProtocolError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(ReadOutcome::CleanEof)
-                } else {
-                    Err(ProtocolError::Truncated)
-                };
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtocolError::Io(e.kind())),
-        }
-    }
-    Ok(ReadOutcome::Filled)
 }
 
 #[cfg(test)]
@@ -1026,10 +908,11 @@ mod tests {
             write_message(&mut buf, &msg).unwrap();
         }
         let mut cursor = io::Cursor::new(buf);
+        let mut reader = FrameReader::new();
         for msg in sample_messages() {
-            assert_eq!(read_message(&mut cursor).unwrap(), Some(msg));
+            assert_eq!(reader.read(&mut cursor).unwrap(), Some(msg));
         }
-        assert_eq!(read_message(&mut cursor).unwrap(), None);
+        assert_eq!(reader.read(&mut cursor).unwrap(), None);
     }
 
     /// A well-formed frame (valid checksum) with an arbitrary kind and

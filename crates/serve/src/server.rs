@@ -15,7 +15,7 @@
 
 use crate::coordinator::{CancelOutcome, Coordinator, LeaseOffer, ServeConfig, SubmitOutcome};
 use crate::job::JobSpec;
-use crate::protocol::{read_message, write_message, Message, ProtocolError};
+use crate::protocol::{write_message, FrameReader, Message, ProtocolError};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -303,8 +303,9 @@ fn request_shutdown(shutdown: &AtomicBool, addr: &str) {
 
 fn handle_connection(mut conn: Conn, sched: &Coordinator, shutdown: &AtomicBool, addr: &str) {
     let _ = conn.set_read_timeout(Some(sched.config().idle_timeout));
+    let mut reader = FrameReader::new();
     loop {
-        let msg = match read_message(&mut conn) {
+        let msg = match reader.read(&mut conn) {
             Ok(Some(msg)) => msg,
             Ok(None) => return, // client closed between frames
             Err(ProtocolError::Io(io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock)) => {
@@ -356,6 +357,7 @@ fn handle_connection(mut conn: Conn, sched: &Coordinator, shutdown: &AtomicBool,
                     CancelOutcome::Unknown => Message::Error {
                         message: format!("no such job {job}"),
                     },
+                    CancelOutcome::ShuttingDown => Message::ShuttingDown,
                 };
                 write_message(&mut conn, &reply).is_ok()
             }

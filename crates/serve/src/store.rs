@@ -20,7 +20,6 @@
 use crate::record_log::RecordLog;
 use crate::wire::{self, Reader, WireError, Writer};
 use sofi_campaign::{CampaignConfig, FaultDomain, MemoRecord};
-use sofi_machine::StateDigest;
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -48,23 +47,17 @@ fn fnv1a64_from(mut state: u64, bytes: &[u8]) -> u64 {
 /// `timeout_factor` and `timeout_slack`, and the machine's
 /// `serial_limit`). Threads and telemetry are outcome-neutral and
 /// deliberately excluded, so runs that differ only there share one warm
-/// context.
+/// context. The hashed bytes are the source followed by the domain's
+/// wire tag and the three fields as little-endian `u64`s.
 pub fn context_key(source: &str, domain: FaultDomain, config: &CampaignConfig) -> ContextKey {
-    let mut ctx = Vec::with_capacity(source.len() + 32);
-    ctx.extend_from_slice(source.as_bytes());
-    ctx.push(match domain {
-        FaultDomain::Memory => 0,
-        FaultDomain::RegisterFile => 1,
-        FaultDomain::InstrSkip => 2,
-        FaultDomain::OpcodeBit => 3,
-        FaultDomain::BranchInvert => 4,
-    });
-    ctx.extend_from_slice(&config.timeout_factor.to_le_bytes());
-    ctx.extend_from_slice(&config.timeout_slack.to_le_bytes());
-    ctx.extend_from_slice(&(config.machine.serial_limit as u64).to_le_bytes());
-    let lo = fnv1a64_from(0xCBF2_9CE4_8422_2325, &ctx);
-    let hi = fnv1a64_from(0x6C62_272E_07BB_0142, &ctx);
-    (u128::from(hi) << 64) | u128::from(lo)
+    let mut w = Writer::new();
+    wire::put_domain(&mut w, domain);
+    w.u64(config.timeout_factor);
+    w.u64(config.timeout_slack);
+    w.u64(config.machine.serial_limit as u64);
+    let tail = w.finish();
+    let lane = |basis| fnv1a64_from(fnv1a64_from(basis, source.as_bytes()), &tail);
+    (u128::from(lane(0x6C62_272E_07BB_0142)) << 64) | u128::from(lane(0xCBF2_9CE4_8422_2325))
 }
 
 /// One store record: a batch of memo facts for one context, exported by
@@ -72,22 +65,10 @@ pub fn context_key(source: &str, domain: FaultDomain, config: &CampaignConfig) -
 fn encode_batch(ctx: ContextKey, records: &[MemoRecord]) -> Vec<u8> {
     let mut w = Writer::new();
     w.u8(0); // record tag, for future format evolution
-    w.u64((ctx >> 64) as u64);
-    w.u64(ctx as u64);
-    w.u32(records.len() as u32);
-    for r in records {
-        w.u64(r.cycle);
-        let bits = r.digest.to_bits();
-        w.u64((bits >> 64) as u64);
-        w.u64(bits as u64);
-        wire::put_outcome(&mut w, r.outcome);
-        w.u64(r.final_cycle);
-    }
+    w.u128(ctx);
+    w.seq(records);
     w.finish()
 }
-
-/// Minimum encoded size of one memo fact (outcome tag is ≥ 1 byte).
-const MEMO_RECORD_MIN_BYTES: usize = 8 + 16 + 1 + 8;
 
 fn decode_batch(payload: &[u8]) -> Result<(ContextKey, Vec<MemoRecord>), WireError> {
     let mut r = Reader::new(payload);
@@ -95,27 +76,9 @@ fn decode_batch(payload: &[u8]) -> Result<(ContextKey, Vec<MemoRecord>), WireErr
         0 => {}
         t => return Err(r.err(format!("bad warm-store record tag {t}"))),
     }
-    let hi = r.u64()?;
-    let lo = r.u64()?;
-    let ctx = (u128::from(hi) << 64) | u128::from(lo);
-    let n = r.seq_len(MEMO_RECORD_MIN_BYTES)?;
-    let mut records = Vec::with_capacity(n);
-    for _ in 0..n {
-        let cycle = r.u64()?;
-        let d_hi = r.u64()?;
-        let d_lo = r.u64()?;
-        let digest = StateDigest::from_bits((u128::from(d_hi) << 64) | u128::from(d_lo));
-        let outcome = wire::take_outcome(&mut r)?;
-        let final_cycle = r.u64()?;
-        records.push(MemoRecord {
-            cycle,
-            digest,
-            outcome,
-            final_cycle,
-        });
-    }
+    let batch = (r.u128()?, r.seq()?);
     r.expect_end()?;
-    Ok((ctx, records))
+    Ok(batch)
 }
 
 /// An open warm store positioned at the end of its valid prefix, with

@@ -1,9 +1,12 @@
 //! Binary wire codec: primitives + result-type encodings.
 //!
 //! Everything the daemon persists or ships over a socket — frames, journal
-//! records, job specs, campaign results — reduces to this little-endian
-//! codec. It is deliberately dumb: fixed-width integers, length-prefixed
-//! strings/sequences, one tag byte per enum variant. Decoding is total
+//! records, warm-store batches, job specs, campaign results — reduces to
+//! this little-endian codec. It is deliberately dumb: fixed-width
+//! integers, length-prefixed strings/sequences, one tag byte per enum
+//! variant. Each type has one encoding: a tag enum a `put_*`/`take_*`
+//! pair, a record type a [`Codec`] impl, whose `MIN_BYTES` bounds every
+//! sequence of it ([`Writer::seq`], [`Reader::seq`]). Decoding is total
 //! (never panics on arbitrary bytes) and returns a typed [`WireError`]
 //! with the offending byte offset, which the protocol layer surfaces as
 //! `ProtocolError::Malformed`.
@@ -58,6 +61,25 @@ pub fn fnv1a32_update(mut state: u32, bytes: &[u8]) -> u32 {
     state
 }
 
+/// A record type's one encoding. `MIN_BYTES` is the fewest bytes any
+/// value encodes to: [`Reader::seq`] refuses a claimed length whose
+/// elements could not fit in what is left of the buffer, before it
+/// reserves room for them.
+pub trait Codec: Sized {
+    /// The fewest bytes any value encodes to.
+    const MIN_BYTES: usize;
+
+    /// Appends this value's encoding.
+    fn put(&self, w: &mut Writer);
+
+    /// Decodes one value.
+    ///
+    /// # Errors
+    ///
+    /// A [`WireError`] on truncation, a bad tag or a broken invariant.
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError>;
+}
+
 /// Append-only encoder over a byte buffer.
 #[derive(Debug, Default)]
 pub struct Writer {
@@ -95,6 +117,12 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Appends a `u128` as two little-endian `u64`s, high half first.
+    pub fn u128(&mut self, v: u128) {
+        self.u64((v >> 64) as u64);
+        self.u64(v as u64);
+    }
+
     /// Appends a bool as one byte.
     pub fn bool(&mut self, v: bool) {
         self.u8(u8::from(v));
@@ -106,10 +134,12 @@ impl Writer {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Appends length-prefixed (`u32`) raw bytes.
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
+    /// Appends a length-prefixed (`u32`) sequence.
+    pub fn seq<T: Codec>(&mut self, items: &[T]) {
+        self.u32(items.len() as u32);
+        for item in items {
+            item.put(self);
+        }
     }
 }
 
@@ -178,6 +208,13 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8, "u64")?.try_into().unwrap()))
     }
 
+    /// Reads a `u128` written by [`Writer::u128`].
+    pub fn u128(&mut self) -> Result<u128, WireError> {
+        let hi = self.u64()?;
+        let lo = self.u64()?;
+        Ok((u128::from(hi) << 64) | u128::from(lo))
+    }
+
     /// Reads a one-byte bool (strict: only 0 and 1 are valid).
     pub fn bool(&mut self) -> Result<bool, WireError> {
         match self.u8()? {
@@ -200,29 +237,22 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| self.err("string is not valid UTF-8"))
     }
 
-    /// Reads length-prefixed raw bytes.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
+    /// Reads a sequence written by [`Writer::seq`]. A claimed length
+    /// whose elements, at `T::MIN_BYTES` each, could not fit in the
+    /// remaining bytes is an error before anything is reserved.
+    pub fn seq<T: Codec>(&mut self) -> Result<Vec<T>, WireError> {
         let len = self.u32()? as usize;
-        if len > self.remaining() {
-            return Err(self.err(format!(
-                "byte-array length {len} exceeds remaining {} bytes",
-                self.remaining()
-            )));
-        }
-        Ok(self.take(len, "byte-array body")?.to_vec())
-    }
-
-    /// Reads a `u32` sequence length, bounding it by what could possibly
-    /// fit in the remaining bytes at `min_elem` bytes per element.
-    pub fn seq_len(&mut self, min_elem: usize) -> Result<usize, WireError> {
-        let len = self.u32()? as usize;
-        if len.saturating_mul(min_elem.max(1)) > self.remaining() {
+        if len.saturating_mul(T::MIN_BYTES) > self.remaining() {
             return Err(self.err(format!(
                 "sequence length {len} exceeds remaining {} bytes",
                 self.remaining()
             )));
         }
-        Ok(len)
+        let mut items = Vec::with_capacity(len);
+        for _ in 0..len {
+            items.push(T::take(self)?);
+        }
+        Ok(items)
     }
 }
 
@@ -347,262 +377,243 @@ pub fn take_outcome(r: &mut Reader<'_>) -> Result<Outcome, WireError> {
     }
 }
 
-/// Encodes one [`ExperimentResult`] (experiment + outcome).
-pub fn put_experiment_result(w: &mut Writer, res: &ExperimentResult) {
-    w.u32(res.experiment.id);
-    w.u64(res.experiment.coord.cycle);
-    w.u64(res.experiment.coord.bit);
-    w.u64(res.experiment.weight);
-    put_outcome(w, res.outcome);
-}
+/// One bare [`Experiment`] (no outcome): the unit shipped in a lease
+/// grant.
+impl Codec for Experiment {
+    const MIN_BYTES: usize = 4 + 8 + 8 + 8;
 
-/// Decodes one [`ExperimentResult`].
-pub fn take_experiment_result(r: &mut Reader<'_>) -> Result<ExperimentResult, WireError> {
-    Ok(ExperimentResult {
-        experiment: Experiment {
+    fn put(&self, w: &mut Writer) {
+        w.u32(self.id);
+        w.u64(self.coord.cycle);
+        w.u64(self.coord.bit);
+        w.u64(self.weight);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Experiment, WireError> {
+        Ok(Experiment {
             id: r.u32()?,
             coord: FaultCoord {
                 cycle: r.u64()?,
                 bit: r.u64()?,
             },
             weight: r.u64()?,
-        },
-        outcome: take_outcome(r)?,
-    })
+        })
+    }
 }
 
-/// Minimum encoded size of an [`ExperimentResult`] (for sequence-length
-/// sanity bounds).
-pub const EXPERIMENT_RESULT_MIN_BYTES: usize = 4 + 8 + 8 + 8 + 1;
+/// An [`Experiment`] followed by its outcome.
+impl Codec for ExperimentResult {
+    /// The experiment, then at least the outcome's tag byte.
+    const MIN_BYTES: usize = Experiment::MIN_BYTES + 1;
 
-/// Encodes one bare [`Experiment`] (no outcome) — the unit shipped in a
-/// lease grant.
-pub fn put_experiment(w: &mut Writer, e: &Experiment) {
-    w.u32(e.id);
-    w.u64(e.coord.cycle);
-    w.u64(e.coord.bit);
-    w.u64(e.weight);
+    fn put(&self, w: &mut Writer) {
+        self.experiment.put(w);
+        put_outcome(w, self.outcome);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<ExperimentResult, WireError> {
+        Ok(ExperimentResult {
+            experiment: Experiment::take(r)?,
+            outcome: take_outcome(r)?,
+        })
+    }
 }
 
-/// Decodes one bare [`Experiment`].
-pub fn take_experiment(r: &mut Reader<'_>) -> Result<Experiment, WireError> {
-    Ok(Experiment {
-        id: r.u32()?,
-        coord: FaultCoord {
+/// One memoized fault-equivalence fact: the unit of the warm store, and
+/// what a remote worker's partial upload ships home so the coordinator's
+/// store keeps learning from remote work.
+impl Codec for MemoRecord {
+    /// Cycle, digest, at least the outcome's tag byte, final cycle.
+    const MIN_BYTES: usize = 8 + 16 + 1 + 8;
+
+    fn put(&self, w: &mut Writer) {
+        w.u64(self.cycle);
+        w.u128(self.digest.to_bits());
+        put_outcome(w, self.outcome);
+        w.u64(self.final_cycle);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<MemoRecord, WireError> {
+        Ok(MemoRecord {
             cycle: r.u64()?,
-            bit: r.u64()?,
-        },
-        weight: r.u64()?,
-    })
-}
-
-/// Encoded size of a bare [`Experiment`] (fixed width).
-pub const EXPERIMENT_BYTES: usize = 4 + 8 + 8 + 8;
-
-/// Encodes one memoized fault-equivalence fact — the facts a remote
-/// worker's shard established, shipped home in a partial upload so the
-/// coordinator's warm store keeps learning from remote work.
-pub fn put_memo_record(w: &mut Writer, m: &MemoRecord) {
-    w.u64(m.cycle);
-    let bits = m.digest.to_bits();
-    w.u64((bits >> 64) as u64);
-    w.u64(bits as u64);
-    put_outcome(w, m.outcome);
-    w.u64(m.final_cycle);
-}
-
-/// Decodes one [`MemoRecord`].
-pub fn take_memo_record(r: &mut Reader<'_>) -> Result<MemoRecord, WireError> {
-    let cycle = r.u64()?;
-    let hi = r.u64()?;
-    let lo = r.u64()?;
-    Ok(MemoRecord {
-        cycle,
-        digest: StateDigest::from_bits((u128::from(hi) << 64) | u128::from(lo)),
-        outcome: take_outcome(r)?,
-        final_cycle: r.u64()?,
-    })
-}
-
-/// Minimum encoded size of a [`MemoRecord`] (outcome tag is ≥ 1 byte).
-pub const MEMO_RECORD_MIN_BYTES: usize = 8 + 16 + 1 + 8;
-
-/// Encodes a full [`CampaignResult`].
-pub fn put_campaign_result(w: &mut Writer, res: &CampaignResult) {
-    w.str(&res.benchmark);
-    put_domain(w, res.domain);
-    w.u64(res.space.cycles);
-    w.u64(res.space.bits);
-    w.u64(res.known_benign_weight);
-    w.u64(res.golden_cycles);
-    w.u32(res.results.len() as u32);
-    for r in &res.results {
-        put_experiment_result(w, r);
+            digest: StateDigest::from_bits(r.u128()?),
+            outcome: take_outcome(r)?,
+            final_cycle: r.u64()?,
+        })
     }
 }
 
-/// Decodes a full [`CampaignResult`].
-pub fn take_campaign_result(r: &mut Reader<'_>) -> Result<CampaignResult, WireError> {
-    let benchmark = r.str()?;
-    let domain = take_domain(r)?;
-    let space = FaultSpace {
-        cycles: r.u64()?,
-        bits: r.u64()?,
-    };
-    let known_benign_weight = r.u64()?;
-    let golden_cycles = r.u64()?;
-    let n = r.seq_len(EXPERIMENT_RESULT_MIN_BYTES)?;
-    let mut results = Vec::with_capacity(n);
-    for _ in 0..n {
-        results.push(take_experiment_result(r)?);
+/// A full [`CampaignResult`].
+impl Codec for CampaignResult {
+    /// Benchmark name length, domain tag, space, benign weight, golden
+    /// cycles, result count.
+    const MIN_BYTES: usize = 4 + 1 + 8 + 8 + 8 + 8 + 4;
+
+    fn put(&self, w: &mut Writer) {
+        w.str(&self.benchmark);
+        put_domain(w, self.domain);
+        w.u64(self.space.cycles);
+        w.u64(self.space.bits);
+        w.u64(self.known_benign_weight);
+        w.u64(self.golden_cycles);
+        w.seq(&self.results);
     }
-    Ok(CampaignResult {
-        benchmark,
-        domain,
-        space,
-        known_benign_weight,
-        golden_cycles,
-        results,
-    })
-}
 
-/// Encodes the executor counters that travel with a finished job.
-pub fn put_stats(w: &mut Writer, s: &ExecutorStats) {
-    w.u64(s.workers as u64);
-    w.u64(s.experiments);
-    w.u64(s.pristine_cycles);
-    w.u64(s.faulted_cycles);
-    w.u64(s.converged_early);
-    w.u64(s.faulted_cycles_saved);
-    w.u64(s.memo_hits);
-    w.u64(s.memo_misses);
-    w.u64(s.memoized_cycles_saved);
-    w.u64(s.gate_shards_on);
-    w.u64(s.gate_shards_off);
-    w.u64(s.store_hits);
-}
-
-/// Decodes [`ExecutorStats`].
-pub fn take_stats(r: &mut Reader<'_>) -> Result<ExecutorStats, WireError> {
-    Ok(ExecutorStats {
-        workers: r.u64()? as usize,
-        experiments: r.u64()?,
-        pristine_cycles: r.u64()?,
-        faulted_cycles: r.u64()?,
-        converged_early: r.u64()?,
-        faulted_cycles_saved: r.u64()?,
-        memo_hits: r.u64()?,
-        memo_misses: r.u64()?,
-        memoized_cycles_saved: r.u64()?,
-        gate_shards_on: r.u64()?,
-        gate_shards_off: r.u64()?,
-        store_hits: r.u64()?,
-    })
-}
-
-/// Minimum encoded size of a named counter/gauge entry (empty name).
-const METRIC_ENTRY_MIN_BYTES: usize = 4 + 8;
-/// Minimum encoded size of a named histogram (empty name, no buckets).
-const HISTOGRAM_MIN_BYTES: usize = 4 + 4 * 8 + 4;
-/// Encoded size of one histogram bucket.
-const BUCKET_BYTES: usize = 3 * 8;
-
-fn put_metric_entries(w: &mut Writer, entries: &[(String, u64)]) {
-    w.u32(entries.len() as u32);
-    for (name, value) in entries {
-        w.str(name);
-        w.u64(*value);
+    fn take(r: &mut Reader<'_>) -> Result<CampaignResult, WireError> {
+        Ok(CampaignResult {
+            benchmark: r.str()?,
+            domain: take_domain(r)?,
+            space: FaultSpace {
+                cycles: r.u64()?,
+                bits: r.u64()?,
+            },
+            known_benign_weight: r.u64()?,
+            golden_cycles: r.u64()?,
+            results: r.seq()?,
+        })
     }
 }
 
-fn take_metric_entries(r: &mut Reader<'_>) -> Result<Vec<(String, u64)>, WireError> {
-    let n = r.seq_len(METRIC_ENTRY_MIN_BYTES)?;
-    let mut entries = Vec::with_capacity(n);
-    let mut prev: Option<String> = None;
-    for _ in 0..n {
-        let name = r.str()?;
-        if prev.as_deref() >= Some(name.as_str()) {
-            return Err(r.err(format!("metric names not strictly sorted at {name:?}")));
-        }
-        let value = r.u64()?;
-        prev = Some(name.clone());
-        entries.push((name, value));
+/// The executor counters that travel with progress and a finished job.
+impl Codec for ExecutorStats {
+    const MIN_BYTES: usize = 12 * 8;
+
+    fn put(&self, w: &mut Writer) {
+        w.u64(self.workers as u64);
+        w.u64(self.experiments);
+        w.u64(self.pristine_cycles);
+        w.u64(self.faulted_cycles);
+        w.u64(self.converged_early);
+        w.u64(self.faulted_cycles_saved);
+        w.u64(self.memo_hits);
+        w.u64(self.memo_misses);
+        w.u64(self.memoized_cycles_saved);
+        w.u64(self.gate_shards_on);
+        w.u64(self.gate_shards_off);
+        w.u64(self.store_hits);
     }
-    Ok(entries)
+
+    fn take(r: &mut Reader<'_>) -> Result<ExecutorStats, WireError> {
+        Ok(ExecutorStats {
+            workers: r.u64()? as usize,
+            experiments: r.u64()?,
+            pristine_cycles: r.u64()?,
+            faulted_cycles: r.u64()?,
+            converged_early: r.u64()?,
+            faulted_cycles_saved: r.u64()?,
+            memo_hits: r.u64()?,
+            memo_misses: r.u64()?,
+            memoized_cycles_saved: r.u64()?,
+            gate_shards_on: r.u64()?,
+            gate_shards_off: r.u64()?,
+            store_hits: r.u64()?,
+        })
+    }
 }
 
-/// Encodes a telemetry [`Snapshot`] (counters, gauges, histograms with
-/// their occupied buckets).
-pub fn put_snapshot(w: &mut Writer, s: &Snapshot) {
-    put_metric_entries(w, &s.counters);
-    put_metric_entries(w, &s.gauges);
-    w.u32(s.histograms.len() as u32);
-    for (name, h) in &s.histograms {
+/// A named counter or gauge.
+impl Codec for (String, u64) {
+    const MIN_BYTES: usize = 4 + 8;
+
+    fn put(&self, w: &mut Writer) {
+        w.str(&self.0);
+        w.u64(self.1);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<(String, u64), WireError> {
+        Ok((r.str()?, r.u64()?))
+    }
+}
+
+/// One occupied histogram bucket.
+impl Codec for Bucket {
+    const MIN_BYTES: usize = 3 * 8;
+
+    fn put(&self, w: &mut Writer) {
+        w.u64(self.lo);
+        w.u64(self.hi);
+        w.u64(self.count);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Bucket, WireError> {
+        Ok(Bucket {
+            lo: r.u64()?,
+            hi: r.u64()?,
+            count: r.u64()?,
+        })
+    }
+}
+
+/// A named histogram with its occupied buckets, which must be strictly
+/// ascending by `lo`.
+impl Codec for (String, HistogramSnapshot) {
+    /// Name length, count, sum, min, max, bucket count.
+    const MIN_BYTES: usize = 4 + 4 * 8 + 4;
+
+    fn put(&self, w: &mut Writer) {
+        let (name, h) = self;
         w.str(name);
         w.u64(h.count);
         w.u64(h.sum);
         w.u64(h.min);
         w.u64(h.max);
-        w.u32(h.buckets.len() as u32);
-        for b in &h.buckets {
-            w.u64(b.lo);
-            w.u64(b.hi);
-            w.u64(b.count);
-        }
+        w.seq(&h.buckets);
     }
-}
 
-/// Decodes a telemetry [`Snapshot`]. Name lists must be strictly sorted
-/// (the registry emits them that way and [`Snapshot::merge`] relies on
-/// it), and bucket lists strictly ascending by `lo`; anything else is a
-/// typed [`WireError`].
-pub fn take_snapshot(r: &mut Reader<'_>) -> Result<Snapshot, WireError> {
-    let counters = take_metric_entries(r)?;
-    let gauges = take_metric_entries(r)?;
-    let n = r.seq_len(HISTOGRAM_MIN_BYTES)?;
-    let mut histograms = Vec::with_capacity(n);
-    let mut prev: Option<String> = None;
-    for _ in 0..n {
+    fn take(r: &mut Reader<'_>) -> Result<(String, HistogramSnapshot), WireError> {
         let name = r.str()?;
-        if prev.as_deref() >= Some(name.as_str()) {
-            return Err(r.err(format!("histogram names not strictly sorted at {name:?}")));
-        }
-        prev = Some(name.clone());
-        let count = r.u64()?;
-        let sum = r.u64()?;
-        let min = r.u64()?;
-        let max = r.u64()?;
-        let buckets_len = r.seq_len(BUCKET_BYTES)?;
-        let mut buckets = Vec::with_capacity(buckets_len);
+        let h = HistogramSnapshot {
+            count: r.u64()?,
+            sum: r.u64()?,
+            min: r.u64()?,
+            max: r.u64()?,
+            buckets: r.seq()?,
+        };
         let mut prev_lo: Option<u64> = None;
-        for _ in 0..buckets_len {
-            let b = Bucket {
-                lo: r.u64()?,
-                hi: r.u64()?,
-                count: r.u64()?,
-            };
+        for b in &h.buckets {
             if b.hi < b.lo || prev_lo.is_some_and(|p| b.lo <= p) {
                 return Err(r.err(format!("histogram buckets not ascending at lo {}", b.lo)));
             }
             prev_lo = Some(b.lo);
-            buckets.push(b);
         }
-        histograms.push((
-            name,
-            HistogramSnapshot {
-                count,
-                sum,
-                min,
-                max,
-                buckets,
-            },
-        ));
+        Ok((name, h))
     }
-    Ok(Snapshot {
-        counters,
-        gauges,
-        histograms,
-    })
+}
+
+/// Reads a sequence of named entries whose names must be strictly
+/// sorted: the registry emits them that way and [`Snapshot::merge`]
+/// relies on it.
+fn take_sorted<V>(r: &mut Reader<'_>, what: &str) -> Result<Vec<(String, V)>, WireError>
+where
+    (String, V): Codec,
+{
+    let entries: Vec<(String, V)> = r.seq()?;
+    if let Some(pair) = entries.windows(2).find(|p| p[0].0 >= p[1].0) {
+        let name = &pair[1].0;
+        return Err(r.err(format!("{what} names not strictly sorted at {name:?}")));
+    }
+    Ok(entries)
+}
+
+/// A telemetry [`Snapshot`]: counters, gauges, histograms with their
+/// occupied buckets. Name lists must be strictly sorted and bucket lists
+/// strictly ascending by `lo`; anything else is a typed [`WireError`].
+impl Codec for Snapshot {
+    const MIN_BYTES: usize = 3 * 4;
+
+    fn put(&self, w: &mut Writer) {
+        w.seq(&self.counters);
+        w.seq(&self.gauges);
+        w.seq(&self.histograms);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Snapshot, WireError> {
+        Ok(Snapshot {
+            counters: take_sorted(r, "metric")?,
+            gauges: take_sorted(r, "metric")?,
+            histograms: take_sorted(r, "histogram")?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -619,7 +630,7 @@ mod tests {
         w.bool(true);
         w.bool(false);
         w.str("héllo");
-        w.bytes(&[1, 2, 3]);
+        w.u128(u128::MAX - 5);
         let buf = w.finish();
         let mut r = Reader::new(&buf);
         assert_eq!(r.u8().unwrap(), 7);
@@ -629,7 +640,7 @@ mod tests {
         assert!(r.bool().unwrap());
         assert!(!r.bool().unwrap());
         assert_eq!(r.str().unwrap(), "héllo");
-        assert_eq!(r.bytes().unwrap(), vec![1, 2, 3]);
+        assert_eq!(r.u128().unwrap(), u128::MAX - 5);
         r.expect_end().unwrap();
     }
 
@@ -703,10 +714,10 @@ mod tests {
             ],
         };
         let mut w = Writer::new();
-        put_campaign_result(&mut w, &res);
+        res.put(&mut w);
         let buf = w.finish();
         let mut r = Reader::new(&buf);
-        assert_eq!(take_campaign_result(&mut r).unwrap(), res);
+        assert_eq!(CampaignResult::take(&mut r).unwrap(), res);
         r.expect_end().unwrap();
     }
 
@@ -745,18 +756,18 @@ mod tests {
         let snap = reg.snapshot();
 
         let mut w = Writer::new();
-        put_snapshot(&mut w, &snap);
+        snap.put(&mut w);
         let buf = w.finish();
         let mut r = Reader::new(&buf);
-        assert_eq!(take_snapshot(&mut r).unwrap(), snap);
+        assert_eq!(Snapshot::take(&mut r).unwrap(), snap);
         r.expect_end().unwrap();
 
         // The empty snapshot round-trips too.
         let mut w = Writer::new();
-        put_snapshot(&mut w, &Snapshot::default());
+        Snapshot::default().put(&mut w);
         let buf = w.finish();
         let mut r = Reader::new(&buf);
-        assert_eq!(take_snapshot(&mut r).unwrap(), Snapshot::default());
+        assert_eq!(Snapshot::take(&mut r).unwrap(), Snapshot::default());
         r.expect_end().unwrap();
     }
 
@@ -772,7 +783,7 @@ mod tests {
         w.u32(0);
         w.u32(0);
         let buf = w.finish();
-        let err = take_snapshot(&mut Reader::new(&buf)).unwrap_err();
+        let err = Snapshot::take(&mut Reader::new(&buf)).unwrap_err();
         assert!(err.message.contains("sorted"), "{}", err.message);
 
         // Duplicate histogram names.
@@ -789,7 +800,7 @@ mod tests {
             w.u32(0);
         }
         let buf = w.finish();
-        assert!(take_snapshot(&mut Reader::new(&buf)).is_err());
+        assert!(Snapshot::take(&mut Reader::new(&buf)).is_err());
 
         // Buckets out of order.
         let mut w = Writer::new();
@@ -809,7 +820,7 @@ mod tests {
         w.u64(5);
         w.u64(1);
         let buf = w.finish();
-        let err = take_snapshot(&mut Reader::new(&buf)).unwrap_err();
+        let err = Snapshot::take(&mut Reader::new(&buf)).unwrap_err();
         assert!(err.message.contains("ascending"), "{}", err.message);
 
         // Absurd claimed lengths are caught by the sequence guard, not
@@ -817,7 +828,7 @@ mod tests {
         let mut w = Writer::new();
         w.u32(u32::MAX);
         let buf = w.finish();
-        assert!(take_snapshot(&mut Reader::new(&buf)).is_err());
+        assert!(Snapshot::take(&mut Reader::new(&buf)).is_err());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! A worker dials the coordinator, registers itself (learning its
 //! worker id and the coordinator's lease timeout), then loops: poll for
-//! a shard lease, build (or reuse) a [`Campaign`] for the lease's job,
-//! execute the shard through
+//! a shard lease, build a [`Campaign`] for the lease's job (or reuse the
+//! one it holds, when the lease is for the same job), execute the shard
+//! through
 //! [`Campaign::run_experiments_stats`], and stream the outcomes back as
 //! a partial upload. A dedicated heartbeat thread on its *own*
 //! connection keeps leases renewed while the main thread is deep inside
@@ -24,7 +25,6 @@ use crate::client::{Client, ClientError};
 use crate::coordinator::LeaseOffer;
 use sofi_campaign::Campaign;
 use sofi_isa::assemble_text;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -92,9 +92,12 @@ const MAX_RECONNECTS: u64 = 8;
 /// limit fires, or the connection is lost beyond repair.
 pub fn run_worker(config: &WorkerConfig) -> Result<WorkerReport, ClientError> {
     let mut report = WorkerReport::default();
-    // Campaigns are cached per job id: the assembly + golden run +
-    // def/use plan happen once per job per worker, not once per shard.
-    let mut campaigns: HashMap<u64, Campaign> = HashMap::new();
+    // The current job's campaign: the assembly, golden run and def/use
+    // plan happen once per run of one job's leases, not once per shard.
+    // Only one is kept — the coordinator leases the lowest-id job's
+    // shards first, so a lease for another job means the old one is
+    // done with here, and its facts were already uploaded.
+    let mut current: Option<(u64, Campaign)> = None;
     // The heartbeat thread reads the current worker id from here so a
     // re-registration after reconnect retargets it without a restart.
     let worker_id = Arc::new(AtomicU64::new(0));
@@ -155,9 +158,11 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerReport, ClientError> {
                             break 'outer Ok(());
                         }
                     }
-                    let campaign = match campaigns.get(&job) {
-                        Some(c) => c,
-                        None => {
+                    let campaign = match &mut current {
+                        Some((id, campaign)) if *id == job => campaign,
+                        slot => {
+                            // Drop the previous job's campaign first.
+                            *slot = None;
                             let program = match assemble_text(&spec.name, &spec.source) {
                                 Ok(p) => p,
                                 Err(e) => {
@@ -180,7 +185,7 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerReport, ClientError> {
                                 // store.
                                 c.set_memo_harvest();
                             }
-                            campaigns.entry(job).or_insert(c)
+                            &mut slot.insert((job, c)).1
                         }
                     };
                     let (results, stats) =

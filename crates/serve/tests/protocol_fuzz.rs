@@ -484,6 +484,33 @@ fn v6_peers_get_typed_bad_version() {
     }
 }
 
+/// A `StatusReport` whose count claims one job per eight payload bytes
+/// is refused at the count itself: a job status encodes to at least 130
+/// bytes, so the claim cannot fit, and the decoder must not reserve room
+/// for it or decode a single job first.
+#[test]
+fn status_report_count_is_bounded_by_the_job_status_size() {
+    let claimed = 100u32;
+    let mut payload = claimed.to_le_bytes().to_vec();
+    payload.resize(4 + 8 * claimed as usize, 0);
+    let mut frame = Vec::new();
+    frame.extend_from_slice(b"SOFI");
+    frame.extend_from_slice(&sofi_serve::protocol::VERSION.to_le_bytes());
+    frame.extend_from_slice(&102u16.to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    let checksum =
+        sofi_serve::wire::fnv1a32_update(sofi_serve::wire::fnv1a32(&frame[..12]), &payload);
+    frame.extend_from_slice(&checksum.to_le_bytes());
+    frame.extend_from_slice(&payload);
+    match Message::decode_frame(&frame) {
+        Err(ProtocolError::Malformed(e)) => {
+            assert!(e.message.contains("sequence length 100"), "{e}");
+            assert_eq!(e.offset, 4, "{e}");
+        }
+        other => panic!("expected a refused sequence length, got {other:?}"),
+    }
+}
+
 #[test]
 fn random_byte_soup_never_panics() {
     let mut rng = DefaultRng::seed_from_u64(0xDEAD);
@@ -507,14 +534,16 @@ fn stream_reader_rejects_mid_frame_eof() {
     let frame = msg.encode_frame();
     for cut in 1..frame.len() {
         let mut cursor = std::io::Cursor::new(frame[..cut].to_vec());
-        match sofi_serve::protocol::read_message(&mut cursor) {
+        match sofi_serve::protocol::FrameReader::new().read(&mut cursor) {
             Err(ProtocolError::Truncated) => {}
             other => panic!("cut {cut}: {other:?}"),
         }
     }
     let mut cursor = std::io::Cursor::new(Vec::<u8>::new());
     assert_eq!(
-        sofi_serve::protocol::read_message(&mut cursor).unwrap(),
+        sofi_serve::protocol::FrameReader::new()
+            .read(&mut cursor)
+            .unwrap(),
         None
     );
 }

@@ -9,7 +9,7 @@
 
 use sofi_campaign::{Campaign, CampaignConfig, FaultDomain};
 use sofi_isa::assemble_text;
-use sofi_serve::protocol::{read_message, write_message, Message, ProtocolError};
+use sofi_serve::protocol::{write_message, FrameReader, Message, ProtocolError};
 use sofi_serve::server::Conn;
 use sofi_serve::{Client, ClientPool, JobSpec, JobState, ServeConfig, Server};
 use std::path::PathBuf;
@@ -235,20 +235,23 @@ fn idle_clients_time_out_and_get_told() {
     // Connect and send nothing: the daemon reports the timeout and
     // closes instead of leaking the handler thread.
     let mut conn = Conn::connect(&addr).unwrap();
-    match read_message(&mut conn) {
+    match FrameReader::new().read(&mut conn) {
         Ok(Some(Message::Error { message })) => {
             assert!(message.contains("idle timeout"), "{message}");
         }
         other => panic!("expected idle-timeout error, got {other:?}"),
     }
-    assert!(matches!(read_message(&mut conn), Ok(None) | Err(_)));
+    assert!(matches!(
+        FrameReader::new().read(&mut conn),
+        Ok(None) | Err(_)
+    ));
 
     // A malformed frame gets a protocol error back, not a hangup-only.
     let mut conn = Conn::connect(&addr).unwrap();
     use std::io::Write as _;
     conn.write_all(b"GARBAGEGARBAGEGARBAGE").unwrap();
     conn.flush().unwrap();
-    match read_message(&mut conn) {
+    match FrameReader::new().read(&mut conn) {
         Ok(Some(Message::Error { message })) => {
             assert!(message.contains("protocol error"), "{message}");
         }
@@ -421,13 +424,13 @@ fn raw_frames_on_the_socket() {
 
     let mut conn = Conn::connect(&addr).unwrap();
     write_message(&mut conn, &Message::Status { job: None }).unwrap();
-    match read_message(&mut conn) {
+    match FrameReader::new().read(&mut conn) {
         Ok(Some(Message::StatusReport { jobs })) => assert!(jobs.is_empty()),
         other => panic!("expected empty status report, got {other:?}"),
     }
     // A response kind sent *to* the daemon is rejected as unexpected.
     write_message(&mut conn, &Message::Accepted { job: 1 }).unwrap();
-    match read_message(&mut conn) {
+    match FrameReader::new().read(&mut conn) {
         Ok(Some(Message::Error { message })) => {
             assert!(message.contains("unexpected message"), "{message}");
         }
@@ -437,7 +440,7 @@ fn raw_frames_on_the_socket() {
 
     let mut conn = Conn::connect(&addr).unwrap();
     write_message(&mut conn, &Message::Shutdown).unwrap();
-    match read_message(&mut conn) {
+    match FrameReader::new().read(&mut conn) {
         Ok(Some(Message::ShuttingDown)) => {}
         other => panic!("expected ShuttingDown, got {other:?}"),
     }
