@@ -16,7 +16,7 @@
 use crate::executor::Campaign;
 use crate::outcome::{Outcome, OutcomeClass};
 use crate::result::FaultDomain;
-use sofi_machine::{CfFault, Machine};
+use sofi_machine::CfFault;
 use sofi_rng::Rng;
 use sofi_space::{ClassIndex, ClassRef, FaultCoord};
 
@@ -132,7 +132,7 @@ impl Campaign {
         draws.sort_unstable();
 
         let budget = self.config().cycle_budget(self.golden().cycles);
-        let mut pristine = self.fork_pristine();
+        let mut pristine = self.fresh_machine();
         let mut result = BurstSampledResult {
             benchmark: self.program().name.clone(),
             domain,
@@ -163,7 +163,7 @@ impl Campaign {
                 continue;
             }
             if pristine.cycle() > coord.pre_injection_cycle() {
-                pristine = self.fork_pristine();
+                pristine = self.fresh_machine();
             }
             let early = pristine.run_to(coord.pre_injection_cycle());
             assert!(early.is_none(), "draw outlived the program");
@@ -196,16 +196,6 @@ impl Campaign {
             }
         }
         result
-    }
-
-    /// A fresh machine configured like this campaign's experiment
-    /// machines (program, limits, external events).
-    pub(crate) fn fork_pristine(&self) -> Machine {
-        Machine::with_events(
-            self.program(),
-            self.config().machine,
-            self.events().to_vec(),
-        )
     }
 }
 

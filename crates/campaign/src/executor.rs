@@ -13,7 +13,7 @@ use sofi_trace::{GoldenError, GoldenRun};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Default cycle limit for capturing golden runs.
@@ -97,37 +97,28 @@ impl ExecutorStats {
         }
     }
 
-    /// Folds a worker's counters into this (campaign-level) record.
-    /// Associative and commutative, with `ExecutorStats::default()` as
-    /// the identity (`tests/stats_merge.rs`), so campaign totals do not
-    /// depend on worker join order or on how shards were grouped.
-    pub fn absorb(&mut self, worker: &ExecutorStats) {
-        self.workers += worker.workers;
-        self.experiments += worker.experiments;
-        self.pristine_cycles += worker.pristine_cycles;
-        self.faulted_cycles += worker.faulted_cycles;
-        self.converged_early += worker.converged_early;
-        self.faulted_cycles_saved += worker.faulted_cycles_saved;
-        self.memo_hits += worker.memo_hits;
-        self.memo_misses += worker.memo_misses;
-        self.memoized_cycles_saved += worker.memoized_cycles_saved;
-        self.gate_shards_on += worker.gate_shards_on;
-        self.gate_shards_off += worker.gate_shards_off;
-        self.store_hits += worker.store_hits;
-    }
-
-    /// Folds the counters of one *sequentially executed* batch or shard
-    /// into this record. Identical to [`ExecutorStats::absorb`] except
-    /// for `workers`, which reports the peak per-batch worker count
-    /// rather than a meaningless batch-count multiple: batches of one
-    /// job run one after another (locally) or on independently sized
-    /// remote pools, so summing them would inflate the figure with every
-    /// committed batch. This is the merge the serve coordinator applies
-    /// to journal-replayed batches and remote shard uploads alike.
-    pub fn absorb_batch(&mut self, batch: &ExecutorStats) {
-        let workers = self.workers.max(batch.workers);
-        self.absorb(batch);
-        self.workers = workers;
+    /// Folds the counters of one shard (or batch, or campaign) into this
+    /// record: every counter sums, and `workers` keeps the peak — each
+    /// shard already reports its whole call's worker count, so summing
+    /// would inflate the figure with every shard. Associative and
+    /// commutative, with `ExecutorStats::default()` as the identity
+    /// (`tests/stats_merge.rs`), so totals do not depend on worker join
+    /// order or on how shards were grouped. The executor's merge and
+    /// the serve coordinator's (local commit groups and remote uploads
+    /// alike) both use it.
+    pub fn absorb(&mut self, shard: &ExecutorStats) {
+        self.workers = self.workers.max(shard.workers);
+        self.experiments += shard.experiments;
+        self.pristine_cycles += shard.pristine_cycles;
+        self.faulted_cycles += shard.faulted_cycles;
+        self.converged_early += shard.converged_early;
+        self.faulted_cycles_saved += shard.faulted_cycles_saved;
+        self.memo_hits += shard.memo_hits;
+        self.memo_misses += shard.memo_misses;
+        self.memoized_cycles_saved += shard.memoized_cycles_saved;
+        self.gate_shards_on += shard.gate_shards_on;
+        self.gate_shards_off += shard.gate_shards_off;
+        self.store_hits += shard.store_hits;
     }
 
     /// Fraction of memo hits answered by warm-store-preloaded entries
@@ -212,10 +203,10 @@ pub struct MemoRecord {
 }
 
 /// The per-campaign fault-equivalence memo: `(cycle, state digest) →
-/// outcome`. Shared (`Arc`) between campaign clones and across worker
-/// threads and fault domains — a register-domain injection and a
-/// memory-domain injection that produce the same machine state are the
-/// same experiment dynamically, and either may pay for the other.
+/// outcome`. Shared across worker threads and fault domains — a
+/// register-domain injection and a memory-domain injection that produce
+/// the same machine state are the same experiment dynamically, and
+/// either may pay for the other.
 ///
 /// Soundness: the machine is deterministic and the cycle budget is a
 /// campaign constant, so the full architectural state at a given cycle
@@ -224,7 +215,13 @@ pub struct MemoRecord {
 /// covers exactly that state (128 bits, so a wrong hit needs a hash
 /// collision); `tests/memoization_oracle.rs` and the fuzz battery hold
 /// the memoized executor to bit-identical results against naive replay.
+///
+/// It sits on cache lines of its own: every probe of every worker writes
+/// its lock word, and a line shared with the campaign's read-mostly
+/// fields (such as the checkpoint table every experiment reads) would
+/// make each probe evict them from the other workers' caches.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 struct MemoCache {
     entries: Mutex<HashMap<(u64, StateDigest), MemoEntry>>,
 }
@@ -266,7 +263,7 @@ impl MemoCache {
 /// analysis and pruned plan, ready to execute scans or samples.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Campaign {
     program: Program,
     events: Vec<ExternalEvent>,
@@ -283,16 +280,15 @@ pub struct Campaign {
     /// early-terminate once they have converged back onto the golden run.
     checkpoints: OnceLock<Vec<Checkpoint>>,
     /// Fault-equivalence outcome memo (see [`MemoCache`]).
-    memo: Arc<MemoCache>,
+    memo: MemoCache,
     /// Set via [`Campaign::set_memo_harvest`] when this campaign feeds a
     /// persistent warm store: every experiment then probes the memo at
-    /// its injection point (shared by clones, like the memo itself).
-    memo_harvest: Arc<AtomicBool>,
+    /// its injection point.
+    memo_harvest: AtomicBool,
     /// Runtime observability ([`sofi_telemetry::Registry`]): phase spans,
     /// per-experiment histograms and executor counters. Disabled (all
     /// no-ops) unless [`CampaignConfig::telemetry`] is set or an enabled
-    /// registry is passed to [`Campaign::with_events_telemetry`]. Clones
-    /// of the campaign share the registry.
+    /// registry is passed to [`Campaign::with_events_telemetry`].
     telemetry: Registry,
 }
 
@@ -644,8 +640,8 @@ impl Campaign {
             analyses: [const { OnceLock::new() }; FaultDomain::ALL.len()],
             config,
             checkpoints: OnceLock::new(),
-            memo: Arc::new(MemoCache::default()),
-            memo_harvest: Arc::new(AtomicBool::new(false)),
+            memo: MemoCache::default(),
+            memo_harvest: AtomicBool::new(false),
             telemetry,
         })
     }
@@ -833,7 +829,7 @@ impl Campaign {
         let mut stats = ExecutorStats::default();
         let mut results = Vec::with_capacity(experiments.len());
         for (_, part, shard) in parts {
-            stats.absorb_batch(&shard);
+            stats.absorb(&shard);
             results.extend(part);
         }
         merge_span.finish();
@@ -917,7 +913,7 @@ impl Campaign {
     }
 
     /// A pristine machine at cycle 0.
-    fn fresh_machine(&self) -> Machine {
+    pub(crate) fn fresh_machine(&self) -> Machine {
         Machine::with_events(&self.program, self.config.machine, self.events.clone())
     }
 
@@ -1624,7 +1620,7 @@ mod tests {
             assert_eq!(stats.experiments, want.len() as u64);
             assert_eq!(stats.workers, 2, "the call's worker count");
             assert_eq!(stats.gate_shards_on + stats.gate_shards_off, 1);
-            total.absorb_batch(stats);
+            total.absorb(stats);
         }
         assert_eq!(total.experiments, plan.len() as u64);
         let mut results: Vec<ExperimentResult> =

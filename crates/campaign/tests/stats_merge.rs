@@ -2,7 +2,9 @@
 //! shards) had no dedicated test. `ExecutorStats::absorb` must be
 //! associative and commutative with the default as identity, because
 //! worker join order and shard grouping are scheduling accidents that
-//! must not leak into campaign totals.
+//! must not leak into campaign totals. Its counters sum and `workers`
+//! keeps the peak; max is associative and commutative too, with 0 as
+//! identity.
 
 use sofi_campaign::ExecutorStats;
 use sofi_rng::{DefaultRng, Rng};

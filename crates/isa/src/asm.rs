@@ -191,11 +191,20 @@ impl Asm {
         DataLabel(addr)
     }
 
-    /// Pads the data section to an `n`-byte boundary.
+    /// Bytes in the data section so far.
+    pub(crate) fn data_len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Data symbols defined so far, as `(name, address)` pairs.
+    pub(crate) fn symbols(&self) -> &[(String, u32)] {
+        &self.symbols
+    }
+
+    /// Pads the data section to an `n`-byte boundary (`0` pads nothing).
     pub fn data_align(&mut self, n: u32) -> &mut Self {
-        while !(self.data.len() as u32).is_multiple_of(n) {
-            self.data.push(0);
-        }
+        let len = self.data.len().next_multiple_of(n.max(1) as usize);
+        self.data.resize(len, 0);
         self
     }
 
@@ -702,6 +711,14 @@ mod tests {
             a.build().unwrap_err(),
             AsmError::DataTooLarge { need: 100, ram: 10 }
         ));
+    }
+
+    #[test]
+    fn data_align_zero_pads_nothing() {
+        let mut a = Asm::new();
+        a.data_bytes("x", &[1]);
+        a.data_align(0).data_align(1);
+        assert_eq!(a.build().unwrap().data, vec![1]);
     }
 
     #[test]

@@ -46,6 +46,13 @@ pub use parse::assemble_text;
 pub use program::Program;
 pub use reg::Reg;
 
+/// The largest RAM a program may declare, in bytes. The text assembler
+/// refuses a data section, `.space`, `.align` or `.ram` beyond it, and
+/// `sofi-lang` a larger stack, so no source text can make the machine and
+/// the fault-space analyses allocate gigabytes. The largest shipped
+/// workload declares 432 bytes.
+pub const MAX_RAM_BYTES: u32 = 64 * 1024;
+
 /// Memory-mapped I/O base address. Accesses at or above this address do not
 /// touch RAM and are therefore outside the fault space. The page occupies
 /// the top 256 bytes of the address space so every device register is

@@ -37,7 +37,7 @@ use crate::encode::{BRANCH_MAX, BRANCH_MIN, JAL_MAX};
 use crate::error::AsmError;
 use crate::inst::{BranchKind, Inst};
 use crate::program::Program;
-use crate::Reg;
+use crate::{Reg, MAX_RAM_BYTES};
 use std::collections::HashMap;
 
 /// Assembles `.s`-style source text into a [`Program`].
@@ -46,7 +46,9 @@ use std::collections::HashMap;
 ///
 /// Returns [`AsmError::Parse`] for syntax problems (with the 1-based source
 /// line) and the usual assembler errors for unresolved or out-of-range
-/// labels.
+/// labels. A size beyond [`crate::MAX_RAM_BYTES`] is a parse error too:
+/// a `.space`, `.align` or `.ram` argument, or a data section that grows
+/// past it. `.align` takes a power of two.
 ///
 /// # Examples
 ///
@@ -77,14 +79,15 @@ pub fn assemble_text(name: &str, source: &str) -> Result<Program, AsmError> {
             Some(("data", _)) => section = Section::Data,
             Some(("text", _)) => section = Section::Text,
             Some(("ram", arg)) => {
-                let bytes =
-                    parse_imm_str(arg, &HashMap::new()).map_err(|msg| perr(lineno, msg))? as u32;
-                asm.set_ram_size(bytes);
+                asm.set_ram_size(ram_bytes(arg).map_err(|msg| perr(lineno, msg))?);
             }
             Some(("align", arg)) => {
                 if section == Section::Data {
-                    let n = parse_imm_str(arg, &HashMap::new()).map_err(|msg| perr(lineno, msg))?;
-                    asm.data_align(n as u32);
+                    let n = ram_bytes(arg).map_err(|msg| perr(lineno, msg))?;
+                    if !n.is_power_of_two() {
+                        return Err(perr(lineno, format!(".align {n} is not a power of two")));
+                    }
+                    asm.data_align(n);
                 }
             }
             Some((other, _)) if !matches!(other, "byte" | "word" | "space") => {
@@ -96,9 +99,15 @@ pub fn assemble_text(name: &str, source: &str) -> Result<Program, AsmError> {
                 }
             }
         }
+        if asm.data_len() > MAX_RAM_BYTES as usize {
+            return Err(perr(
+                lineno,
+                format!("data section exceeds {MAX_RAM_BYTES} bytes"),
+            ));
+        }
     }
 
-    let data_syms: HashMap<String, u32> = asm_symbols(&asm);
+    let data_syms: HashMap<String, u32> = asm.symbols().iter().cloned().collect();
 
     // Pass 2: emit code.
     let mut code_labels: HashMap<String, Label> = HashMap::new();
@@ -199,7 +208,7 @@ fn parse_data_line(asm: &mut Asm, line: &str) -> Result<(), String> {
         None => return Err(format!("expected data directive, found `{rest}`")),
     };
     let name = if label.is_empty() {
-        format!("__anon_{}", asm_symbols(asm).len())
+        format!("__anon_{}", asm.symbols().len())
     } else {
         label.to_owned()
     };
@@ -220,12 +229,20 @@ fn parse_data_line(asm: &mut Asm, line: &str) -> Result<(), String> {
             asm.data_words(name, &words);
         }
         "space" => {
-            let n = parse_imm_str(args, &HashMap::new())?;
-            asm.data_space(name, n as u32);
+            asm.data_space(name, ram_bytes(args)?);
         }
         other => return Err(format!("unknown data directive .{other}")),
     }
     Ok(())
+}
+
+/// A `.space`, `.align` or `.ram` size: from 0 to [`MAX_RAM_BYTES`].
+fn ram_bytes(arg: &str) -> Result<u32, String> {
+    let n = parse_imm_str(arg, &HashMap::new())?;
+    u32::try_from(n)
+        .ok()
+        .filter(|&n| n <= MAX_RAM_BYTES)
+        .ok_or_else(|| format!("size {n} is outside 0..={MAX_RAM_BYTES} bytes"))
 }
 
 fn split_args(s: &str) -> Vec<String> {
@@ -267,7 +284,9 @@ fn parse_imm_str(s: &str, syms: &HashMap<String, u32>) -> Result<i64, String> {
             .get(sym.trim())
             .copied()
             .ok_or_else(|| format!("unknown symbol `{sym}`"))?;
-        return Ok(base as i64 + delta);
+        return (base as i64)
+            .checked_add(delta)
+            .ok_or_else(|| format!("immediate `{s}` overflows"));
     }
     let (neg, body) = match s.strip_prefix('-') {
         Some(b) => (true, b),
@@ -356,7 +375,7 @@ fn parse_inst(
         }
         Ok(*code_labels
             .entry(name.clone())
-            .or_insert_with(|| asm_new_named_label(asm, name)))
+            .or_insert_with(|| asm.new_named_label(name.as_str())))
     };
 
     match mn {
@@ -507,24 +526,6 @@ fn parse_inst(
         other => return Err(format!("unknown mnemonic `{other}`")),
     };
     Ok(())
-}
-
-// Small accessors that keep `Asm` internals private while letting the parser
-// reuse the builder.
-fn asm_symbols(asm: &Asm) -> HashMap<String, u32> {
-    // Build a lookup table from the (name, addr) pairs the builder tracks.
-    asm.clone()
-        .build()
-        .map(|p| p.symbols.into_iter().collect())
-        .unwrap_or_else(|_| {
-            // The data-only pass can't fail label resolution (no code yet),
-            // but be conservative: derive from a data-only rebuild.
-            HashMap::new()
-        })
-}
-
-fn asm_new_named_label(asm: &mut Asm, name: &str) -> Label {
-    asm.new_named_label(name)
 }
 
 #[cfg(test)]
@@ -740,6 +741,74 @@ mod tests {
         let p = assemble_text("plus", "addi r1, r0, +12\nli r2, +0x10\n").unwrap();
         assert!(matches!(p.insts[0], Inst::Addi { imm: 12, .. }));
         assert!(matches!(p.insts[1], Inst::Addi { imm: 16, .. }));
+    }
+
+    /// A hostile directive is a parse error naming its line: it never
+    /// loops, and never asks for more memory than the RAM bound.
+    fn refused_at(source: &str, line: usize) {
+        match assemble_text("hostile", source) {
+            Err(AsmError::Parse { line: at, .. }) if at == line => {}
+            other => panic!("{source:?}: expected a parse error at line {line}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn hostile_align_zero_is_refused() {
+        refused_at(".data\nx: .byte 1\n.align 0\n", 3);
+    }
+
+    #[test]
+    fn hostile_negative_space_is_refused() {
+        refused_at(".data\nx: .space -1\n", 2);
+    }
+
+    #[test]
+    fn hostile_huge_align_is_refused() {
+        refused_at(".data\nx: .byte 1\n.align 0x80000000\n", 3);
+    }
+
+    #[test]
+    fn hostile_huge_ram_is_refused() {
+        refused_at(".ram 0x40000000\nhalt 0\n", 1);
+    }
+
+    #[test]
+    fn hostile_symbol_offset_overflow_is_refused() {
+        refused_at(
+            ".data\npad: .byte 0\nx: .byte 1\n.text\nli r1, x+9223372036854775807\n",
+            5,
+        );
+    }
+
+    #[test]
+    fn data_beyond_ram_is_reported_as_such() {
+        let source = ".ram 1\n.data\nx: .byte 1, 2\n.text\nlb r1, x(r0)\n";
+        let err = assemble_text("small", source).unwrap_err();
+        assert_eq!(err, AsmError::DataTooLarge { need: 2, ram: 1 });
+    }
+
+    #[test]
+    fn hostile_sizes_stop_at_the_ram_bound() {
+        let bound = MAX_RAM_BYTES;
+        let p =
+            assemble_text("edge", &format!(".ram {bound}\n.data\nx: .space {bound}\n")).unwrap();
+        assert_eq!((p.ram_size, p.data.len()), (bound, bound as usize));
+        refused_at(&format!(".ram {}\n", bound + 1), 1);
+        refused_at(&format!(".data\nx: .space {}\n", bound + 1), 2);
+        refused_at(&format!(".data\nx: .space {bound}\ny: .byte 1\n"), 3);
+        refused_at(".data\nx: .byte 1\n.align 3\n", 3);
+        refused_at(".ram -1\n", 1);
+    }
+
+    #[test]
+    fn hostile_anonymous_data_lines_assemble_in_linear_time() {
+        // Numbering an anonymous data line must not cost a pass over
+        // everything assembled before it.
+        let source = format!(".data\n{}.text\nhalt 0\n", ".byte 1\n".repeat(20_000));
+        let p = assemble_text("anon", &source).unwrap();
+        assert_eq!(p.data.len(), 20_000);
+        assert_eq!(p.symbol("__anon_0"), Some(0));
+        assert_eq!(p.symbol("__anon_19999"), Some(19_999));
     }
 
     #[test]

@@ -39,7 +39,7 @@
 use crate::ast::*;
 use crate::lex::{LangError, Span};
 use sofi_harden::{HashDmrWord, ProtectedWord, Shield, TmrWord};
-use sofi_isa::{Asm, DataLabel, Label, Program, Reg};
+use sofi_isa::{Asm, DataLabel, Label, Program, Reg, MAX_RAM_BYTES};
 use std::collections::HashMap;
 
 /// Which word-protection mechanism to apply to scalar globals.
@@ -231,10 +231,13 @@ struct Cg<'m> {
 
 impl<'m> Cg<'m> {
     fn new(name: &str, module: &'m Module, opts: &Options) -> Result<Cg<'m>, LangError> {
-        if opts.stack_bytes == 0 || !opts.stack_bytes.is_multiple_of(4) {
+        if opts.stack_bytes == 0
+            || !opts.stack_bytes.is_multiple_of(4)
+            || opts.stack_bytes > MAX_RAM_BYTES
+        {
             return Err(LangError::new(
                 Span::SYNTH,
-                "stack_bytes must be a positive multiple of 4",
+                format!("stack_bytes must be a positive multiple of 4 up to {MAX_RAM_BYTES}"),
             ));
         }
         let mut a = Asm::with_name(name);

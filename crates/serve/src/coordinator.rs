@@ -19,26 +19,29 @@
 //!
 //! Both paths converge on one idempotent commit of a group of shards (an
 //! upload is a group of one): a shard commit is valid only while the job
-//! is `Running` and not cancelled, the shard is still leased under the
-//! uploaded lease id, and the uploaded experiment ids are exactly the
-//! shard's ids. Committed outcomes are journaled — one `Batch` record
-//! per shard, one fsync per group — *before* progress advances, so a
-//! crash at any point loses at most shards not yet journaled, never a
-//! reported one. A lease that is not committed before its
-//! deadline (dead or partitioned worker) is re-queued — the worker loses
-//! only its uncommitted work. Duplicate uploads after a re-grant are
-//! detected by the shard's phase and acknowledged without a second
-//! commit, so outcomes are never double-counted.
+//! is `Running`, the shard is still leased under the uploaded lease id,
+//! and the uploaded experiment ids are exactly the shard's ids.
+//! Committed outcomes are journaled — one `Batch` record per shard, one
+//! fsync per group — *before* progress advances, so a crash at any point
+//! loses at most shards not yet journaled, never a reported one. A
+//! remote lease lives as long as its holder: once a worker has sent no
+//! request of any kind for the lease timeout (dead or partitioned), its
+//! uncommitted shards are re-queued — the worker loses only its
+//! uncommitted work. Duplicate uploads after a re-grant are detected by
+//! the shard's phase and acknowledged without a second commit, so
+//! outcomes are never double-counted.
 //!
 //! Every journal append — a job's start, a commit group's `Batch`
 //! records, a job's `End` — goes through one call, and every job ends
-//! through one function that journals its `End` record before the job
-//! is seen to end. When the journal refuses an append, the daemon stops
-//! exactly as the `crash_after_commits` hook stops it: nothing more is
-//! journaled, the drivers stop, and no result, cancel or failure is
-//! published beyond what the journal holds, so a restart replays the
-//! committed prefix as it does after a kill. Lease grants are not
-//! journaled: recovery derives progress from `Batch` records alone.
+//! exactly once, through one function that journals its `End` record
+//! before the job is seen to end: a client hears `Cancelled` only once
+//! the cancel is journaled. When the journal refuses an append, the
+//! daemon stops exactly as the `crash_after_commits` hook stops it:
+//! nothing more is journaled, the drivers stop, and no result, cancel
+//! or failure is published beyond what the journal holds, so a restart
+//! replays the committed prefix as it does after a kill. Lease grants
+//! are not journaled: recovery derives progress from `Batch` records
+//! alone.
 //!
 //! On startup the coordinator replays the journal: jobs with a terminal
 //! record are kept for status queries; jobs interrupted mid-campaign
@@ -82,9 +85,10 @@ pub struct ServeConfig {
     pub batch_size: usize,
     /// Idle-client read timeout on daemon connections.
     pub idle_timeout: Duration,
-    /// How long a remote worker may sit on a leased shard without a
-    /// commit or heartbeat before the shard is re-queued for someone
-    /// else. Heartbeats renew every lease the worker holds.
+    /// How long a remote worker may stay silent — no heartbeat, lease
+    /// request or upload — before every shard it holds is re-queued for
+    /// someone else. Any request from the worker keeps all its leases
+    /// alive.
     pub lease_timeout: Duration,
     /// When `true`, local drivers execute shards themselves only while
     /// *no* live remote worker is registered — the daemon becomes a pure
@@ -162,7 +166,8 @@ pub struct JobUpdate {
 #[derive(Debug, Clone)]
 pub enum LeaseOffer {
     /// A shard to execute: rebuild the campaign from `spec`, run exactly
-    /// `experiments`, upload under `lease` before the deadline.
+    /// `experiments`, upload under `lease`. The lease lasts while the
+    /// worker sends some request within every lease timeout.
     Grant {
         /// Lease id; quote it verbatim in the upload.
         lease: u64,
@@ -188,14 +193,14 @@ pub enum LeaseOffer {
 enum ShardPhase {
     /// Waiting to be claimed (locally or by a remote lease).
     Pending,
-    /// Claimed; `worker` 0 is the local driver (never expires).
+    /// Claimed under a lease that lives as long as its holder: the local
+    /// driver (worker 0) never expires, and a remote worker's leases go
+    /// back to `Pending` once it has been silent for the lease timeout.
     Leased {
         /// Lease id the commit must quote.
         lease: u64,
         /// Holder (0 = local driver).
         worker: u64,
-        /// Re-queue time for remote holders.
-        deadline: Instant,
     },
     /// Outcomes journaled; duplicate uploads are acknowledged as such.
     Committed,
@@ -211,33 +216,41 @@ struct Shard {
 #[derive(Debug)]
 struct WorkerInfo {
     name: String,
+    /// When the worker last sent any request.
     last_seen: Instant,
-    leases: u32,
     shards_committed: u64,
     experiments_committed: u64,
+}
+
+impl WorkerInfo {
+    /// The one liveness test: a worker heard from within `timeout` is
+    /// live and keeps every lease it holds; a silent one loses them.
+    fn alive(&self, timeout: Duration) -> bool {
+        self.last_seen.elapsed() < timeout
+    }
 }
 
 #[derive(Debug)]
 struct JobEntry {
     spec: JobSpec,
     state: JobState,
-    cancel: bool,
     done: u64,
     total: u64,
     /// Committed outcomes: journal-replayed results plus this
-    /// incarnation's shards, in commit order.
+    /// incarnation's shards, in commit order. They move into `result`
+    /// when the job is `Done`.
     results: Vec<ExperimentResult>,
-    outcome: Option<(CampaignResult, ExecutorStats)>,
+    /// The merged result of a `Done` job.
+    result: Option<CampaignResult>,
     error: String,
     /// Executor counters merged from every shard committed so far —
-    /// the live figures behind mid-run status queries. Shards merge via
-    /// [`ExecutorStats::absorb_batch`] (counters sum, `workers` peaks).
+    /// the live figures behind mid-run status queries, and the final
+    /// ones once the job is `Done`. Shards merge via
+    /// [`ExecutorStats::absorb`] (counters sum, `workers` peaks).
     stats: ExecutorStats,
     /// The dispatch tail, populated by the driver once the plan is
-    /// known; empty (with `shards_ready` false) before that and after
-    /// the job ends.
+    /// known; empty before that and after the job ends.
     shards: Vec<Shard>,
-    shards_ready: bool,
     /// Per-job telemetry registry, always enabled: the campaign records
     /// its spans and histograms here regardless of the spec's
     /// `telemetry` flag, so `Stats` queries work for every job.
@@ -249,17 +262,20 @@ impl JobEntry {
         JobEntry {
             spec,
             state,
-            cancel: false,
             done: results.len() as u64,
             total: 0,
             results,
-            outcome: None,
+            result: None,
             error: String::new(),
             stats: ExecutorStats::default(),
             shards: Vec::new(),
-            shards_ready: false,
             telemetry: Registry::enabled(),
         }
+    }
+
+    /// A `Done` job's result and final counters.
+    fn outcome(&self) -> Option<(CampaignResult, ExecutorStats)> {
+        Some((self.result.clone()?, self.stats))
     }
 
     fn status(&self, id: u64) -> JobStatus {
@@ -296,6 +312,34 @@ struct CoordState {
     /// stops dead, nothing further is journaled or published.
     crashed: bool,
     batch_commits: u64,
+}
+
+impl CoordState {
+    /// Notes a request from `worker`, which keeps every lease it holds
+    /// alive. Returns `false` for an id this coordinator never
+    /// registered: it restarted since, or `worker` is the local
+    /// driver's 0.
+    fn heard_from(&mut self, worker: u64) -> bool {
+        match self.workers.get_mut(&worker) {
+            Some(w) => {
+                w.last_seen = Instant::now();
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The holder of each leased shard, one item per lease (0 = the local
+    /// driver).
+    fn lease_holders(&self) -> impl Iterator<Item = u64> + '_ {
+        self.jobs
+            .values()
+            .flat_map(|j| &j.shards)
+            .filter_map(|s| match s.phase {
+                ShardPhase::Leased { worker, .. } => Some(worker),
+                _ => None,
+            })
+    }
 }
 
 #[derive(Debug)]
@@ -341,56 +385,28 @@ impl Inner {
         }
         committed
     }
-}
 
-/// Remote leases currently outstanding (local driver claims excluded).
-fn active_leases(st: &CoordState) -> u64 {
-    st.jobs
-        .values()
-        .flat_map(|j| j.shards.iter())
-        .filter(|s| matches!(s.phase, ShardPhase::Leased { worker, .. } if worker != 0))
-        .count() as u64
-}
-
-/// Re-queues every expired remote lease: the shard returns to `Pending`
-/// and the (dead or partitioned) worker loses credit for it. Local
-/// driver claims (worker 0) never expire — the driver thread is alive by
-/// construction while it holds one.
-fn reclaim_expired(telemetry: &Registry, st: &mut CoordState) {
-    let now = Instant::now();
-    let mut requeued = 0u64;
-    let CoordState { jobs, workers, .. } = st;
-    for job in jobs.values_mut() {
-        if job.state != JobState::Running {
-            continue;
-        }
-        for shard in &mut job.shards {
-            if let ShardPhase::Leased {
-                worker, deadline, ..
-            } = shard.phase
-            {
-                if worker != 0 && deadline <= now {
+    /// Re-queues every shard leased to a worker that is no longer live:
+    /// the shard returns to `Pending` and the (dead or partitioned)
+    /// worker loses credit for it. Local driver claims (worker 0) never
+    /// expire — the driver thread is alive by construction while it
+    /// holds one.
+    fn reclaim_expired(&self, st: &mut CoordState) {
+        let CoordState { jobs, workers, .. } = st;
+        let mut requeued = 0;
+        let live = |w: &WorkerInfo| w.alive(self.config.lease_timeout);
+        for shard in jobs.values_mut().flat_map(|j| &mut j.shards) {
+            if let ShardPhase::Leased { worker, .. } = shard.phase {
+                if worker != 0 && !workers.get(&worker).is_some_and(live) {
                     shard.phase = ShardPhase::Pending;
                     requeued += 1;
-                    if let Some(w) = workers.get_mut(&worker) {
-                        w.leases = w.leases.saturating_sub(1);
-                    }
                 }
             }
         }
+        if requeued > 0 {
+            self.telemetry.counter(names::LEASES_REQUEUED).add(requeued);
+        }
     }
-    if requeued > 0 {
-        telemetry.counter(names::LEASES_REQUEUED).add(requeued);
-        telemetry.gauge(names::LEASES_ACTIVE).set(active_leases(st));
-    }
-}
-
-/// `true` while at least one registered worker has been heard from
-/// within the lease timeout.
-fn any_live_worker(st: &CoordState, lease_timeout: Duration) -> bool {
-    st.workers
-        .values()
-        .any(|w| w.last_seen.elapsed() < lease_timeout)
 }
 
 /// The campaign coordinator: owns the journal, the job table, the lease
@@ -428,8 +444,6 @@ impl Coordinator {
                 queue.push_back(job.job);
             }
         }
-        let telemetry = Registry::enabled();
-        telemetry.gauge(names::QUEUE_DEPTH).set(queue.len() as u64);
         let store = match &config.warm_store {
             Some(path) => Some(Mutex::new(WarmStore::open(path)?)),
             None => None,
@@ -451,7 +465,7 @@ impl Coordinator {
             }),
             work_cv: Condvar::new(),
             watch_cv: Condvar::new(),
-            telemetry,
+            telemetry: Registry::enabled(),
             store,
         });
         let drivers = (0..config.workers.max(1))
@@ -500,10 +514,6 @@ impl Coordinator {
             .insert(id, JobEntry::new(spec, JobState::Queued, Vec::new()));
         st.queue.push_back(id);
         self.inner.telemetry.counter(names::JOBS_SUBMITTED).incr();
-        self.inner
-            .telemetry
-            .gauge(names::QUEUE_DEPTH)
-            .set(st.queue.len() as u64);
         drop(st);
         self.inner.work_cv.notify_one();
         SubmitOutcome::Accepted(id)
@@ -518,48 +528,35 @@ impl Coordinator {
         }
     }
 
-    /// Requests cancellation. Queued jobs are cancelled immediately
-    /// (with a journaled end record); a running job commits nothing
-    /// further — the check runs per commit group — and its workers stop
-    /// at their next shard boundary.
+    /// Cancels a queued or running job: its `End` record is journaled
+    /// before the answer, so a job answered `Cancelled` stays cancelled
+    /// across a restart. A running job commits nothing further — the
+    /// check runs per commit group — and its workers stop at their next
+    /// shard boundary. A refused append answers `ShuttingDown`.
     pub fn cancel(&self, id: u64) -> CancelOutcome {
-        let mut st = self.inner.state.lock().unwrap();
+        let st = self.inner.state.lock().unwrap();
         if st.crashed {
             return CancelOutcome::ShuttingDown;
         }
-        let Some(job) = st.jobs.get_mut(&id) else {
+        let Some(job) = st.jobs.get(&id) else {
             return CancelOutcome::Unknown;
         };
         if job.state.is_terminal() {
             return CancelOutcome::AlreadyTerminal(job.state);
         }
-        if job.state == JobState::Queued {
-            return if end_job(&self.inner, st, id, JobState::Cancelled, |_| {}) {
-                CancelOutcome::Cancelled
-            } else {
-                CancelOutcome::ShuttingDown
-            };
+        if !end_job(&self.inner, st, id, JobState::Cancelled, |_| {}) {
+            return CancelOutcome::ShuttingDown;
         }
-        job.cancel = true;
-        drop(st);
-        // Wake drivers so a running job notices the flag at its next
-        // claim-loop pass even if no shard commits in the meantime.
+        // Wake a driver waiting on this job's remote leases, so it sees
+        // the job ended at once.
         self.inner.work_cv.notify_all();
-        self.inner.watch_cv.notify_all();
         CancelOutcome::Cancelled
     }
 
     /// The final result of a `Done` job, if it finished in this daemon
     /// incarnation.
     pub fn result(&self, id: u64) -> Option<(CampaignResult, ExecutorStats)> {
-        self.inner
-            .state
-            .lock()
-            .unwrap()
-            .jobs
-            .get(&id)?
-            .outcome
-            .clone()
+        self.inner.state.lock().unwrap().jobs.get(&id)?.outcome()
     }
 
     /// A point-in-time telemetry snapshot: one job's registry, or (for
@@ -570,7 +567,15 @@ impl Coordinator {
         match job {
             Some(id) => st.jobs.get(&id).map(|j| j.telemetry.snapshot()),
             None => {
-                let mut snap = self.inner.telemetry.snapshot();
+                // The daemon gauges are read from the state here, the one
+                // place the daemon registry is read.
+                let telemetry = &self.inner.telemetry;
+                telemetry
+                    .gauge(names::QUEUE_DEPTH)
+                    .set(st.queue.len() as u64);
+                let remote = st.lease_holders().filter(|&worker| worker != 0).count();
+                telemetry.gauge(names::LEASES_ACTIVE).set(remote as u64);
+                let mut snap = telemetry.snapshot();
                 for j in st.jobs.values() {
                     snap.merge(&j.telemetry.snapshot());
                 }
@@ -592,7 +597,6 @@ impl Coordinator {
             WorkerInfo {
                 name: name.to_string(),
                 last_seen: Instant::now(),
-                leases: 0,
                 shards_committed: 0,
                 experiments_committed: 0,
             },
@@ -604,38 +608,14 @@ impl Coordinator {
         (id, self.inner.config.lease_timeout.as_millis() as u64)
     }
 
-    /// Worker liveness ping: refreshes the worker's `last_seen` and
-    /// renews every lease it holds. Returns `(draining, known)`; a
-    /// worker seeing `known == false` (coordinator restarted) must
-    /// re-register before its uploads can be credited.
+    /// Worker liveness ping, which like any other request from the
+    /// worker keeps every lease it holds alive. Returns `(draining,
+    /// known)`; a worker seeing `known == false` (coordinator restarted)
+    /// must re-register before its uploads can be credited.
     pub fn heartbeat(&self, worker: u64) -> (bool, bool) {
         let mut st = self.inner.state.lock().unwrap();
         self.inner.telemetry.counter(names::HEARTBEATS).incr();
-        let now = Instant::now();
-        let known = match st.workers.get_mut(&worker) {
-            Some(w) => {
-                w.last_seen = now;
-                true
-            }
-            None => false,
-        };
-        if known {
-            let deadline = now + self.inner.config.lease_timeout;
-            for job in st.jobs.values_mut() {
-                for shard in &mut job.shards {
-                    if let ShardPhase::Leased {
-                        worker: holder,
-                        deadline: d,
-                        ..
-                    } = &mut shard.phase
-                    {
-                        if *holder == worker {
-                            *d = deadline;
-                        }
-                    }
-                }
-            }
-        }
+        let known = st.heard_from(worker);
         (st.draining, known)
     }
 
@@ -650,31 +630,21 @@ impl Coordinator {
         if st.crashed {
             return LeaseOffer::NoWork { draining: true };
         }
-        let now = Instant::now();
-        if let Some(w) = st.workers.get_mut(&worker) {
-            w.last_seen = now;
-        } else {
+        if !st.heard_from(worker) {
             // Unregistered (coordinator restarted): heartbeats report
             // `known == false`, prompting re-registration.
             return LeaseOffer::NoWork {
                 draining: st.draining,
             };
         }
-        reclaim_expired(&self.inner.telemetry, &mut st);
-        let mut found = None;
-        for (&jid, job) in st.jobs.iter() {
-            if job.state != JobState::Running || !job.shards_ready {
-                continue;
-            }
-            if let Some(idx) = job
+        self.inner.reclaim_expired(&mut st);
+        let found = st.jobs.iter().find_map(|(&jid, job)| {
+            let idx = job
                 .shards
                 .iter()
-                .position(|s| s.phase == ShardPhase::Pending)
-            {
-                found = Some((jid, idx));
-                break;
-            }
-        }
+                .position(|s| s.phase == ShardPhase::Pending)?;
+            Some((jid, idx))
+        });
         let Some((jid, idx)) = found else {
             return LeaseOffer::NoWork {
                 draining: st.draining,
@@ -682,24 +652,11 @@ impl Coordinator {
         };
         let lease = st.next_lease;
         st.next_lease += 1;
-        let deadline = now + self.inner.config.lease_timeout;
-        let (spec, experiments) = {
-            let job = st.jobs.get_mut(&jid).expect("job exists");
-            job.shards[idx].phase = ShardPhase::Leased {
-                lease,
-                worker,
-                deadline,
-            };
-            (job.spec.clone(), job.shards[idx].experiments.clone())
-        };
-        if let Some(w) = st.workers.get_mut(&worker) {
-            w.leases += 1;
-        }
+        let job = st.jobs.get_mut(&jid).expect("job exists");
+        let shard = &mut job.shards[idx];
+        shard.phase = ShardPhase::Leased { lease, worker };
+        let (spec, experiments) = (job.spec.clone(), shard.experiments.clone());
         self.inner.telemetry.counter(names::LEASES_GRANTED).incr();
-        self.inner
-            .telemetry
-            .gauge(names::LEASES_ACTIVE)
-            .set(active_leases(&st));
         LeaseOffer::Grant {
             lease,
             job: jid,
@@ -783,21 +740,17 @@ impl Coordinator {
     /// Point-in-time view of every registered worker, sorted by id.
     pub fn workers(&self) -> Vec<WorkerStatus> {
         let st = self.inner.state.lock().unwrap();
-        let lease_timeout = self.inner.config.lease_timeout;
         let mut out: Vec<WorkerStatus> = st
             .workers
             .iter()
-            .map(|(&id, w)| {
-                let elapsed = w.last_seen.elapsed();
-                WorkerStatus {
-                    id,
-                    name: w.name.clone(),
-                    alive: elapsed < lease_timeout,
-                    leases_active: w.leases,
-                    shards_committed: w.shards_committed,
-                    experiments_committed: w.experiments_committed,
-                    last_seen_ms: elapsed.as_millis() as u64,
-                }
+            .map(|(&id, w)| WorkerStatus {
+                id,
+                name: w.name.clone(),
+                alive: w.alive(self.inner.config.lease_timeout),
+                leases_active: st.lease_holders().filter(|&holder| holder == id).count() as u32,
+                shards_committed: w.shards_committed,
+                experiments_committed: w.experiments_committed,
+                last_seen_ms: w.last_seen.elapsed().as_millis() as u64,
             })
             .collect();
         out.sort_by_key(|w| w.id);
@@ -818,7 +771,7 @@ impl Coordinator {
             if entry.state.is_terminal() || entry.done != last_done {
                 return Some(JobUpdate {
                     status: entry.status(job),
-                    outcome: entry.outcome.clone(),
+                    outcome: entry.outcome(),
                 });
             }
             st = self.inner.watch_cv.wait(st).unwrap();
@@ -881,12 +834,7 @@ fn driver_loop(inner: &Inner) {
                 if st.crashed {
                     return;
                 }
-                if let Some(&id) = st.queue.front() {
-                    st.queue.pop_front();
-                    inner
-                        .telemetry
-                        .gauge(names::QUEUE_DEPTH)
-                        .set(st.queue.len() as u64);
+                if let Some(id) = st.queue.pop_front() {
                     let job = st.jobs.get_mut(&id).expect("queued job exists");
                     job.state = JobState::Running;
                     let spec = job.spec.clone();
@@ -905,14 +853,16 @@ fn driver_loop(inner: &Inner) {
     }
 }
 
-/// Ends job `id` in the terminal `state` — the one way a job ends. The
-/// `End` record is journaled first; only once it commits does the job
-/// leave the queue, take `state`, drop its shards, get what `publish`
-/// adds (a `Done` job's result, a `Failed` job's message) and count as
-/// finished. Releases the state lock and wakes status watchers. Returns
-/// `false` when the journal refused the record: the daemon has stopped,
-/// nothing was published, and a restart replays the job from what the
-/// journal holds.
+/// Ends job `id` in the terminal `state` — the one way a job ends, and
+/// it ends once: a job that has already ended (a cancel that landed
+/// while its driver assembled, planned or merged it) journals nothing
+/// more. The `End` record is journaled first; only once it commits does
+/// the job leave the queue, take `state`, drop its shards, get what
+/// `publish` adds (a `Done` job's result, a `Failed` job's message) and
+/// count as finished. Releases the state lock and wakes status watchers.
+/// Returns `false` when the job had already ended, and when the journal
+/// refused the record: the daemon has stopped, nothing was published,
+/// and a restart replays the job from what the journal holds.
 fn end_job(
     inner: &Inner,
     mut st: MutexGuard<'_, CoordState>,
@@ -920,19 +870,17 @@ fn end_job(
     state: JobState,
     publish: impl FnOnce(&mut JobEntry),
 ) -> bool {
+    if st.jobs.get(&id).is_none_or(|job| job.state.is_terminal()) {
+        return false;
+    }
     if !inner.append(&mut st, &[Record::End { job: id, state }]) {
         return false;
     }
     st.queue.retain(|&q| q != id);
-    inner
-        .telemetry
-        .gauge(names::QUEUE_DEPTH)
-        .set(st.queue.len() as u64);
-    if let Some(job) = st.jobs.get_mut(&id) {
-        job.state = state;
-        job.shards = Vec::new();
-        publish(job);
-    }
+    let job = st.jobs.get_mut(&id).expect("checked above");
+    job.state = state;
+    job.shards = Vec::new();
+    publish(job);
     inner.telemetry.counter(names::JOBS_FINISHED).incr();
     drop(st);
     inner.watch_cv.notify_all();
@@ -959,17 +907,17 @@ struct ShardCommit {
 
 /// Checks one shard commit against the job and its lease table:
 /// `Committed` means it may be journaled. A commit is valid only while
-/// the job is `Running` and not cancelled, the shard is `Leased` under
-/// exactly the commit's lease, and the experiment ids are exactly the
-/// shard's ids — so a late upload against a re-granted lease, a replay
-/// against a restarted coordinator, or a mangled result set can never
-/// corrupt the merged result. An already-committed shard is a
+/// the job is `Running`, the shard is `Leased` under exactly the
+/// commit's lease, and the experiment ids are exactly the shard's ids —
+/// so a late upload against a re-granted lease, a replay against a
+/// restarted coordinator, or a mangled result set can never corrupt the
+/// merged result. An already-committed shard is a
 /// `Duplicate`.
 fn validate(st: &CoordState, job_id: u64, commit: &ShardCommit) -> UploadOutcome {
     let Some(job) = st.jobs.get(&job_id) else {
         return UploadOutcome::StaleLease;
     };
-    if job.state != JobState::Running || job.cancel {
+    if job.state != JobState::Running {
         return UploadOutcome::StaleLease;
     }
     let Some(shard) = job.shards.get(commit.shard as usize) else {
@@ -1013,6 +961,9 @@ fn commit_group(
     if st.crashed {
         return outcomes;
     }
+    // An upload, whatever its fate, is a request that keeps the worker's
+    // leases alive.
+    st.heard_from(from_worker);
     let mut accepted = Vec::with_capacity(group.len());
     let mut crash = false;
     for (outcome, commit) in outcomes.iter_mut().zip(group) {
@@ -1057,22 +1008,12 @@ fn commit_group(
             let n = commit.results.len() as u64;
             job.shards[commit.shard as usize].phase = ShardPhase::Committed;
             job.done += n;
-            job.stats.absorb_batch(&commit.stats);
+            job.stats.absorb(&commit.stats);
             job.results.extend(commit.results);
-            if from_worker != 0 {
-                if let Some(w) = workers.get_mut(&from_worker) {
-                    w.last_seen = Instant::now();
-                    w.leases = w.leases.saturating_sub(1);
-                    w.shards_committed += 1;
-                    w.experiments_committed += n;
-                }
+            if let Some(w) = workers.get_mut(&from_worker) {
+                w.shards_committed += 1;
+                w.experiments_committed += n;
             }
-        }
-        if from_worker != 0 {
-            inner
-                .telemetry
-                .gauge(names::LEASES_ACTIVE)
-                .set(active_leases(&st));
         }
     }
     st.crashed |= crash;
@@ -1093,7 +1034,6 @@ fn claim_local(st: &mut CoordState, id: u64, limit: usize) -> Vec<(u32, u64, Vec
     let Some(job) = jobs.get_mut(&id) else {
         return Vec::new();
     };
-    let deadline = Instant::now() + Duration::from_secs(3600);
     job.shards
         .iter_mut()
         .enumerate()
@@ -1102,11 +1042,7 @@ fn claim_local(st: &mut CoordState, id: u64, limit: usize) -> Vec<(u32, u64, Vec
         .map(|(idx, shard)| {
             let lease = *next_lease;
             *next_lease += 1;
-            shard.phase = ShardPhase::Leased {
-                lease,
-                worker: 0,
-                deadline,
-            };
+            shard.phase = ShardPhase::Leased { lease, worker: 0 };
             (idx as u32, lease, shard.experiments.clone())
         })
         .collect()
@@ -1211,18 +1147,23 @@ fn run_job(inner: &Inner, id: u64, spec: &JobSpec, recovered: &HashSet<u32>, job
         .add(resume::recovered_count(&plan.experiments, recovered));
     {
         let mut st = inner.state.lock().unwrap();
-        if let Some(job) = st.jobs.get_mut(&id) {
-            job.total = plan.experiments.len() as u64;
-            job.done = recovered.len() as u64;
-            job.shards = resume::shards(&tail, inner.config.batch_size)
-                .into_iter()
-                .map(|experiments| Shard {
-                    experiments,
-                    phase: ShardPhase::Pending,
-                })
-                .collect();
-            job.shards_ready = true;
-        }
+        // A job cancelled while it was being prepared gets no shards.
+        let Some(job) = st
+            .jobs
+            .get_mut(&id)
+            .filter(|job| job.state == JobState::Running)
+        else {
+            return;
+        };
+        job.total = plan.experiments.len() as u64;
+        job.done = recovered.len() as u64;
+        job.shards = resume::shards(&tail, inner.config.batch_size)
+            .into_iter()
+            .map(|experiments| Shard {
+                experiments,
+                phase: ShardPhase::Pending,
+            })
+            .collect();
     }
     inner.watch_cv.notify_all();
 
@@ -1240,15 +1181,11 @@ fn run_job(inner: &Inner, id: u64, spec: &JobSpec, recovered: &HashSet<u32>, job
                 if st.crashed {
                     return;
                 }
-                reclaim_expired(&inner.telemetry, &mut st);
+                inner.reclaim_expired(&mut st);
                 let Some(job) = st.jobs.get(&id) else {
                     return;
                 };
                 if job.state.is_terminal() {
-                    return;
-                }
-                if job.cancel {
-                    end_job(inner, st, id, JobState::Cancelled, |_| {});
                     return;
                 }
                 if job.shards.iter().all(|s| s.phase == ShardPhase::Committed) {
@@ -1260,7 +1197,10 @@ fn run_job(inner: &Inner, id: u64, spec: &JobSpec, recovered: &HashSet<u32>, job
                 // remote-only mode, which falls back to local execution
                 // only when no worker is registered or all have gone
                 // quiet.
-                let live = any_live_worker(&st, inner.config.lease_timeout);
+                let live = st
+                    .workers
+                    .values()
+                    .any(|w| w.alive(inner.config.lease_timeout));
                 if !live || !inner.config.remote_only {
                     let limit = if live { threads } else { usize::MAX };
                     let claimed = claim_local(&mut st, id, limit);
@@ -1292,14 +1232,14 @@ fn run_job(inner: &Inner, id: u64, spec: &JobSpec, recovered: &HashSet<u32>, job
         Some(store) if warm => Some(store.lock().unwrap()),
         _ => None,
     };
-    let st = inner.state.lock().unwrap();
-    let Some(job) = st.jobs.get(&id) else {
+    let mut st = inner.state.lock().unwrap();
+    let Some(job) = st.jobs.get_mut(&id) else {
         return;
     };
-    let stats = job.stats;
-    let result = campaign.assemble_result(spec.domain, plan, job.results.clone());
+    let results = std::mem::take(&mut job.results);
+    let result = campaign.assemble_result(spec.domain, plan, results);
     if !end_job(inner, st, id, JobState::Done, |job| {
-        job.outcome = Some((result, stats));
+        job.result = Some(result);
     }) {
         return;
     }
@@ -1361,6 +1301,62 @@ mod tests {
         }
     }
 
+    /// The in-process result every daemon run of `hi` must match.
+    fn hi_in_process() -> CampaignResult {
+        let program = assemble_text("hi", HI).unwrap();
+        let campaign = Campaign::with_config(&program, CampaignConfig::sequential()).unwrap();
+        campaign.run_full_defuse_in(FaultDomain::Memory)
+    }
+
+    type Grant = (u64, u64, u32, JobSpec, Vec<Experiment>);
+
+    /// Polls for a lease as a remote worker would, until one is granted.
+    fn grant(coord: &Coordinator, worker: u64) -> Grant {
+        loop {
+            match coord.request_lease(worker) {
+                LeaseOffer::Grant {
+                    lease,
+                    job,
+                    shard,
+                    spec,
+                    experiments,
+                } => return (lease, job, shard, spec, experiments),
+                LeaseOffer::NoWork { .. } => std::thread::sleep(Duration::from_millis(5)),
+            }
+        }
+    }
+
+    /// Executes a granted shard and uploads it, as a remote worker would.
+    fn upload(coord: &Coordinator, worker: u64, grant: Grant) -> UploadOutcome {
+        let (lease, job, shard, spec, experiments) = grant;
+        let program = assemble_text(&spec.name, &spec.source).unwrap();
+        let campaign = Campaign::with_config(&program, spec.config).unwrap();
+        let (results, stats) = campaign.run_experiments_stats(spec.domain, &experiments);
+        coord.upload(worker, lease, job, shard, results, &stats, &[])
+    }
+
+    /// A remote-only daemon with one registered worker: the local pool
+    /// leaves a submitted job's shards to the worker, so the job stays
+    /// `Running` with pending shards while the worker is live.
+    fn remote_only(path: &Path, lease_timeout: Duration) -> (Coordinator, u64, u64) {
+        let coord = Coordinator::open(
+            path,
+            ServeConfig {
+                workers: 1,
+                batch_size: 1,
+                remote_only: true,
+                lease_timeout,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let (worker, _) = coord.register("remote");
+        let SubmitOutcome::Accepted(id) = coord.submit(hi_spec()) else {
+            panic!("fresh queue refused a job");
+        };
+        (coord, worker, id)
+    }
+
     #[test]
     fn submit_runs_to_done_and_matches_in_process() {
         let path = temp_journal("done");
@@ -1396,6 +1392,31 @@ mod tests {
         let status = coord.status(Some(id)).unwrap().remove(0);
         assert_eq!(status.state, JobState::Failed);
         assert!(status.error.contains("assembly failed"), "{}", status.error);
+        drop(coord);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A source declaring more RAM than the bound fails like any other bad
+    /// source, and the daemon runs the next job.
+    #[test]
+    fn oversized_ram_fails_cleanly() {
+        let path = temp_journal("huge-ram");
+        let coord = Coordinator::open(&path, ServeConfig::default()).unwrap();
+        let SubmitOutcome::Accepted(huge) = coord.submit(JobSpec {
+            source: format!(".ram 0x40000000\n{HI}"),
+            ..hi_spec()
+        }) else {
+            panic!("refused");
+        };
+        coord.wait_idle();
+        let status = coord.status(Some(huge)).unwrap().remove(0);
+        assert_eq!(status.state, JobState::Failed);
+        assert!(status.error.contains("assembly failed"), "{}", status.error);
+        let SubmitOutcome::Accepted(hi) = coord.submit(hi_spec()) else {
+            panic!("refused");
+        };
+        coord.wait_idle();
+        assert_eq!(coord.result(hi).unwrap().0, hi_in_process());
         drop(coord);
         std::fs::remove_file(&path).unwrap();
     }
@@ -1548,6 +1569,139 @@ mod tests {
             assert_eq!(ids, want, "k={k}: every experiment exactly once");
             std::fs::remove_file(&path).unwrap();
         }
+    }
+
+    /// A cancel is journaled before it answers. With the journal refusing
+    /// its next append, a cancel of a running job either answers
+    /// `Cancelled`, and the job stays cancelled across a restart without
+    /// ever running, or answers `ShuttingDown`, and the restart finishes
+    /// the job bit-identical to the in-process campaign.
+    #[test]
+    fn a_cancel_is_journaled_before_it_answers() {
+        let path = temp_journal("cancel-durable");
+        let (coord, _, id) = remote_only(&path, Duration::from_secs(10));
+        while coord.status(Some(id)).unwrap()[0].total == 0 {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        coord.inner.state.lock().unwrap().journal.refuse_after = Some(0);
+        let answer = coord.cancel(id);
+        drop(coord);
+
+        let coord = Coordinator::open(&path, ServeConfig::default()).unwrap();
+        coord.wait_idle();
+        let status = coord.status(Some(id)).unwrap().remove(0);
+        match answer {
+            CancelOutcome::Cancelled => {
+                assert_eq!(status.state, JobState::Cancelled, "answered Cancelled");
+                assert_eq!(status.done, 0, "a cancelled job ran");
+            }
+            CancelOutcome::ShuttingDown => {
+                let (result, _) = coord.result(id).expect("the restart finishes the job");
+                assert_eq!(result, hi_in_process());
+            }
+            other => panic!("cancel of a running job answered {other:?}"),
+        }
+        drop(coord);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A cancel drops its job's leases: neither the worker that held one
+    /// nor the `LEASES_ACTIVE` gauge counts it, before or after the
+    /// worker's late upload bounces.
+    #[test]
+    fn a_cancel_releases_the_workers_leases() {
+        let path = temp_journal("cancel-leases");
+        let (coord, worker, id) = remote_only(&path, Duration::from_secs(10));
+        let held = grant(&coord, worker);
+        let leases = |coord: &Coordinator| {
+            let gauge = coord.telemetry_snapshot(None).unwrap();
+            (
+                coord.workers()[0].leases_active,
+                gauge.gauge(names::LEASES_ACTIVE),
+            )
+        };
+        assert_eq!(leases(&coord), (1, 1));
+        assert_eq!(coord.cancel(id), CancelOutcome::Cancelled);
+        assert_eq!(leases(&coord), (0, 0), "after the cancel");
+        assert_eq!(upload(&coord, worker, held), UploadOutcome::StaleLease);
+        assert_eq!(leases(&coord), (0, 0), "after the late upload");
+        drop(coord);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Every job ends once: ending a job that has already ended journals
+    /// nothing.
+    #[test]
+    fn a_job_ends_once() {
+        let path = temp_journal("end-once");
+        let (coord, _, id) = remote_only(&path, Duration::from_secs(10));
+        let end = |state| {
+            let st = coord.inner.state.lock().unwrap();
+            end_job(&coord.inner, st, id, state, |_| {})
+        };
+        let answers = [
+            end(JobState::Cancelled),
+            end(JobState::Done),
+            end(JobState::Failed),
+        ];
+        coord.wait_idle();
+        let state = coord.status(Some(id)).unwrap()[0].state;
+        drop(coord);
+        let (_, records) = Journal::open(&path).unwrap();
+        let ends: Vec<JobState> = records
+            .iter()
+            .filter_map(|r| match r {
+                Record::End { job, state } if *job == id => Some(*state),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ends, [JobState::Cancelled], "one End per job");
+        assert_eq!(answers, [true, false, false]);
+        assert_eq!(state, JobState::Cancelled);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A lease lives as long as its holder: a worker that never
+    /// heartbeats, but asks for work or uploads within every lease
+    /// timeout, keeps its first lease for two timeouts and more.
+    #[test]
+    fn any_request_keeps_a_workers_leases() {
+        let path = temp_journal("lease-rule");
+        let timeout = Duration::from_millis(400);
+        let (coord, worker, id) = remote_only(&path, timeout);
+        let mut held = vec![grant(&coord, worker)];
+        let first = Instant::now();
+        while first.elapsed() < 2 * timeout {
+            std::thread::sleep(timeout / 4);
+            // Alternate: upload the newest lease after the first, else
+            // ask for another.
+            if held.len() > 1 {
+                let newest = held.pop().unwrap();
+                assert_eq!(upload(&coord, worker, newest), UploadOutcome::Committed);
+            } else if let LeaseOffer::Grant {
+                lease,
+                job,
+                shard,
+                spec,
+                experiments,
+            } = coord.request_lease(worker)
+            {
+                held.push((lease, job, shard, spec, experiments));
+            }
+            assert_eq!(coord.workers()[0].leases_active, held.len() as u32);
+        }
+        for lease in held {
+            assert_eq!(
+                upload(&coord, worker, lease),
+                UploadOutcome::Committed,
+                "a lease expired although its holder kept sending requests"
+            );
+        }
+        // The worker falls silent; the local fallback finishes the job.
+        coord.wait_idle();
+        assert_eq!(coord.result(id).unwrap().0, hi_in_process());
+        drop(coord);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1706,7 +1860,7 @@ mod tests {
                 LeaseOffer::NoWork { .. } => std::thread::sleep(Duration::from_millis(5)),
             }
         };
-        // Sit on the lease past its deadline without heartbeating. The
+        // Sit on the lease past the lease timeout without a request. The
         // local driver (fallback: the worker has gone quiet) reclaims
         // and eventually finishes the job.
         std::thread::sleep(Duration::from_millis(200));

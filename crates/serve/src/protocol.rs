@@ -219,9 +219,9 @@ pub enum Message {
         /// worker registry, not required to be unique.
         name: String,
     },
-    /// Liveness signal from a registered worker; renews the deadline of
-    /// every lease the worker holds. Answered with
-    /// [`Message::HeartbeatAck`].
+    /// Liveness signal from a registered worker. Like any request from
+    /// the worker, it keeps every lease the worker holds alive. Answered
+    /// with [`Message::HeartbeatAck`].
     Heartbeat {
         /// Worker id from [`Message::Registered`].
         worker: u64,
