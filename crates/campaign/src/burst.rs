@@ -131,7 +131,7 @@ impl Campaign {
             .collect();
         draws.sort_unstable();
 
-        let budget = self.config().cycle_budget(self.golden().cycles);
+        let budget = crate::config::cycle_budget(self.golden().cycles);
         let mut pristine = self.fresh_machine();
         let mut result = BurstSampledResult {
             benchmark: self.program().name.clone(),

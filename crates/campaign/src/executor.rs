@@ -1,6 +1,6 @@
 //! The campaign executor.
 
-use crate::config::CampaignConfig;
+use crate::config::{cycle_budget, CampaignConfig, GOLDEN_CYCLE_LIMIT};
 use crate::outcome::Outcome;
 use crate::result::{CampaignResult, ExperimentResult, FaultDomain};
 use sofi_isa::Program;
@@ -15,9 +15,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-/// Default cycle limit for capturing golden runs.
-const GOLDEN_CYCLE_LIMIT: u64 = 50_000_000;
 
 /// Instrumentation from one executor invocation, used by scheduling
 /// regression tests, the campaign bench, and the EXPERIMENTS.md bench
@@ -185,8 +182,8 @@ struct MemoEntry {
 
 /// One exportable fault-equivalence memo entry: a `(cycle, digest) →
 /// (outcome, final_cycle)` fact that holds for any campaign over the
-/// same program, event schedule and outcome-relevant configuration
-/// (cycle budget, serial limit). The `sofi-serve` daemon journals these
+/// same program and event schedule (the cycle budget and the serial
+/// limit are constants). The `sofi-serve` daemon journals these
 /// in its persistent warm store and feeds them back into later
 /// campaigns via [`Campaign::preload_memo`]; the digest is purely
 /// content-determined, so records survive process restarts.
@@ -565,7 +562,7 @@ impl Campaign {
     /// # Errors
     ///
     /// Returns [`GoldenError`] if the fault-free program does not terminate
-    /// cleanly within 50 M cycles.
+    /// cleanly within [`GOLDEN_CYCLE_LIMIT`] cycles.
     pub fn new(program: &Program) -> Result<Campaign, GoldenError> {
         Campaign::with_config(program, CampaignConfig::default())
     }
@@ -927,7 +924,9 @@ impl Campaign {
     /// between them. Building them also pre-seeds the memo.
     fn checkpoints(&self) -> &[Checkpoint] {
         self.checkpoints.get_or_init(|| {
-            let count = (8 * self.config.effective_threads() as u64).clamp(64, 256);
+            let count = (self.config.effective_threads() as u64)
+                .saturating_mul(8)
+                .clamp(64, 256);
             let spacing = (self.golden.cycles / count).max(1);
             let mut machine = self.fresh_machine();
             let mut snapshots = Vec::new();
@@ -1035,8 +1034,8 @@ impl Campaign {
     /// they are not re-exported.
     ///
     /// Soundness is the caller's contract: records must come from a
-    /// campaign over the same program, event schedule, cycle budget and
-    /// serial limit (the daemon keys its store by exactly that context).
+    /// campaign over the same program and event schedule (the daemon
+    /// keys its store by the program and the fault domain).
     pub fn preload_memo(&self, records: &[MemoRecord]) {
         if records.is_empty() {
             return;
@@ -1128,7 +1127,7 @@ impl Campaign {
         domain: FaultDomain,
         experiments: &[Experiment],
     ) -> Vec<ExperimentResult> {
-        let budget = self.config.cycle_budget(self.golden.cycles);
+        let budget = cycle_budget(self.golden.cycles);
         experiments
             .iter()
             .map(|&e| {
@@ -1280,7 +1279,7 @@ impl Campaign {
         tel: &WorkerTel,
         gate: &mut MemoGate,
     ) -> Outcome {
-        let budget = self.config.cycle_budget(self.golden.cycles);
+        let budget = cycle_budget(self.golden.cycles);
         let start_cycle = m.cycle();
         // The cost-model gate masks memoization for the rest of the
         // worker's run once probing demonstrably cannot pay (see
@@ -1302,43 +1301,39 @@ impl Campaign {
                 }
                 stats.memo_misses += 1;
             }
-            // Early termination is only sound if a converged run's tail —
-            // the rest of the golden run — fits the budget; with any sane
-            // timeout configuration it does (budget ≥ golden runtime).
-            if self.golden.cycles <= budget {
-                let first = checkpoints.partition_point(|c| c.machine.cycle() <= m.cycle());
-                for ckpt in &checkpoints[first..] {
-                    if let Some(status) = m.run_to(ckpt.machine.cycle()) {
-                        let outcome =
-                            Outcome::classify(status, m.serial(), m.detect_count(), &self.golden);
-                        break 'run (outcome, m.cycle());
+            // Early termination is sound because a converged run's tail —
+            // the rest of the golden run — always fits the budget.
+            let first = checkpoints.partition_point(|c| c.machine.cycle() <= m.cycle());
+            for ckpt in &checkpoints[first..] {
+                if let Some(status) = m.run_to(ckpt.machine.cycle()) {
+                    let outcome =
+                        Outcome::classify(status, m.serial(), m.detect_count(), &self.golden);
+                    break 'run (outcome, m.cycle());
+                }
+                // Checkpoint-crossing lookup, deliberately *before* the
+                // convergence comparison: runs re-entering an
+                // already-explored trajectory — most commonly the exact
+                // pristine state, pre-seeded per checkpoint — resolve
+                // here and also donate their own waypoints.
+                if memoize {
+                    if let Some(hit) = gate.probe(tel, &self.memo, m, false, &mut waypoints, stats)
+                    {
+                        break 'run (hit.outcome, hit.final_cycle);
                     }
-                    // Checkpoint-crossing lookup, deliberately *before* the
-                    // convergence comparison: runs re-entering an
-                    // already-explored trajectory — most commonly the exact
-                    // pristine state, pre-seeded per checkpoint — resolve
-                    // here and also donate their own waypoints.
-                    if memoize {
-                        if let Some(hit) =
-                            gate.probe(tel, &self.memo, m, false, &mut waypoints, stats)
-                        {
-                            break 'run (hit.outcome, hit.final_cycle);
-                        }
-                    }
-                    if m.converged_with_masked(&ckpt.machine, &ckpt.mask) {
-                        stats.converged_early += 1;
-                        stats.faulted_cycles_saved += self.golden.cycles - m.cycle();
-                        let outcome = if !self.golden.matches_serial_prefix(m.serial()) {
-                            Outcome::SilentDataCorruption
-                        } else if m.detect_count() > ckpt.machine.detect_count() {
-                            Outcome::DetectedCorrected
-                        } else {
-                            Outcome::NoEffect
-                        };
-                        // A converged run finishes (virtually) at the golden
-                        // run's end; its recorded trajectory is still exact.
-                        break 'run (outcome, self.golden.cycles);
-                    }
+                }
+                if m.converged_with_masked(&ckpt.machine, &ckpt.mask) {
+                    stats.converged_early += 1;
+                    stats.faulted_cycles_saved += self.golden.cycles - m.cycle();
+                    let outcome = if !self.golden.matches_serial_prefix(m.serial()) {
+                        Outcome::SilentDataCorruption
+                    } else if m.detect_count() > ckpt.machine.detect_count() {
+                        Outcome::DetectedCorrected
+                    } else {
+                        Outcome::NoEffect
+                    };
+                    // A converged run finishes (virtually) at the golden
+                    // run's end; its recorded trajectory is still exact.
+                    break 'run (outcome, self.golden.cycles);
                 }
             }
             let status = m.run(budget);

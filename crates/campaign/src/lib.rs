@@ -65,7 +65,7 @@ pub mod resume;
 mod sampling;
 
 pub use burst::BurstSampledResult;
-pub use config::CampaignConfig;
+pub use config::{CampaignConfig, GOLDEN_CYCLE_LIMIT, TIMEOUT_FACTOR, TIMEOUT_SLACK};
 pub use executor::{Campaign, ExecutorStats, MemoRecord};
 pub use outcome::{Outcome, OutcomeClass, ABORT_CODE};
 pub use result::{CampaignResult, ExperimentResult, FaultDomain, ParseDomainError};

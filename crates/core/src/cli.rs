@@ -37,7 +37,9 @@
 //! (`sofi serve` additionally logs its bound address to stderr up front,
 //! since its return value only materializes after shutdown.)
 
-use sofi_campaign::{Campaign, CampaignConfig, CampaignResult, FaultDomain, SamplingMode};
+use sofi_campaign::{
+    Campaign, CampaignConfig, CampaignResult, FaultDomain, SamplingMode, GOLDEN_CYCLE_LIMIT,
+};
 use sofi_isa::{assemble_text, Program};
 use sofi_lang::lower::{
     compile_with as lang_compile_with, Harden as LangHarden, Options as LangOptions,
@@ -270,7 +272,7 @@ fn parse_domain_flags(args: &Args) -> Result<FaultDomain, CliError> {
 fn cmd_run(args: &[String]) -> Result<String, CliError> {
     let args = Args::parse(args, &[("--limit", true)])?;
     let program = load_program(args.positional(0)?)?;
-    let limit = args.u64("--limit", 50_000_000)?;
+    let limit = args.u64("--limit", GOLDEN_CYCLE_LIMIT)?;
     let mut m = sofi_machine::Machine::new(&program);
     let status = m.run(limit);
     let mut out = String::new();
@@ -501,7 +503,7 @@ fn cmd_compile(args: &[String]) -> Result<String, CliError> {
     }
     if args.has("--run") {
         let mut m = sofi_machine::Machine::new(&program);
-        let status = m.run(50_000_000);
+        let status = m.run(GOLDEN_CYCLE_LIMIT);
         let _ = writeln!(out, "status  : {status:?}");
         let _ = writeln!(out, "cycles  : {}", m.cycle());
         let _ = writeln!(out, "output  : {:?}", m.serial());

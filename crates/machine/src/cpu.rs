@@ -26,12 +26,16 @@ pub struct ExternalEvent {
     pub value: u32,
 }
 
-/// Execution-environment limits.
+/// Maximum bytes the serial device accepts before trapping
+/// ([`Trap::SerialOverflow`]). Faulted runs can get stuck in output
+/// loops; this bound keeps experiments finite. It decides outcomes, so
+/// it is one constant: every run of every program stops at the same
+/// output size.
+pub const SERIAL_LIMIT: usize = 64 * 1024;
+
+/// How the machine executes, never what a run computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
-    /// Maximum bytes the serial device accepts before trapping. Faulted runs
-    /// can get stuck in output loops; this bound keeps experiments finite.
-    pub serial_limit: usize,
     /// Execute through the decode-once µop engine (the default). `false`
     /// forces pure single-stepping, one [`Machine::step`] at a time —
     /// the reference interpreter the engine oracles compare against.
@@ -44,10 +48,7 @@ pub struct MachineConfig {
 
 impl Default for MachineConfig {
     fn default() -> Self {
-        MachineConfig {
-            serial_limit: 64 * 1024,
-            block_engine: true,
-        }
+        MachineConfig { block_engine: true }
     }
 }
 
@@ -150,7 +151,7 @@ impl Machine {
         Machine::with_config(program, MachineConfig::default())
     }
 
-    /// Creates a machine with explicit [`MachineConfig`] limits.
+    /// Creates a machine with an explicit [`MachineConfig`].
     pub fn with_config(program: &Program, config: MachineConfig) -> Self {
         Machine::with_events(program, config, Vec::new())
     }
@@ -486,7 +487,7 @@ impl Machine {
                 if addr >= MMIO_BASE {
                     match addr {
                         MMIO_SERIAL => {
-                            if self.serial.len() >= self.config.serial_limit {
+                            if self.serial.len() >= SERIAL_LIMIT {
                                 trap!(Trap::SerialOverflow);
                             }
                             self.serial.push(value as u8);
@@ -814,7 +815,7 @@ impl Machine {
                     if addr >= MMIO_BASE {
                         match addr {
                             MMIO_SERIAL => {
-                                if self.serial.len() >= self.config.serial_limit {
+                                if self.serial.len() >= SERIAL_LIMIT {
                                     trap!(Trap::SerialOverflow);
                                 }
                                 self.serial.push(value as u8);
@@ -920,7 +921,7 @@ impl Machine {
     /// Two fields are deliberately compared loosely:
     ///
     /// * the serial buffer matters to execution only through its *length*
-    ///   (the [`MachineConfig::serial_limit`] overflow trap); whether the
+    ///   (the [`SERIAL_LIMIT`] overflow trap); whether the
     ///   bytes also match the golden output is an *observational* question
     ///   the caller answers separately (serial-prefix check);
     /// * `detect_count` is a pure output counter — a converged run with
@@ -959,7 +960,7 @@ impl Machine {
     /// external-event progress.
     ///
     /// The machine is deterministic, so two machines *of the same
-    /// program, event schedule and [`MachineConfig`]* whose digests are
+    /// program and event schedule* whose digests are
     /// equal evolve identically from here on — equal digests (modulo a
     /// ~2⁻¹²⁸ hash collision) imply equal future runs, equal final
     /// output, and equal outcome classification under any fixed cycle
@@ -1377,15 +1378,12 @@ mod tests {
         a.serial_out(Reg::R1);
         a.j(top);
         let p = a.build().unwrap();
-        let mut m = Machine::with_config(
-            &p,
-            MachineConfig {
-                serial_limit: 10,
-                ..MachineConfig::default()
-            },
+        let mut m = Machine::new(&p);
+        assert_eq!(
+            m.run(4 * SERIAL_LIMIT as u64),
+            RunStatus::Trapped(Trap::SerialOverflow)
         );
-        assert_eq!(m.run(1_000), RunStatus::Trapped(Trap::SerialOverflow));
-        assert_eq!(m.serial().len(), 10);
+        assert_eq!(m.serial().len(), SERIAL_LIMIT);
     }
 
     #[test]
@@ -1729,7 +1727,6 @@ mod tests {
             &p,
             MachineConfig {
                 block_engine: false,
-                ..MachineConfig::default()
             },
         );
         (blocks, steps)
@@ -1800,7 +1797,6 @@ mod tests {
             &p,
             MachineConfig {
                 block_engine: false,
-                ..MachineConfig::default()
             },
             events,
         );
@@ -1844,7 +1840,6 @@ mod tests {
             &p,
             MachineConfig {
                 block_engine: false,
-                ..MachineConfig::default()
             },
         );
         let a_status = blocks.run(100);

@@ -48,7 +48,9 @@ mod status;
 mod trap;
 
 pub use block::BlockStats;
-pub use cpu::{CfFault, ConvergenceMask, ExternalEvent, Machine, MachineConfig, StateDigest};
+pub use cpu::{
+    CfFault, ConvergenceMask, ExternalEvent, Machine, MachineConfig, StateDigest, SERIAL_LIMIT,
+};
 pub use observer::{
     AccessKind, BranchRecord, MemAccess, MemObserver, NullObserver, RecordingObserver, RegAccess,
     REG_FILE_BITS,

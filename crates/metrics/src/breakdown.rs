@@ -23,11 +23,6 @@ pub struct OutcomeBreakdown {
 }
 
 impl OutcomeBreakdown {
-    /// The count for one kind by its [`Outcome::kind_index`].
-    pub fn count_of(&self, outcome: Outcome) -> f64 {
-        self.counts[outcome.kind_index()]
-    }
-
     /// Sum over all failure kinds (everything except the two benign ones).
     pub fn failure_total(&self) -> f64 {
         self.counts[2..].iter().sum()

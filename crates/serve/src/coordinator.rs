@@ -59,7 +59,6 @@ use crate::store::{self, WarmStore};
 use sofi_campaign::{
     resume, Campaign, CampaignResult, ExecutorStats, ExperimentResult, FaultDomain, MemoRecord,
 };
-use sofi_isa::assemble_text;
 use sofi_space::Experiment;
 use sofi_telemetry::{names, Registry, Snapshot};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -727,7 +726,7 @@ impl Coordinator {
             if !entry.spec.warm_store {
                 return;
             }
-            store::context_key(&entry.spec.source, entry.spec.domain, &entry.spec.config)
+            store::context_key(&entry.spec.source, entry.spec.domain)
         };
         let span = self.inner.telemetry.span(names::STORE_APPEND_NS);
         let appended = store.lock().unwrap().append(ctx, memo);
@@ -1110,33 +1109,26 @@ fn stream_local(
 }
 
 fn run_job(inner: &Inner, id: u64, spec: &JobSpec, recovered: &HashSet<u32>, job_tel: Registry) {
-    let program = match assemble_text(&spec.name, &spec.source) {
-        Ok(p) => p,
-        Err(e) => return fail_job(inner, id, format!("assembly failed: {e}")),
-    };
-    let campaign = match Campaign::with_config_telemetry(&program, spec.config, job_tel) {
+    // A job that uses the store both consumes and feeds it: its campaign
+    // probes every experiment at its injection point (even where the
+    // cost gate cuts probing) so each fact is harvested for future
+    // submissions over this context.
+    let warm = spec.warm_store && inner.store.is_some();
+    let campaign = match spec.campaign(job_tel, warm) {
         Ok(c) => c,
-        Err(e) => return fail_job(inner, id, format!("golden run failed: {e}")),
+        Err(e) => return fail_job(inner, id, e),
     };
     // Warm-store preload: facts persisted by earlier jobs over the same
     // context answer this job's memo probes without simulation.
-    let warm = spec.warm_store && inner.store.is_some();
-    let ctx = store::context_key(&spec.source, spec.domain, &spec.config);
-    if warm {
-        // This job both consumes and feeds the store: probe every
-        // experiment at its injection point (even where the cost gate
-        // cuts probing) so its fact is harvested for future submissions
-        // over this context.
-        campaign.set_memo_harvest();
-        if let Some(store) = &inner.store {
-            let facts = store.lock().unwrap().lookup(ctx);
-            if !facts.is_empty() {
-                campaign.preload_memo(&facts);
-                inner
-                    .telemetry
-                    .counter(names::STORE_PRELOADS)
-                    .add(facts.len() as u64);
-            }
+    let ctx = store::context_key(&spec.source, spec.domain);
+    if let Some(store) = inner.store.as_ref().filter(|_| warm) {
+        let facts = store.lock().unwrap().lookup(ctx);
+        if !facts.is_empty() {
+            campaign.preload_memo(&facts);
+            inner
+                .telemetry
+                .counter(names::STORE_PRELOADS)
+                .add(facts.len() as u64);
         }
     }
     let plan = campaign.plan_for(spec.domain);
@@ -1267,6 +1259,7 @@ fn run_job(inner: &Inner, id: u64, spec: &JobSpec, recovered: &HashSet<u32>, job
 mod tests {
     use super::*;
     use sofi_campaign::{CampaignConfig, FaultDomain};
+    use sofi_isa::assemble_text;
     use std::path::PathBuf;
 
     fn temp_journal(name: &str) -> PathBuf {
@@ -1329,8 +1322,7 @@ mod tests {
     /// Executes a granted shard and uploads it, as a remote worker would.
     fn upload(coord: &Coordinator, worker: u64, grant: Grant) -> UploadOutcome {
         let (lease, job, shard, spec, experiments) = grant;
-        let program = assemble_text(&spec.name, &spec.source).unwrap();
-        let campaign = Campaign::with_config(&program, spec.config).unwrap();
+        let campaign = spec.campaign(Registry::disabled(), false).unwrap();
         let (results, stats) = campaign.run_experiments_stats(spec.domain, &experiments);
         coord.upload(worker, lease, job, shard, results, &stats, &[])
     }
@@ -1758,8 +1750,7 @@ mod tests {
         assert!(!experiments.is_empty());
 
         // Execute the shard exactly as a remote worker would.
-        let program = assemble_text(&spec.name, &spec.source).unwrap();
-        let campaign = Campaign::with_config(&program, spec.config).unwrap();
+        let campaign = spec.campaign(Registry::disabled(), false).unwrap();
         let (results, stats) = campaign.run_experiments_stats(spec.domain, &experiments);
 
         assert_eq!(
@@ -1792,8 +1783,7 @@ mod tests {
                     spec,
                     experiments,
                 } => {
-                    let program = assemble_text(&spec.name, &spec.source).unwrap();
-                    let campaign = Campaign::with_config(&program, spec.config).unwrap();
+                    let campaign = spec.campaign(Registry::disabled(), false).unwrap();
                     let (results, stats) =
                         campaign.run_experiments_stats(spec.domain, &experiments);
                     assert_eq!(
@@ -1864,8 +1854,7 @@ mod tests {
         // local driver (fallback: the worker has gone quiet) reclaims
         // and eventually finishes the job.
         std::thread::sleep(Duration::from_millis(200));
-        let program = assemble_text(&spec.name, &spec.source).unwrap();
-        let campaign = Campaign::with_config(&program, spec.config).unwrap();
+        let campaign = spec.campaign(Registry::disabled(), false).unwrap();
         let (results, stats) = campaign.run_experiments_stats(spec.domain, &experiments);
         let late = coord.upload(worker, lease, job, shard, results, &stats, &[]);
         assert!(
@@ -1882,6 +1871,93 @@ mod tests {
         assert_eq!(result, campaign.run_full_defuse_in(FaultDomain::Memory));
         drop(coord);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A spec's thread count is capped at the host's parallelism: a job
+    /// asking for a million threads streams its shards on at most
+    /// `available_parallelism()` workers, with the in-process result.
+    #[test]
+    fn a_jobs_threads_are_bounded_by_the_host() {
+        let path = temp_journal("threads");
+        let coord = Coordinator::open(
+            &path,
+            ServeConfig {
+                batch_size: 8,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let program = sofi_workloads::strrev();
+        let spec = JobSpec {
+            name: program.name.clone(),
+            source: program.to_source(),
+            domain: FaultDomain::InstrSkip,
+            config: CampaignConfig {
+                threads: 1_000_000,
+                ..CampaignConfig::default()
+            },
+            warm_store: false,
+        };
+        let expected = Campaign::with_config(
+            &assemble_text(&spec.name, &spec.source).unwrap(),
+            CampaignConfig::default(),
+        )
+        .unwrap()
+        .run_full_defuse_in(FaultDomain::InstrSkip);
+        assert!(expected.results.len() > 8, "the job must span shards");
+        let SubmitOutcome::Accepted(id) = coord.submit(spec) else {
+            panic!("refused");
+        };
+        coord.wait_idle();
+        let (result, stats) = coord.result(id).unwrap();
+        assert_eq!(result, expected);
+        let host = CampaignConfig::default().effective_threads();
+        assert!(
+            stats.workers <= host,
+            "{} workers on a host of {host}",
+            stats.workers
+        );
+        drop(coord);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Threads and telemetry stay out of the warm store's context: a
+    /// resubmission that changes both is answered from the store.
+    #[test]
+    fn threads_and_telemetry_share_a_warm_context() {
+        let path = temp_journal("warm-knobs");
+        let store = path.with_extension("store");
+        let _ = std::fs::remove_file(&store);
+        let coord = Coordinator::open(
+            &path,
+            ServeConfig {
+                warm_store: Some(store.clone()),
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let run = |config| {
+            let SubmitOutcome::Accepted(id) = coord.submit(JobSpec {
+                config,
+                ..hi_spec()
+            }) else {
+                panic!("refused");
+            };
+            coord.wait_idle();
+            coord.result(id).unwrap()
+        };
+        let (cold, _) = run(CampaignConfig::sequential());
+        let (warm, stats) = run(CampaignConfig {
+            threads: 2,
+            telemetry: true,
+            ..CampaignConfig::default()
+        });
+        assert_eq!(warm, cold);
+        assert!(stats.store_hits > 0, "{stats:?}");
+        assert_eq!(stats.memo_misses, 0, "{stats:?}");
+        drop(coord);
+        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(&store).unwrap();
     }
 
     /// Heartbeats keep a slow worker's lease alive; unknown worker ids
@@ -1924,8 +2000,7 @@ mod tests {
             assert!(known);
             assert!(!draining);
         }
-        let program = assemble_text(&spec.name, &spec.source).unwrap();
-        let campaign = Campaign::with_config(&program, spec.config).unwrap();
+        let campaign = spec.campaign(Registry::disabled(), false).unwrap();
         let (results, stats) = campaign.run_experiments_stats(spec.domain, &experiments);
         assert_eq!(
             coord.upload(worker, lease, job, shard, results, &stats, &[]),

@@ -1,7 +1,12 @@
 //! Job specs and the per-job state machine.
 
 use crate::wire::{self, Codec, Reader, WireError, Writer};
-use sofi_campaign::{CampaignConfig, ExecutorStats, FaultDomain};
+use sofi_campaign::{
+    Campaign, CampaignConfig, ExecutorStats, FaultDomain, TIMEOUT_FACTOR, TIMEOUT_SLACK,
+};
+use sofi_isa::assemble_text;
+use sofi_machine::SERIAL_LIMIT;
+use sofi_telemetry::Registry;
 use std::fmt;
 
 /// Everything needed to reconstruct and run a campaign, carried in the
@@ -16,12 +21,12 @@ pub struct JobSpec {
     pub source: String,
     /// Which fault space to scan.
     pub domain: FaultDomain,
-    /// Executor parameters (threads, timeouts, serial limit, telemetry),
-    /// packed via [`CampaignConfig::pack`] on the wire.
+    /// How the campaign runs: its thread count (bounded by the host that
+    /// runs it) and its telemetry flag. Nothing here changes an outcome.
     pub config: CampaignConfig,
     /// Consult (and feed) the daemon's persistent cross-campaign warm
     /// store for this job: memoized outcome facts recorded by earlier
-    /// jobs over the same program/domain/budget context are preloaded
+    /// jobs over the same program and domain are preloaded
     /// into the campaign's memo before execution, and fresh facts are
     /// persisted when the job completes. On by default; `submit --cold`
     /// clears it for benchmarking. Ignored when the daemon runs without a
@@ -29,17 +34,61 @@ pub struct JobSpec {
     pub warm_store: bool,
 }
 
+impl JobSpec {
+    /// Builds the job's campaign as the daemon and its remote workers run
+    /// it: assembles the source, captures the golden run into
+    /// `telemetry`, and caps the spec's thread count at this host's
+    /// available parallelism (threads never change an outcome, and a
+    /// spec must not start a thread per shard). `harvest` marks a
+    /// campaign that feeds a warm store
+    /// ([`Campaign::set_memo_harvest`]).
+    ///
+    /// # Errors
+    ///
+    /// The job's failure detail: "assembly failed: …" or "golden run
+    /// failed: …".
+    pub fn campaign(&self, telemetry: Registry, harvest: bool) -> Result<Campaign, String> {
+        let program =
+            assemble_text(&self.name, &self.source).map_err(|e| format!("assembly failed: {e}"))?;
+        let host = CampaignConfig::default().effective_threads();
+        let config = CampaignConfig {
+            threads: self.config.threads.min(host),
+            ..self.config
+        };
+        let campaign = Campaign::with_config_telemetry(&program, config, telemetry)
+            .map_err(|e| format!("golden run failed: {e}"))?;
+        if harvest {
+            campaign.set_memo_harvest();
+        }
+        Ok(campaign)
+    }
+}
+
+/// Words 1–3 of the packed config, in wire order: the cycle budget's
+/// factor and slack, and the serial limit. They decide outcomes, so they
+/// are constants; they stay on the wire only so that v7 peers, journals
+/// and stores keep their bytes, and a spec holding any other value is
+/// refused at decode.
+const FIXED_CONFIG_WORDS: [(&str, u64); 3] = [
+    ("timeout factor", TIMEOUT_FACTOR),
+    ("timeout slack", TIMEOUT_SLACK),
+    ("serial limit", SERIAL_LIMIT as u64),
+];
+
 impl Codec for JobSpec {
-    /// Name and source lengths, domain tag, five config words, store flag.
+    /// Name and source lengths, domain tag, five config words (threads,
+    /// the three fixed words, telemetry), store flag.
     const MIN_BYTES: usize = 4 + 4 + 1 + 5 * 8 + 1;
 
     fn put(&self, w: &mut Writer) {
         w.str(&self.name);
         w.str(&self.source);
         wire::put_domain(w, self.domain);
-        for word in self.config.pack() {
+        w.u64(self.config.threads as u64);
+        for (_, word) in FIXED_CONFIG_WORDS {
             w.u64(word);
         }
+        w.u64(u64::from(self.config.telemetry));
         w.bool(self.warm_store);
     }
 
@@ -47,15 +96,27 @@ impl Codec for JobSpec {
         let name = r.str()?;
         let source = r.str()?;
         let domain = wire::take_domain(r)?;
-        let mut words = [0u64; 5];
-        for word in &mut words {
-            *word = r.u64()?;
+        let threads = r.u64()? as usize;
+        for (what, fixed) in FIXED_CONFIG_WORDS {
+            let offset = r.offset();
+            let word = r.u64()?;
+            if word != fixed {
+                return Err(WireError {
+                    message: format!("config word `{what}` is {word}, not the fixed {fixed}"),
+                    offset,
+                });
+            }
         }
+        let config = CampaignConfig {
+            threads,
+            telemetry: r.u64()? != 0,
+            ..CampaignConfig::default()
+        };
         Ok(JobSpec {
             name,
             source,
             domain,
-            config: CampaignConfig::unpack(words),
+            config,
             warm_store: r.bool()?,
         })
     }
@@ -277,6 +338,31 @@ mod tests {
         let mut r = Reader::new(&buf);
         assert_eq!(JobSpec::take(&mut r).unwrap(), spec);
         r.expect_end().unwrap();
+    }
+
+    /// The block engine is an in-process hook the spec does not carry:
+    /// a stepping config encodes to the default bytes, and a decoded
+    /// spec runs the µop engine.
+    #[test]
+    fn a_decoded_spec_runs_the_uop_engine() {
+        let encode = |spec: &JobSpec| {
+            let mut w = Writer::new();
+            spec.put(&mut w);
+            w.finish()
+        };
+        let mut spec = JobSpec {
+            name: "hi".into(),
+            source: ".text\nnop\n".into(),
+            domain: FaultDomain::Memory,
+            config: CampaignConfig::default(),
+            warm_store: true,
+        };
+        let default_bytes = encode(&spec);
+        spec.config.machine.block_engine = false;
+        let buf = encode(&spec);
+        assert_eq!(buf, default_bytes);
+        let decoded = JobSpec::take(&mut Reader::new(&buf)).unwrap();
+        assert!(decoded.config.machine.block_engine);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   leases, execute, heartbeat, and stream partial results back.
 //! - [`store`] — the persistent cross-campaign warm store
 //!   ([`store::WarmStore`]): an append-only, checksummed file of
-//!   memoized outcome facts keyed by program/domain/budget context,
+//!   memoized outcome facts keyed by program and fault domain,
 //!   preloaded into later campaigns over the same context.
 //! - [`server`] / [`client`] — the TCP/Unix-socket daemon
 //!   ([`server::Server`]) and the CLI-facing client ([`client::Client`]).

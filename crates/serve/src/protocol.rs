@@ -60,7 +60,11 @@ pub const MAGIC: [u8; 4] = *b"SOFI";
 /// `memoization`, `memo_gate` and the machine's `block_engine` are gone
 /// from the wire, and the executor always runs its one default path. A
 /// v6 peer gets a typed `BadVersion(6)`; a v7 daemon refuses a v6
-/// journal instead of truncating it (see [`crate::journal`]).
+/// journal instead of truncating it (see [`crate::journal`]). Words 1–3
+/// (timeout factor, timeout slack, serial limit) have since become
+/// constants: a v7 spec must carry exactly their values, or it is
+/// refused at decode. Dropping the three words is left to a later
+/// protocol version, so that v7 journals and stores reopen as written.
 pub const VERSION: u16 = 7;
 /// Frame header size in bytes.
 pub const HEADER_LEN: usize = 16;

@@ -5,9 +5,8 @@
 //! final cycle)` entries exported by completed jobs — one per experiment,
 //! at its post-injection state, the fact a resubmission probes first
 //! ([`sofi_campaign::Campaign::export_memo`]) — and preloaded into later
-//! campaigns over the same *context* — program source, fault
-//! domain, and the outcome-relevant configuration (timeout factor,
-//! timeout slack, serial limit). State digests are purely
+//! campaigns over the same *context* — program source and fault
+//! domain. State digests are purely
 //! content-determined, so a fact recorded by one daemon process is valid
 //! in any later one.
 //!
@@ -19,7 +18,8 @@
 
 use crate::record_log::RecordLog;
 use crate::wire::{self, Reader, WireError, Writer};
-use sofi_campaign::{CampaignConfig, FaultDomain, MemoRecord};
+use sofi_campaign::{FaultDomain, MemoRecord, TIMEOUT_FACTOR, TIMEOUT_SLACK};
+use sofi_machine::SERIAL_LIMIT;
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -42,19 +42,18 @@ fn fnv1a64_from(mut state: u64, bytes: &[u8]) -> u64 {
 }
 
 /// Computes the context key under which a job's memo facts are stored
-/// and looked up: program source text, fault domain, and the three
-/// config fields that determine experiment outcomes (the cycle budget's
-/// `timeout_factor` and `timeout_slack`, and the machine's
-/// `serial_limit`). Threads and telemetry are outcome-neutral and
-/// deliberately excluded, so runs that differ only there share one warm
-/// context. The hashed bytes are the source followed by the domain's
-/// wire tag and the three fields as little-endian `u64`s.
-pub fn context_key(source: &str, domain: FaultDomain, config: &CampaignConfig) -> ContextKey {
+/// and looked up: the program source text and the fault domain, the
+/// only inputs of a job that decide its outcomes. The hashed bytes are
+/// the source, the domain's wire tag, and the cycle budget's factor and
+/// slack and the serial limit as little-endian `u64`s: those limits are
+/// constants, and they stay in the key so that every key an earlier
+/// store holds still matches.
+pub fn context_key(source: &str, domain: FaultDomain) -> ContextKey {
     let mut w = Writer::new();
     wire::put_domain(&mut w, domain);
-    w.u64(config.timeout_factor);
-    w.u64(config.timeout_slack);
-    w.u64(config.machine.serial_limit as u64);
+    for word in [TIMEOUT_FACTOR, TIMEOUT_SLACK, SERIAL_LIMIT as u64] {
+        w.u64(word);
+    }
     let tail = w.finish();
     let lane = |basis| fnv1a64_from(fnv1a64_from(basis, source.as_bytes()), &tail);
     (u128::from(lane(0x6C62_272E_07BB_0142)) << 64) | u128::from(lane(0xCBF2_9CE4_8422_2325))
@@ -329,22 +328,23 @@ mod tests {
     }
 
     #[test]
-    fn context_key_separates_programs_domains_and_budgets() {
-        let cfg = CampaignConfig::default();
-        let base = context_key("nop\n", FaultDomain::Memory, &cfg);
-        assert_ne!(base, context_key("add r1, r2\n", FaultDomain::Memory, &cfg));
-        assert_ne!(base, context_key("nop\n", FaultDomain::RegisterFile, &cfg));
-        let slow = CampaignConfig {
-            timeout_factor: cfg.timeout_factor + 1,
-            ..cfg
-        };
-        assert_ne!(base, context_key("nop\n", FaultDomain::Memory, &slow));
-        // Outcome-neutral scheduling knobs share the context.
-        let reknobbed = CampaignConfig {
-            threads: 7,
-            telemetry: true,
-            ..cfg
-        };
-        assert_eq!(base, context_key("nop\n", FaultDomain::Memory, &reknobbed));
+    fn context_key_separates_programs_and_domains() {
+        let base = context_key("nop\n", FaultDomain::Memory);
+        assert_ne!(base, context_key("add r1, r2\n", FaultDomain::Memory));
+        assert_ne!(base, context_key("nop\n", FaultDomain::RegisterFile));
+    }
+
+    /// Keys computed by the daemon before the limits became constants:
+    /// a store written then must keep answering under the same keys.
+    #[test]
+    fn context_keys_match_earlier_stores() {
+        assert_eq!(
+            context_key("nop\n", FaultDomain::Memory),
+            0x2824_0946_f0f2_ce76_8040_969a_4950_d1d3
+        );
+        assert_eq!(
+            context_key("nop\n", FaultDomain::RegisterFile),
+            0x8617_12e5_361c_f78d_fd2e_e69c_e785_d1a4
+        );
     }
 }

@@ -161,6 +161,11 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
+    /// Bytes consumed so far: the offset of the next read.
+    pub(crate) fn offset(&self) -> usize {
+        self.pos
+    }
+
     /// Error constructor at the current offset.
     pub fn err(&self, message: impl Into<String>) -> WireError {
         WireError {

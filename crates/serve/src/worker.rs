@@ -16,15 +16,14 @@
 //! are idempotent (keyed by lease + exact experiment-id set), expired
 //! leases are re-queued, and stale uploads are rejected — so the worker
 //! can crash, stall, reconnect, or double-send without corrupting the
-//! merged result. The chaos knobs on [`WorkerConfig`]
-//! (`die_after_uploads`, `die_holding_lease_after`,
-//! `stall_before_upload`) exist precisely to let the fabric tests
-//! inject those behaviours on purpose.
+//! merged result. The chaos knob on [`WorkerConfig`]
+//! (`die_holding_lease_after`) lets the fabric tests crash a worker
+//! holding a lease on purpose.
 
 use crate::client::{Client, ClientError};
 use crate::coordinator::LeaseOffer;
 use sofi_campaign::Campaign;
-use sofi_isa::assemble_text;
+use sofi_telemetry::Registry;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -42,15 +41,9 @@ pub struct WorkerConfig {
     /// Exit after this many consecutive empty polls (`None` = poll
     /// until the coordinator drains).
     pub max_idle_polls: Option<u64>,
-    /// Chaos: exit abruptly after this many successful uploads.
-    pub die_after_uploads: Option<u64>,
     /// Chaos: take a lease, *execute nothing*, and exit — simulating a
     /// worker crashing mid-shard with work checked out.
     pub die_holding_lease_after: Option<u64>,
-    /// Chaos: sleep this long between executing a shard and uploading
-    /// it — long enough and the lease expires underneath us, turning
-    /// the upload stale.
-    pub stall_before_upload: Option<Duration>,
 }
 
 impl Default for WorkerConfig {
@@ -60,9 +53,7 @@ impl Default for WorkerConfig {
             name: "worker".to_string(),
             poll_interval: Duration::from_millis(50),
             max_idle_polls: None,
-            die_after_uploads: None,
             die_holding_lease_after: None,
-            stall_before_upload: None,
         }
     }
 }
@@ -163,29 +154,14 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerReport, ClientError> {
                         slot => {
                             // Drop the previous job's campaign first.
                             *slot = None;
-                            let program = match assemble_text(&spec.name, &spec.source) {
-                                Ok(p) => p,
-                                Err(e) => {
-                                    break 'outer Err(ClientError::Server(format!(
-                                        "assembly failed: {e}"
-                                    )));
-                                }
-                            };
-                            let c = match Campaign::with_config(&program, spec.config) {
-                                Ok(c) => c,
-                                Err(e) => {
-                                    break 'outer Err(ClientError::Server(format!(
-                                        "golden run failed: {e}"
-                                    )));
-                                }
-                            };
-                            if spec.warm_store {
-                                // Harvest injection-point facts so the
-                                // upload can feed the coordinator's warm
-                                // store.
-                                c.set_memo_harvest();
+                            // A warm job harvests injection-point facts
+                            // so the upload can feed the coordinator's
+                            // warm store.
+                            let telemetry = Registry::with_enabled(spec.config.telemetry);
+                            match spec.campaign(telemetry, spec.warm_store) {
+                                Ok(c) => &mut slot.insert((job, c)).1,
+                                Err(e) => break 'outer Err(ClientError::Server(e)),
                             }
-                            &mut slot.insert((job, c)).1
                         }
                     };
                     let (results, stats) =
@@ -200,9 +176,6 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerReport, ClientError> {
                     } else {
                         Vec::new()
                     };
-                    if let Some(stall) = config.stall_before_upload {
-                        thread::sleep(stall);
-                    }
                     let experiments_run = results.len() as u64;
                     match client.upload(id, lease, job, shard, results, stats, memo) {
                         Ok(outcome) => {
@@ -226,11 +199,6 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerReport, ClientError> {
                             // re-send would just be a duplicate.
                             report.reconnects += 1;
                             continue 'outer;
-                        }
-                    }
-                    if let Some(limit) = config.die_after_uploads {
-                        if report.shards >= limit {
-                            break 'outer Ok(());
                         }
                     }
                 }

@@ -484,6 +484,73 @@ fn v6_peers_get_typed_bad_version() {
     }
 }
 
+/// The packed config's words 1–3 (the cycle budget's factor and slack,
+/// the serial limit) are constants. A sealed `Submit` or `LeaseGrant`
+/// frame carrying `u64::MAX` in any of them — a budget no run reaches —
+/// is `Malformed`, naming the word at its payload offset, so no peer can
+/// hand a daemon or a worker a run that never ends.
+#[test]
+fn a_spec_with_another_limit_is_refused_at_decode() {
+    let spec = JobSpec {
+        name: "hi".into(),
+        source: ".text\nnop\n".into(),
+        domain: FaultDomain::Memory,
+        config: CampaignConfig::default(),
+        warm_store: true,
+    };
+    // Config word 0 follows the name, the source and the domain tag.
+    let words = 4 + spec.name.len() + 4 + spec.source.len() + 1;
+    let messages = [
+        // The spec opens a Submit payload…
+        (
+            Message::Submit {
+                spec: spec.clone(),
+                wait: true,
+            },
+            0,
+        ),
+        // …and follows a LeaseGrant's lease, job and shard ids.
+        (
+            Message::LeaseGrant {
+                lease: 11,
+                job: 1,
+                shard: 2,
+                spec: spec.clone(),
+                experiments: Vec::new(),
+            },
+            8 + 8 + 4,
+        ),
+    ];
+    for (message, spec_at) in messages {
+        let sealed = message.encode_frame();
+        assert_eq!(Message::decode_frame(&sealed), Ok((message, sealed.len())));
+        for (index, (what, fixed)) in [
+            (1, ("timeout factor", 3u64)),
+            (2, ("timeout slack", 1_000)),
+            (3, ("serial limit", 64 * 1024)),
+        ] {
+            let at = spec_at + words + 8 * index;
+            let word = HEADER_LEN + at..HEADER_LEN + at + 8;
+            assert_eq!(sealed[word.clone()], fixed.to_le_bytes(), "{what}");
+            let mut frame = sealed.clone();
+            frame[word].copy_from_slice(&u64::MAX.to_le_bytes());
+            // Re-seal the checksum so the word is the *only* defect.
+            let checksum = sofi_serve::wire::fnv1a32_update(
+                sofi_serve::wire::fnv1a32(&frame[..12]),
+                &frame[HEADER_LEN..],
+            );
+            frame[12..16].copy_from_slice(&checksum.to_le_bytes());
+            match Message::decode_frame(&frame) {
+                Err(ProtocolError::Malformed(e)) => {
+                    assert!(e.message.contains(what), "{e}");
+                    assert_eq!(e.offset, at, "{e}");
+                }
+                other => panic!("{what} = u64::MAX must be refused, got {other:?}"),
+            }
+        }
+    }
+}
+
 /// A `StatusReport` whose count claims one job per eight payload bytes
 /// is refused at the count itself: a job status encodes to at least 130
 /// bytes, so the claim cannot fit, and the decoder must not reserve room

@@ -78,7 +78,7 @@ impl GoldenRun {
         Self::capture_with_config(program, cycle_limit, MachineConfig::default())
     }
 
-    /// [`GoldenRun::capture`] with explicit machine limits.
+    /// [`GoldenRun::capture`] with an explicit [`MachineConfig`].
     ///
     /// # Errors
     ///

@@ -156,7 +156,6 @@ fn fuzz_block_engine_lockstep_with_step_interpreter() {
             &program,
             MachineConfig {
                 block_engine: false,
-                ..MachineConfig::default()
             },
             events,
         );
@@ -262,7 +261,6 @@ fn fuzz_block_engine_campaign_matches_stepping_naive() {
             CampaignConfig {
                 machine: MachineConfig {
                     block_engine: false,
-                    ..MachineConfig::default()
                 },
                 ..CampaignConfig::sequential()
             },

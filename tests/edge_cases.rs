@@ -60,29 +60,32 @@ fn single_instruction_benchmark() {
 /// Serial-flood faults are classified as OutputFlood, not timeouts.
 #[test]
 fn output_flood_classification() {
-    // The loop bound lives in RAM; flipping a high bit turns 2 iterations
-    // into billions of serial writes, tripping the serial limit first.
+    // About 100 k cycles of register-only delay, then a print loop whose
+    // bound lives in RAM. Flipping a high bit of `n` (or bit 1, which
+    // zeroes it so the count wraps) turns 2 iterations into billions of
+    // serial writes at 3 cycles a byte: the serial limit fills at about
+    // 297 k cycles, inside the cycle budget of 3 × golden + 1,000.
     let mut a = Asm::with_name("printer");
     let n = a.data_word("n", 2);
+    a.li(Reg::R6, 50_000);
+    let delay = a.label_here();
+    a.addi(Reg::R6, Reg::R6, -1);
+    a.bne(Reg::R6, Reg::R0, delay);
     a.lw(Reg::R4, Reg::R0, n.offset());
-    let top = a.label_here();
     a.li(Reg::R5, b'x' as i32);
+    let top = a.label_here();
     a.serial_out(Reg::R5);
     a.addi(Reg::R4, Reg::R4, -1);
     a.bne(Reg::R4, Reg::R0, top);
     let p = a.build().unwrap();
-    let mut config = CampaignConfig::sequential();
-    config.machine.serial_limit = 256;
-    // Give the run enough cycle budget that the serial limit is the
-    // binding constraint.
-    config.timeout_slack = 1_000_000;
-    let c = Campaign::with_config(&p, config).unwrap();
+    let c = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
     let r = c.run_full_defuse_in(FaultDomain::Memory);
+    let outcomes: Vec<Outcome> = r.results.iter().map(|x| x.outcome).collect();
     assert!(
-        r.results.iter().any(|x| x.outcome == Outcome::OutputFlood),
-        "expected an OutputFlood outcome, got {:?}",
-        r.results.iter().map(|x| x.outcome).collect::<Vec<_>>()
+        outcomes.contains(&Outcome::OutputFlood),
+        "expected an OutputFlood outcome, got {outcomes:?}"
     );
+    assert!(!outcomes.contains(&Outcome::Timeout), "{outcomes:?}");
 }
 
 /// Detected-but-unrecoverable aborts surface as their own failure mode.

@@ -297,10 +297,7 @@ fn observer_attached_and_observer_free_runs_agree() {
 
         let mut observers = Vec::new();
         for block_engine in [true, false] {
-            let config = MachineConfig {
-                block_engine,
-                ..MachineConfig::default()
-            };
+            let config = MachineConfig { block_engine };
             let mut plain = Machine::with_config(&program, config);
             let plain_status = plain.run(10_000);
             let mut observed = Machine::with_config(&program, config);
@@ -367,10 +364,7 @@ fn branch_recording_does_not_perturb_golden_state() {
 
     let mut streams: Vec<Vec<BranchRecord>> = Vec::new();
     for block_engine in [true, false] {
-        let config = MachineConfig {
-            block_engine,
-            ..MachineConfig::default()
-        };
+        let config = MachineConfig { block_engine };
         let mut plain = Machine::with_config(&program, config);
         let plain_status = plain.run(10_000);
         let mut observed = Machine::with_config(&program, config);

@@ -71,7 +71,7 @@ fn golden_runs_match_direct_execution() {
     for program in all_baselines() {
         let campaign = Campaign::new(&program).unwrap();
         let mut m = Machine::new(&program);
-        m.run(50_000_000);
+        m.run(sofi::campaign::GOLDEN_CYCLE_LIMIT);
         assert_eq!(campaign.golden().serial, m.serial(), "{}", program.name);
         assert_eq!(campaign.golden().cycles, m.cycle(), "{}", program.name);
     }

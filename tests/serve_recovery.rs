@@ -267,6 +267,61 @@ fn journal_in_another_format_is_refused_not_truncated() {
     std::fs::remove_file(&journal).unwrap();
 }
 
+/// A v7 `JobStart` record whose packed config moves a fixed limit (the
+/// timeout factor, the timeout slack or the serial limit, here to
+/// `u64::MAX`) is refused as the v6 record above is: the daemon does not
+/// start, and the file, committed batches included, is left untouched.
+#[test]
+fn a_start_record_with_another_limit_is_refused() {
+    let journal = temp_journal("limit");
+    let sched = Coordinator::open(
+        &journal,
+        ServeConfig {
+            workers: 1,
+            batch_size: 4,
+            crash_after_commits: Some(2),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let SubmitOutcome::Accepted(_) = sched.submit(spec(FaultDomain::Memory)) else {
+        panic!("refused");
+    };
+    sched.wait_idle();
+    drop(sched);
+
+    // The start record opens the journal: length, checksum, then tag 0,
+    // the job id and the spec, whose config word 1 follows the name, the
+    // source, the domain tag and the threads word.
+    let bytes = std::fs::read(&journal).unwrap();
+    let payload_len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+    for (index, what, fixed) in [
+        (1, "timeout factor", 3u64),
+        (2, "timeout slack", 1_000),
+        (3, "serial limit", 64 * 1024),
+    ] {
+        let at = 8 + 1 + 8 + 4 + "hi".len() + 4 + PROG.len() + 1 + 8 * index;
+        assert_eq!(bytes[at..at + 8], fixed.to_le_bytes(), "{what}");
+        let mut edited = bytes.clone();
+        edited[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let checksum = wire::fnv1a32(&edited[8..8 + payload_len]);
+        edited[4..8].copy_from_slice(&checksum.to_le_bytes());
+        std::fs::write(&journal, &edited).unwrap();
+
+        let Err(err) = Server::bind("127.0.0.1:0", &journal, ServeConfig::default()) else {
+            panic!("{what} = u64::MAX must be refused");
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains(what), "{err}");
+        assert_eq!(
+            std::fs::read(&journal).unwrap(),
+            edited,
+            "the refused journal must be left as it was"
+        );
+    }
+    std::fs::remove_file(&journal).unwrap();
+}
+
 /// A job cancelled while its shards stream commits nothing further: it
 /// ends `Cancelled` with part of its plan done, and a restarted daemon
 /// replays it as `Cancelled` with exactly the shards committed before.

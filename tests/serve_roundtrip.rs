@@ -4,14 +4,17 @@
 //! bit-identical to running the same campaign in-process. Also covers
 //! status over the wire, warm-store replay of a control-flow job,
 //! Unix-socket transport, idle-client timeouts, graceful protocol
-//! shutdown, and a drain that closes idle connections at once while
-//! finishing a result stream in flight.
+//! shutdown, a drain that closes idle connections at once while
+//! finishing a result stream in flight, and a refused submit whose spec
+//! asks for another cycle budget.
 
 use sofi_campaign::{Campaign, CampaignConfig, FaultDomain};
 use sofi_isa::assemble_text;
-use sofi_serve::protocol::{write_message, FrameReader, Message, ProtocolError};
+use sofi_serve::protocol::{write_message, FrameReader, Message, ProtocolError, HEADER_LEN};
 use sofi_serve::server::Conn;
+use sofi_serve::wire;
 use sofi_serve::{Client, ClientPool, JobSpec, JobState, ServeConfig, Server};
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -446,6 +449,76 @@ fn raw_frames_on_the_socket() {
     }
     daemon.join().unwrap();
     let _ = std::fs::remove_file(&journal);
+}
+
+/// A `Submit` frame whose timeout-factor word asks for a cycle budget no
+/// run reaches is answered with an `Error` frame: no job is queued, and
+/// a drain returns at once. Once a flip makes `n` odd the program below
+/// loops forever, so such a budget would have been its only bound.
+#[test]
+fn a_submit_with_an_unbounded_budget_is_refused() {
+    const LOOPER: &str = "
+        .data
+        n: .word 4
+        .text
+        loop:
+            lw r1, n(r0)
+            beq r1, r0, done
+            addi r1, r1, -2
+            sw r1, n(r0)
+            j loop
+        done:
+            li r2, '!'
+            serial r2
+            halt 0
+    ";
+    let journal = temp_path("unbounded.journal");
+    let _ = std::fs::remove_file(&journal);
+    let server = Server::bind("127.0.0.1:0", &journal, ServeConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+    let handle = server.shutdown_handle();
+    let daemon = std::thread::spawn(move || server.run().unwrap());
+
+    let spec = JobSpec {
+        name: "looper".into(),
+        source: LOOPER.into(),
+        domain: FaultDomain::Memory,
+        config: CampaignConfig::default(),
+        warm_store: false,
+    };
+    let mut frame = Message::Submit {
+        spec: spec.clone(),
+        wait: false,
+    }
+    .encode_frame();
+    // Config word 1 follows the name, the source, the domain tag and the
+    // threads word; re-seal the checksum over the edited payload.
+    let at = HEADER_LEN + 4 + spec.name.len() + 4 + spec.source.len() + 1 + 8;
+    frame[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    let checksum = wire::fnv1a32_update(wire::fnv1a32(&frame[..12]), &frame[HEADER_LEN..]);
+    frame[12..16].copy_from_slice(&checksum.to_le_bytes());
+
+    let mut conn = Conn::connect(&addr).unwrap();
+    conn.write_all(&frame).unwrap();
+    match FrameReader::new().read(&mut conn) {
+        Ok(Some(Message::Error { message })) => {
+            assert!(message.contains("timeout factor"), "{message}");
+        }
+        other => panic!("expected an Error frame, got {other:?}"),
+    }
+    drop(conn);
+    let jobs = Client::connect(&addr).unwrap().status(None).unwrap();
+    assert!(jobs.is_empty(), "a refused spec queued {jobs:?}");
+
+    let t = Instant::now();
+    handle.shutdown();
+    daemon.join().unwrap();
+    assert!(
+        t.elapsed() < PROMPT_DRAIN,
+        "drain took {:?} after a refused submit",
+        t.elapsed()
+    );
+    std::fs::remove_file(&journal).unwrap();
 }
 
 /// Keep `ProtocolError` importable from the integration-test surface —
