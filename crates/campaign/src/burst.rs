@@ -11,14 +11,15 @@
 //! one conservative optimization retained: a burst whose member bits are
 //! *all* known-benign (each overwritten or never read) is benign without
 //! an experiment — overwriting or never reading a bit masks it regardless
-//! of what happened to its neighbours.
+//! of what happened to its neighbours. Every other draw is one experiment
+//! of the executor, which injects the burst and runs it on the path every
+//! plan scan takes, held to naive replay at the same width.
 
-use crate::executor::Campaign;
+use crate::executor::{Campaign, Fault};
 use crate::outcome::{Outcome, OutcomeClass};
 use crate::result::FaultDomain;
-use sofi_machine::CfFault;
 use sofi_rng::Rng;
-use sofi_space::{ClassIndex, ClassRef, FaultCoord};
+use sofi_space::{ClassIndex, ClassRef, Experiment, FaultCoord, FaultSpace};
 
 /// Result of a burst-fault sampling campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,6 +67,13 @@ impl Campaign {
     /// 32-bit ROM word), so the anchor population is
     /// `slots · (33 − width)` per cycle.
     ///
+    /// The draws that are not known benign run as one list of
+    /// experiments through the executor, like any plan: on
+    /// [`CampaignConfig::threads`](crate::CampaignConfig::threads)
+    /// workers, with convergence termination and the campaign's memo, so
+    /// the outcomes are those of [`Campaign::run_experiments_naive`]
+    /// replaying each burst from cycle 0.
+    ///
     /// # Panics
     ///
     /// Panics for [`FaultDomain::InstrSkip`] and
@@ -80,6 +88,39 @@ impl Campaign {
         width: u32,
         rng: &mut R,
     ) -> BurstSampledResult {
+        let (population, experiments) = self.draw_bursts(domain, n, width, rng);
+        let (results, _) = self.run_experiments_with(Fault { domain, width }, &experiments);
+        let benign_skips = n - experiments.len() as u64;
+        let mut by_kind = [0; 8];
+        by_kind[Outcome::NoEffect.kind_index()] = benign_skips;
+        let mut failure_draws = 0;
+        for r in &results {
+            by_kind[r.outcome.kind_index()] += 1;
+            failure_draws += u64::from(r.outcome.class() == OutcomeClass::Failure);
+        }
+        BurstSampledResult {
+            benchmark: self.program().name.clone(),
+            domain,
+            width,
+            draws: n,
+            population,
+            benign_skips,
+            failure_draws,
+            by_kind,
+        }
+    }
+
+    /// Draws `n` uniform burst anchors of `domain` and returns the anchor
+    /// population and one experiment per draw that is not known benign:
+    /// its id is the draw's position, its coordinate the burst's first
+    /// member bit.
+    fn draw_bursts<R: Rng + ?Sized>(
+        &self,
+        domain: FaultDomain,
+        n: u64,
+        width: u32,
+        rng: &mut R,
+    ) -> (u64, Vec<Experiment>) {
         let (analysis, plan) = (self.analysis_for(domain), self.plan_for(domain));
         let space = plan.space;
         assert!(width >= 1, "burst width must be at least 1");
@@ -107,7 +148,8 @@ impl Campaign {
                  event, not a bit pattern"
             ),
         };
-        let population = space.cycles * anchors;
+        let anchor_space = FaultSpace::new(space.cycles, anchors);
+        let population = anchor_space.size();
         assert!(population > 0, "cannot sample an empty fault space");
         // Maps an anchor index to the first member bit of its window.
         let first_bit = |anchor: u64| match per_slot {
@@ -115,97 +157,50 @@ impl Campaign {
             None => anchor,
         };
 
-        // Draw all coordinates first and sort by cycle so a single
-        // pristine machine can stream forward (same trick as the plan
-        // executor; bursts cannot share experiments, so each non-skipped
-        // draw costs one run). `coord.bit` holds the *anchor* index.
         let index = ClassIndex::new(analysis, plan);
-        let mut draws: Vec<FaultCoord> = (0..n)
-            .map(|_| {
-                let flat = rng.gen_range(0..population);
-                FaultCoord {
-                    cycle: flat / anchors + 1,
-                    bit: flat % anchors,
-                }
-            })
-            .collect();
-        draws.sort_unstable();
-
-        let budget = crate::config::cycle_budget(self.golden().cycles);
-        let mut pristine = self.fresh_machine();
-        let mut result = BurstSampledResult {
-            benchmark: self.program().name.clone(),
-            domain,
-            width,
-            draws: n,
-            population,
-            benign_skips: 0,
-            failure_draws: 0,
-            by_kind: [0; 8],
-        };
-
-        for coord in draws {
-            let base = first_bit(coord.bit);
+        let mut experiments = Vec::new();
+        for draw in 0..n {
+            let anchor = anchor_space.coord_of_index(rng.gen_range(0..population));
+            let coord = FaultCoord {
+                cycle: anchor.cycle,
+                bit: first_bit(anchor.bit),
+            };
             // Conservative pruning: skip only if every member bit is
             // known-benign on its own.
-            let all_benign = (0..width as u64).all(|d| {
+            let all_benign = (coord.bit..coord.bit + u64::from(width)).all(|bit| {
                 matches!(
                     index.lookup(FaultCoord {
                         cycle: coord.cycle,
-                        bit: base + d,
+                        bit
                     }),
                     ClassRef::KnownBenign
                 )
             });
-            if all_benign {
-                result.benign_skips += 1;
-                result.by_kind[Outcome::NoEffect.kind_index()] += 1;
-                continue;
-            }
-            if pristine.cycle() > coord.pre_injection_cycle() {
-                pristine = self.fresh_machine();
-            }
-            let early = pristine.run_to(coord.pre_injection_cycle());
-            assert!(early.is_none(), "draw outlived the program");
-            let mut m = pristine.clone();
-            match domain {
-                FaultDomain::Memory => {
-                    for d in 0..width as u64 {
-                        m.flip_bit(base + d);
-                    }
-                }
-                FaultDomain::RegisterFile => {
-                    for d in 0..width as u64 {
-                        m.flip_reg_bit(base + d);
-                    }
-                }
-                FaultDomain::OpcodeBit => {
-                    let wb = (base % 32) as u32;
-                    m.arm_cf_fault(CfFault::CorruptAt {
-                        slot: (base / 32) as u32,
-                        mask: (u32::MAX >> (32 - width)) << wb,
-                    });
-                }
-                FaultDomain::InstrSkip | FaultDomain::BranchInvert => unreachable!(),
-            }
-            let status = m.run(budget);
-            let outcome = Outcome::classify(status, m.serial(), m.detect_count(), self.golden());
-            result.by_kind[outcome.kind_index()] += 1;
-            if outcome.class() == OutcomeClass::Failure {
-                result.failure_draws += 1;
+            if !all_benign {
+                experiments.push(Experiment {
+                    id: u32::try_from(draw).expect("burst draw count exceeds u32"),
+                    coord,
+                    weight: 1,
+                });
             }
         }
-        result
+        (population, experiments)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sofi_isa::{Asm, Reg};
+    use crate::CampaignConfig;
+    use sofi_isa::{Asm, Program, Reg};
     use sofi_rng::DefaultRng;
+    use sofi_workloads::{bin_sem2, fib, Variant};
 
     fn hi_campaign() -> Campaign {
+        Campaign::new(&hi_program()).unwrap()
+    }
+
+    fn hi_program() -> Program {
         let mut a = Asm::with_name("hi");
         let msg = a.data_space("msg", 2);
         a.li(Reg::R1, 'H' as i32);
@@ -216,7 +211,56 @@ mod tests {
         a.serial_out(Reg::R2);
         a.lb(Reg::R2, Reg::R0, msg.at(1).offset());
         a.serial_out(Reg::R2);
-        Campaign::new(&a.build().unwrap()).unwrap()
+        a.build().unwrap()
+    }
+
+    /// The burst oracle: seeded burst draws run through the executor at
+    /// one and two threads give, per coordinate, the outcomes naive replay
+    /// gives them at the same width, in every domain bursts support. Each
+    /// program's two campaigns serve every domain and width in turn, so
+    /// the memo is warm with other widths' trajectories by the end.
+    #[test]
+    fn bursts_through_the_executor_match_naive_replay() {
+        const DRAWS: u64 = 32;
+        let programs = [
+            hi_program(),
+            fib(Variant::SumDmr),
+            bin_sem2(Variant::Baseline),
+            bin_sem2(Variant::SumDmr),
+        ];
+        let cases: [(FaultDomain, &[u32]); 3] = [
+            (FaultDomain::Memory, &[1, 2, 4, 8]),
+            (FaultDomain::RegisterFile, &[1, 2, 4, 8]),
+            (FaultDomain::OpcodeBit, &[1, 4, 32]),
+        ];
+        for program in &programs {
+            let campaigns = [1, 2].map(|threads| {
+                let config = CampaignConfig {
+                    threads,
+                    ..CampaignConfig::default()
+                };
+                Campaign::with_config(program, config).unwrap()
+            });
+            for (domain, widths) in cases {
+                for &width in widths {
+                    let fault = Fault { domain, width };
+                    let mut rng = DefaultRng::seed_from_u64(u64::from(width) << 8 | domain as u64);
+                    let (_, experiments) = campaigns[0].draw_bursts(domain, DRAWS, width, &mut rng);
+                    let naive = campaigns[0].run_experiments_naive_with(fault, &experiments);
+                    for campaign in &campaigns {
+                        let (mut results, _) = campaign.run_experiments_with(fault, &experiments);
+                        results.sort_by_key(|r| r.experiment.id);
+                        assert_eq!(
+                            results,
+                            naive,
+                            "{} {domain} width {width} threads {}",
+                            program.name,
+                            campaign.config().threads
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -771,10 +771,10 @@ impl Campaign {
     /// one shard of [`Campaign::run_shards`]'s worker loop.
     ///
     /// Each faulted run pauses at every pristine checkpoint cycle it
-    /// crosses and compares its architectural state against the stored
-    /// snapshot ([`Machine::converged_with`]): on a match the rest of the
-    /// run is provably identical to golden, so the outcome is classified
-    /// immediately instead of simulating the tail.
+    /// crosses and compares its live architectural state against the
+    /// stored snapshot ([`Machine::converged_with_masked`]): on a match the
+    /// rest of the run is provably identical to golden, so the outcome is
+    /// classified immediately instead of simulating the tail.
     ///
     /// Each experiment's post-injection state digest is also looked up in
     /// the campaign's fault-equivalence memo — two injections that produce
@@ -789,6 +789,16 @@ impl Campaign {
     pub fn run_experiments_stats(
         &self,
         domain: FaultDomain,
+        experiments: &[Experiment],
+    ) -> (Vec<ExperimentResult>, ExecutorStats) {
+        self.run_experiments_with(Fault { domain, width: 1 }, experiments)
+    }
+
+    /// [`Campaign::run_experiments_stats`] injecting `fault`: the path
+    /// every faulted run of the crate takes, bursts included.
+    pub(crate) fn run_experiments_with(
+        &self,
+        fault: Fault,
         experiments: &[Experiment],
     ) -> (Vec<ExperimentResult>, ExecutorStats) {
         let threads = self
@@ -811,7 +821,7 @@ impl Campaign {
         let runs: Vec<&[(usize, &[Experiment])]> =
             chunks.iter().map(std::slice::from_ref).collect();
         let parts = Mutex::new(Vec::with_capacity(runs.len()));
-        self.stream(domain, &runs, threads, &|chunk, results, stats| {
+        self.stream(fault, &runs, threads, &|chunk, results, stats| {
             parts
                 .lock()
                 .expect("no worker panics while holding the parts lock")
@@ -861,7 +871,7 @@ impl Campaign {
         let runs = chunk_by_cycle_span(&indexed, threads, |(_, shard)| {
             shard.first().map_or(0, |e| e.coord.cycle)
         });
-        self.stream(domain, &runs, threads, &commit);
+        self.stream(Fault { domain, width: 1 }, &runs, threads, &commit);
     }
 
     /// Runs each of `runs` through [`Campaign::run_worker`]: on the
@@ -869,7 +879,7 @@ impl Campaign {
     /// per run.
     fn stream(
         &self,
-        domain: FaultDomain,
+        fault: Fault,
         runs: &[&[(usize, &[Experiment])]],
         threads: usize,
         commit: &(dyn Fn(usize, Vec<ExperimentResult>, ExecutorStats) -> bool + Sync),
@@ -885,7 +895,7 @@ impl Campaign {
         };
         if threads <= 1 {
             for &shards in runs {
-                self.run_worker(domain, start(shards), shards, checkpoints, workers, commit);
+                self.run_worker(fault, start(shards), shards, checkpoints, workers, commit);
             }
             return;
         }
@@ -895,7 +905,7 @@ impl Campaign {
                 .map(|&shards| {
                     let pristine = start(shards);
                     scope.spawn(move || {
-                        self.run_worker(domain, pristine, shards, checkpoints, workers, commit)
+                        self.run_worker(fault, pristine, shards, checkpoints, workers, commit)
                     })
                 })
                 .collect();
@@ -910,7 +920,7 @@ impl Campaign {
     }
 
     /// A pristine machine at cycle 0.
-    pub(crate) fn fresh_machine(&self) -> Machine {
+    fn fresh_machine(&self) -> Machine {
         Machine::with_events(&self.program, self.config.machine, self.events.clone())
     }
 
@@ -1127,15 +1137,24 @@ impl Campaign {
         domain: FaultDomain,
         experiments: &[Experiment],
     ) -> Vec<ExperimentResult> {
+        self.run_experiments_naive_with(Fault { domain, width: 1 }, experiments)
+    }
+
+    /// [`Campaign::run_experiments_naive`] injecting `fault`: the oracle
+    /// of [`Campaign::run_experiments_with`].
+    pub(crate) fn run_experiments_naive_with(
+        &self,
+        fault: Fault,
+        experiments: &[Experiment],
+    ) -> Vec<ExperimentResult> {
         let budget = cycle_budget(self.golden.cycles);
         experiments
             .iter()
             .map(|&e| {
-                let mut m =
-                    Machine::with_events(&self.program, self.config.machine, self.events.clone());
+                let mut m = self.fresh_machine();
                 let early = m.run_to(e.coord.pre_injection_cycle());
                 assert!(early.is_none(), "plan outlived the program");
-                inject_fault(domain, &mut m, e.coord.bit);
+                fault.inject(&mut m, e.coord.bit);
                 let status = m.run(budget);
                 let outcome = Outcome::classify(status, m.serial(), m.detect_count(), &self.golden);
                 ExperimentResult {
@@ -1154,7 +1173,7 @@ impl Campaign {
     /// `false`. One cost gate spans the whole run.
     fn run_worker(
         &self,
-        domain: FaultDomain,
+        fault: Fault,
         mut pristine: Machine,
         shards: &[(usize, &[Experiment])],
         checkpoints: &[Checkpoint],
@@ -1213,7 +1232,7 @@ impl Campaign {
                     gate.digest(&mut pristine);
                 }
                 let mut m = pristine.clone();
-                inject_fault(domain, &mut m, e.coord.bit);
+                fault.inject(&mut m, e.coord.bit);
                 let base = m.block_stats();
                 let outcome = tel.timed_dispatch(|| {
                     self.run_faulted(&mut m, checkpoints, &mut stats, &tel, &mut gate)
@@ -1243,10 +1262,10 @@ impl Campaign {
 
     /// Runs one faulted machine to its classification.
     ///
-    /// The run pauses at every pristine
-    /// checkpoint cycle it crosses. If the faulted machine's architectural
-    /// state matches the snapshot there ([`Machine::converged_with`]),
-    /// determinism makes the remaining tail identical to the golden run:
+    /// The run pauses at every pristine checkpoint cycle it crosses. If
+    /// the faulted machine's architectural state matches the snapshot
+    /// there ([`Machine::converged_with_masked`]), determinism makes the
+    /// remaining tail identical to the golden run:
     /// it will halt cleanly at `golden_cycles` having emitted exactly the
     /// golden serial tail and `golden_detects − checkpoint_detects`
     /// further detections. The final classification is therefore fully
@@ -1359,22 +1378,37 @@ impl Campaign {
     }
 }
 
-/// Applies the fault of `domain` at fault-space bit `bit` to a machine
-/// already paused at the pre-injection cycle. Data domains mutate state
-/// directly; control-flow domains arm a latched [`CfFault`] that fires
-/// on the first matching fetch (and stays dormant — architecturally a
-/// no-effect — when the trigger never matches again, which is what makes
-/// arbitrary full-scan coordinates sound).
-pub(crate) fn inject_fault(domain: FaultDomain, m: &mut Machine, bit: u64) {
-    match domain {
-        FaultDomain::Memory => m.flip_bit(bit),
-        FaultDomain::RegisterFile => m.flip_reg_bit(bit),
-        FaultDomain::InstrSkip => m.arm_cf_fault(CfFault::SkipAt { slot: bit as u32 }),
-        FaultDomain::OpcodeBit => m.arm_cf_fault(CfFault::CorruptAt {
-            slot: (bit / 32) as u32,
-            mask: 1 << (bit % 32),
-        }),
-        FaultDomain::BranchInvert => m.arm_cf_fault(CfFault::InvertBranch),
+/// The fault an experiment injects: the domain it strikes and how many
+/// adjacent bits it flips — 1, the paper's model, everywhere but burst
+/// sampling, which never asks for a wider [`FaultDomain::InstrSkip`] or
+/// [`FaultDomain::BranchInvert`] fault.
+#[derive(Clone, Copy)]
+pub(crate) struct Fault {
+    pub(crate) domain: FaultDomain,
+    pub(crate) width: u32,
+}
+
+impl Fault {
+    /// Applies the fault at fault-space bit `bit` to a machine already
+    /// paused at the pre-injection cycle. Data domains flip bits `bit ..
+    /// bit + width` directly; control-flow domains arm a latched
+    /// [`CfFault`] (an opcode fault corrupting `width` adjacent bits of one
+    /// instruction word) that fires on the first matching fetch, and stays
+    /// dormant — architecturally a no-effect — when the trigger never
+    /// matches again, which is what makes arbitrary full-scan coordinates
+    /// sound.
+    fn inject(self, m: &mut Machine, bit: u64) {
+        let bits = bit..bit + u64::from(self.width);
+        match self.domain {
+            FaultDomain::Memory => bits.for_each(|b| m.flip_bit(b)),
+            FaultDomain::RegisterFile => bits.for_each(|b| m.flip_reg_bit(b)),
+            FaultDomain::InstrSkip => m.arm_cf_fault(CfFault::SkipAt { slot: bit as u32 }),
+            FaultDomain::OpcodeBit => m.arm_cf_fault(CfFault::CorruptAt {
+                slot: (bit / 32) as u32,
+                mask: (u32::MAX >> (32 - self.width)) << (bit % 32),
+            }),
+            FaultDomain::BranchInvert => m.arm_cf_fault(CfFault::InvertBranch),
+        }
     }
 }
 

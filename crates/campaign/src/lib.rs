@@ -27,9 +27,12 @@
 //!   state at the same cycle share one outcome, so a per-campaign memo
 //!   keyed on state digests answers repeats without simulating them.
 //!
-//! Outcomes stay bit-identical to
-//! [`Campaign::run_experiments_naive`], which replays every experiment
-//! from cycle 0 and is the one oracle the optimizations are held to.
+//! Every faulted run takes this one path: plan scans, samples, the
+//! daemon's shards and burst draws ([`Campaign::run_burst_sampled_in`],
+//! whose faults flip several adjacent bits at once). Outcomes stay
+//! bit-identical to [`Campaign::run_experiments_naive`], which replays
+//! every experiment from cycle 0 with the same fault and is the one
+//! oracle the optimizations are held to.
 //!
 //! # Examples
 //!

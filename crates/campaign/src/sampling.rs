@@ -112,22 +112,15 @@ impl Campaign {
             }
         };
 
-        // Conduct one experiment per distinct class hit. Plans built by
-        // this workspace assign positional ids, but that is not part of
-        // the `InjectionPlan` contract — resolve each id through a real
-        // lookup (positional fast path, linear fallback) instead of
-        // blindly indexing.
+        // Conduct one experiment per distinct class hit. An experiment's
+        // id is its index into the plan.
         let mut ids: Vec<u32> = batch.experiment_hits.keys().copied().collect();
         ids.sort_unstable();
         let experiments: Vec<Experiment> = ids
             .iter()
-            .map(|&id| {
-                plan.experiments
-                    .get(id as usize)
-                    .filter(|e| e.id == id)
-                    .or_else(|| plan.experiments.iter().find(|e| e.id == id))
-                    .copied()
-                    .unwrap_or_else(|| panic!("sampled class id {id} is not in the plan"))
+            .map(|&id| match plan.experiments.get(id as usize) {
+                Some(&e) if e.id == id => e,
+                _ => panic!("sampled class id {id} is not in the plan"),
             })
             .collect();
         let (mut results, _) = self.run_experiments_stats(domain, &experiments);

@@ -237,6 +237,22 @@ fn load_program(path: &str) -> Result<Program, CliError> {
     assemble_text(name, &source).map_err(|e| CliError(format!("{path}: {e}")))
 }
 
+/// Refuses a campaign over an empty fault space — a program that never
+/// addresses RAM has no Memory-domain bit to flip — instead of reporting
+/// rates over zero coordinates.
+fn require_faults(campaign: &Campaign, domain: FaultDomain) -> Result<(), CliError> {
+    let space = campaign.plan_for(domain).space;
+    if space.size() == 0 {
+        return Err(CliError(format!(
+            "{}: the {domain} fault space is empty ({} cycles x {} bits); there is no fault to inject",
+            campaign.program().name,
+            space.cycles,
+            space.bits
+        )));
+    }
+    Ok(())
+}
+
 /// Resolves the fault domain from `--domain NAME` (any spelling
 /// [`FaultDomain`]'s `FromStr` accepts) or the legacy `--registers` /
 /// `--memory` shorthands. Unknown names are rejected by name; combining
@@ -352,6 +368,7 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
     };
     let campaign = Campaign::with_config(&program, config)
         .map_err(|e| CliError(format!("golden run failed: {e}")))?;
+    require_faults(&campaign, domain)?;
     let result = campaign.run_full_defuse_in(domain);
     if let Some(path) = telemetry_path {
         let artifact = sofi_report::to_json(&sofi_report::telemetry_artifact(
@@ -373,8 +390,14 @@ fn cmd_sample(args: &[String]) -> Result<String, CliError> {
     )?;
     let program = load_program(args.positional(0)?)?;
     let draws = args.u64("--draws", 10_000)?;
+    if draws == 0 {
+        return Err(CliError(
+            "--draws must be at least 1: an empty sample extrapolates nothing".into(),
+        ));
+    }
     let seed = args.u64("--seed", 1)?;
-    let mode = match args.value("--mode").unwrap_or("raw") {
+    let mode_name = args.value("--mode").unwrap_or("raw");
+    let mode = match mode_name {
         "raw" => SamplingMode::UniformRaw,
         "weighted" => SamplingMode::WeightedClasses,
         "biased" => SamplingMode::BiasedPerClass,
@@ -382,6 +405,15 @@ fn cmd_sample(args: &[String]) -> Result<String, CliError> {
     };
     let campaign =
         Campaign::new(&program).map_err(|e| CliError(format!("golden run failed: {e}")))?;
+    require_faults(&campaign, FaultDomain::Memory)?;
+    let plan = campaign.plan_for(FaultDomain::Memory);
+    if mode != SamplingMode::UniformRaw && plan.experiments.is_empty() {
+        return Err(CliError(format!(
+            "{}: every Memory fault is known benign, so the plan has no experiment \
+             class for --mode {mode_name} to draw (use --mode raw)",
+            program.name
+        )));
+    }
     let mut rng = DefaultRng::seed_from_u64(seed);
     let sampled = campaign.run_sampled_in(FaultDomain::Memory, draws, mode, &mut rng);
     let est = extrapolated_failures(&sampled, 0.95);
@@ -414,6 +446,7 @@ fn cmd_diagram(args: &[String]) -> Result<String, CliError> {
     let program = load_program(args.positional(0)?)?;
     let campaign =
         Campaign::new(&program).map_err(|e| CliError(format!("golden run failed: {e}")))?;
+    require_faults(&campaign, FaultDomain::Memory)?;
     fault_space_diagram(campaign.analysis_for(FaultDomain::Memory)).ok_or_else(|| {
         CliError(format!(
             "fault space too large to draw ({} cycles x {} bits)",
@@ -459,7 +492,10 @@ fn cmd_compile(args: &[String]) -> Result<String, CliError> {
         harden,
         ..LangOptions::default()
     };
-    opts.stack_bytes = args.u64("--stack", u64::from(opts.stack_bytes))? as u32;
+    // A count past `u32` saturates, so the compiler's own bound refuses
+    // it by name instead of a truncation compiling a smaller stack.
+    let stack = args.u64("--stack", u64::from(opts.stack_bytes))?;
+    opts.stack_bytes = u32::try_from(stack).unwrap_or(u32::MAX);
     let program =
         lang_compile_with(name, &source, &opts).map_err(|e| CliError(format!("{path}: {e}")))?;
 
@@ -520,6 +556,13 @@ fn cmd_compare(args: &[String]) -> Result<String, CliError> {
     let ch = Campaign::new(&hardened)
         .map_err(|e| CliError(format!("{}: golden run failed: {e}", hardened.name)))?;
     let rb = cb.run_full_defuse_in(FaultDomain::Memory);
+    if rb.failure_weight() == 0 {
+        return Err(CliError(format!(
+            "{}: no Memory fault makes the baseline fail (F = 0), so the ratio \
+             F_hardened / F_baseline is undefined",
+            baseline.name
+        )));
+    }
     let rh = ch.run_full_defuse_in(FaultDomain::Memory);
     let cmp = compare_failures(&exact_failures(&rb), &exact_failures(&rh));
     let mut out = String::new();
@@ -1339,5 +1382,110 @@ mod tests {
     fn stats_rejects_bad_job_id() {
         let err = dispatch(&args(&["stats", "seven"])).unwrap_err().0;
         assert!(err.contains("job id must be a number"), "{err}");
+    }
+
+    /// One cycle and no RAM: the Memory fault space is empty.
+    const NOP: &str = "nop\n";
+    /// RAM that is never read: every Memory fault is known benign, so the
+    /// plan has no experiment class and nothing fails.
+    const DEAD: &str = ".data\nx: .word 1\n.text\nnop\n";
+
+    #[test]
+    fn sample_refuses_zero_draws() {
+        let p = write_temp("hi_no_draws.s", HI);
+        let err = dispatch(&args(&["sample", p.to_str().unwrap(), "--draws", "0"]))
+            .unwrap_err()
+            .0;
+        assert!(err.contains("--draws must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn sample_refuses_an_empty_fault_space() {
+        let p = write_temp("nop_sample.s", NOP);
+        let err = dispatch(&args(&["sample", p.to_str().unwrap()]))
+            .unwrap_err()
+            .0;
+        assert_eq!(
+            err,
+            "nop_sample: the Memory fault space is empty (1 cycles x 0 bits); \
+             there is no fault to inject"
+        );
+    }
+
+    #[test]
+    fn class_sampling_refuses_a_plan_without_experiments() {
+        let p = write_temp("dead_sample.s", DEAD);
+        let p = p.to_str().unwrap();
+        for mode in ["weighted", "biased"] {
+            let err = dispatch(&args(&["sample", p, "--mode", mode]))
+                .unwrap_err()
+                .0;
+            assert!(
+                err.starts_with("dead_sample: every Memory fault is known benign"),
+                "{err}"
+            );
+            assert!(err.contains(&format!("--mode {mode}")), "{err}");
+        }
+        // Raw draws land on known-benign coordinates and still count.
+        let out = dispatch(&args(&["sample", p, "--draws", "100"])).unwrap();
+        assert!(out.contains("failure draws   : 0"), "{out}");
+    }
+
+    #[test]
+    fn compare_refuses_a_baseline_without_failures() {
+        let base = write_temp("dead_base.s", DEAD);
+        let hard = write_temp("hi_hard.s", HI);
+        let err = dispatch(&args(&[
+            "compare",
+            base.to_str().unwrap(),
+            hard.to_str().unwrap(),
+        ]))
+        .unwrap_err()
+        .0;
+        assert!(
+            err.starts_with("dead_base: no Memory fault makes the baseline fail"),
+            "{err}"
+        );
+        assert!(err.contains("undefined"), "{err}");
+    }
+
+    #[test]
+    fn campaign_refuses_an_empty_fault_space() {
+        let p = write_temp("nop_campaign.s", NOP);
+        let err = dispatch(&args(&["campaign", p.to_str().unwrap()]))
+            .unwrap_err()
+            .0;
+        assert!(err.contains("Memory fault space is empty"), "{err}");
+        // The register file holds bits even when RAM holds none.
+        let out = dispatch(&args(&["campaign", p.to_str().unwrap(), "--registers"])).unwrap();
+        assert!(!out.contains("NaN"), "{out}");
+    }
+
+    #[test]
+    fn diagram_names_an_empty_fault_space() {
+        let p = write_temp("nop_diagram.s", NOP);
+        let err = dispatch(&args(&["diagram", p.to_str().unwrap()]))
+            .unwrap_err()
+            .0;
+        assert!(err.contains("Memory fault space is empty"), "{err}");
+    }
+
+    #[test]
+    fn compile_refuses_a_stack_beyond_32_bits() {
+        let p = write_temp("count_stack.sofi", COUNT_SOFI);
+        // 2^32 + 64 once truncated to a 64-byte stack and compiled.
+        let err = dispatch(&args(&[
+            "compile",
+            p.to_str().unwrap(),
+            "--stack",
+            "4294967360",
+            "--run",
+        ]))
+        .unwrap_err()
+        .0;
+        assert!(
+            err.contains("stack_bytes must be a positive multiple of 4 up to 65536"),
+            "{err}"
+        );
     }
 }

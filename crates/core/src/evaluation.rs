@@ -1,8 +1,6 @@
 //! End-to-end baseline-vs-hardened evaluation.
 
-use sofi_campaign::{
-    Campaign, CampaignConfig, CampaignResult, FaultDomain, SampledResult, SamplingMode,
-};
+use sofi_campaign::{Campaign, CampaignResult, FaultDomain, SampledResult, SamplingMode};
 use sofi_isa::Program;
 use sofi_metrics::{
     compare_failures, exact_failures, extrapolated_failures, fault_coverage, Comparison, Weighting,
@@ -28,21 +26,8 @@ impl Evaluation {
     ///
     /// Returns [`GoldenError`] if either program's fault-free run fails.
     pub fn full_scan(baseline: &Program, hardened: &Program) -> Result<Evaluation, GoldenError> {
-        Self::full_scan_with_config(baseline, hardened, CampaignConfig::default())
-    }
-
-    /// [`Evaluation::full_scan`] with explicit campaign parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GoldenError`] if either program's fault-free run fails.
-    pub fn full_scan_with_config(
-        baseline: &Program,
-        hardened: &Program,
-        config: CampaignConfig,
-    ) -> Result<Evaluation, GoldenError> {
-        let cb = Campaign::with_config(baseline, config)?;
-        let ch = Campaign::with_config(hardened, config)?;
+        let cb = Campaign::new(baseline)?;
+        let ch = Campaign::new(hardened)?;
         Ok(Evaluation {
             baseline: cb.run_full_defuse_in(FaultDomain::Memory),
             hardened: ch.run_full_defuse_in(FaultDomain::Memory),

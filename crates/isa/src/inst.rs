@@ -307,18 +307,6 @@ impl Inst {
         }
     }
 
-    /// Returns `true` if this instruction reads from data memory
-    /// (MMIO loads included).
-    pub fn is_load(&self) -> bool {
-        matches!(self, Inst::Load { .. })
-    }
-
-    /// Returns `true` if this instruction writes to data memory
-    /// (MMIO stores included).
-    pub fn is_store(&self) -> bool {
-        matches!(self, Inst::Store { .. })
-    }
-
     /// Returns `true` if this instruction may divert control flow.
     pub fn is_control(&self) -> bool {
         matches!(
@@ -440,8 +428,7 @@ mod tests {
             offset: 0,
             width: MemWidth::Byte,
         };
-        assert!(ld.is_load() && !ld.is_store() && !ld.is_control());
-        assert!(st.is_store() && !st.is_load());
+        assert!(!ld.is_control() && !st.is_control());
         assert!(Inst::Halt { code: 0 }.is_control());
         assert!(!Inst::NOP.is_control());
     }

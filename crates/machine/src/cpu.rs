@@ -910,8 +910,9 @@ impl Machine {
 
     /// `true` when this machine's *future evolution* is provably identical
     /// to `pristine`'s: both are still running at the same cycle with
-    /// identical registers, program counter, RAM contents, input latch,
-    /// pending external events, and serial-output length.
+    /// identical program counter, input latch, pending external events,
+    /// pending control-flow fault and serial-output length, and identical
+    /// registers and RAM bytes wherever `mask` marks them live.
     ///
     /// The machine is deterministic, so equality of exactly this state
     /// implies every subsequent step is identical — the campaign executor
@@ -928,15 +929,6 @@ impl Machine {
     ///   extra detections still replays the same tail, it just classifies
     ///   as detected-and-corrected instead of no-effect.
     ///
-    /// RAM comparison uses the copy-on-write page structure: pages still
-    /// `Arc`-shared between the two machines compare by pointer.
-    pub fn converged_with(&self, pristine: &Machine) -> bool {
-        self.converged_core(pristine) && self.regs == pristine.regs && self.ram == pristine.ram
-    }
-
-    /// [`Machine::converged_with`] restricted to *live* state: registers
-    /// and RAM bytes marked dead in `mask` are skipped.
-    ///
     /// A dead location is one whose next access in the reference run
     /// after the current cycle is a write, or that is never accessed
     /// again. A run equal to the pristine machine in everything but dead
@@ -944,9 +936,12 @@ impl Machine {
     /// values (a dead location is rewritten — with equal values — before
     /// any read), so control flow, output and detections stay those of
     /// the reference run, and the lingering differences are unobservable.
-    /// This catches the common masked-fault shape the strict comparison
-    /// cannot: a corrupted bit that simply goes dormant for the rest of
-    /// the run.
+    /// This catches the common masked-fault shape a strict comparison
+    /// ([`ConvergenceMask::all_live`]) cannot: a corrupted bit that simply
+    /// goes dormant for the rest of the run.
+    ///
+    /// RAM comparison uses the copy-on-write page structure: pages still
+    /// `Arc`-shared between the two machines compare by pointer.
     pub fn converged_with_masked(&self, pristine: &Machine, mask: &ConvergenceMask) -> bool {
         self.converged_core(pristine)
             && (0..16).all(|r| mask.reg_live & (1 << r) == 0 || self.regs[r] == pristine.regs[r])
@@ -1160,6 +1155,13 @@ impl ConvergenceMask {
 mod tests {
     use super::*;
     use sofi_isa::Asm;
+
+    /// The strict convergence comparison: every register and RAM byte
+    /// live.
+    fn converged(faulted: &Machine, pristine: &Machine) -> bool {
+        let mask = ConvergenceMask::all_live(pristine.ram().size() as usize);
+        faulted.converged_with_masked(pristine, &mask)
+    }
 
     fn run_program(f: impl FnOnce(&mut Asm)) -> Machine {
         let mut a = Asm::new();
@@ -1464,13 +1466,10 @@ mod tests {
         pristine.run_to(3);
         let mut faulted = pristine.clone();
         faulted.flip_bit(x.addr() as u64 * 8 + 1); // dead interval: dies at the sw
-        assert!(!faulted.converged_with(&pristine), "fault still live");
+        assert!(!converged(&faulted, &pristine), "fault still live");
         pristine.run_to(6);
         faulted.run_to(6);
-        assert!(
-            faulted.converged_with(&pristine),
-            "overwrite masks the fault"
-        );
+        assert!(converged(&faulted, &pristine), "overwrite masks the fault");
     }
 
     #[test]
@@ -1492,7 +1491,7 @@ mod tests {
         faulted.flip_bit(0); // x = 0x41: still < 100, comparison masks it
         pristine.run_to(4);
         faulted.run_to(4);
-        assert!(!faulted.converged_with(&pristine), "RAM still differs");
+        assert!(!converged(&faulted, &pristine), "RAM still differs");
 
         // x (byte 0) is dead from here on; everything else is live.
         let mut mask = ConvergenceMask::all_live(1);
@@ -1506,7 +1505,7 @@ mod tests {
         // A dead *register* difference is likewise absorbed.
         let mut faulted = pristine.clone();
         faulted.flip_reg_bit((3 - 1) * 32); // r3 never touched by the program
-        assert!(!faulted.converged_with(&pristine));
+        assert!(!converged(&faulted, &pristine));
         let mut mask = ConvergenceMask::all_live(1);
         mask.reg_live &= !(1 << 3);
         assert!(faulted.converged_with_masked(&pristine, &mask));
@@ -1523,26 +1522,23 @@ mod tests {
         let mut m1 = Machine::new(&p);
         m1.run_to(2);
         let m2 = m1.clone();
-        assert!(m1.converged_with(&m2));
+        assert!(converged(&m1, &m2));
 
         let mut diverged = m2.clone();
         diverged.flip_reg_bit(0);
-        assert!(!diverged.converged_with(&m1), "register difference");
+        assert!(!converged(&diverged, &m1), "register difference");
 
         let mut diverged = m2.clone();
         diverged.flip_bit(0);
-        assert!(!diverged.converged_with(&m1), "RAM difference");
+        assert!(!converged(&diverged, &m1), "RAM difference");
 
         let mut diverged = m2.clone();
         diverged.run_to(3);
-        assert!(!diverged.converged_with(&m1), "cycle difference");
+        assert!(!converged(&diverged, &m1), "cycle difference");
 
         let mut halted = m2.clone();
         halted.run(100);
-        assert!(
-            !halted.converged_with(&m1),
-            "stopped machines never converge"
-        );
+        assert!(!converged(&halted, &m1), "stopped machines never converge");
     }
 
     #[test]
@@ -1574,7 +1570,7 @@ mod tests {
         faulted.run_to(4);
         assert_eq!(faulted.detect_count(), 1);
         assert_eq!(pristine.detect_count(), 0);
-        assert!(faulted.converged_with(&pristine));
+        assert!(converged(&faulted, &pristine));
 
         // A path that *wrote serial output* instead never converges, even
         // with registers, pc and cycle re-aligned: the extra byte makes
@@ -1601,7 +1597,7 @@ mod tests {
         faulted.run_to(4);
         assert_eq!(faulted.pc(), pristine.pc());
         assert_eq!(faulted.serial().len(), 1);
-        assert!(!faulted.converged_with(&pristine));
+        assert!(!converged(&faulted, &pristine));
     }
 
     #[test]

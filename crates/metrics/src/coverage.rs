@@ -31,6 +31,9 @@ pub enum Weighting {
 /// * `Unweighted`: `c = 1 − F_raw / N_experiments` (wrong, for
 ///   demonstration)
 ///
+/// A zero denominator — an empty fault space, or an empty plan when
+/// unweighted — leaves nothing that can fail: the coverage is 1.
+///
 /// # Examples
 ///
 /// ```
@@ -54,19 +57,14 @@ pub enum Weighting {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn fault_coverage(result: &CampaignResult, weighting: Weighting) -> f64 {
-    match weighting {
-        Weighting::Weighted => {
-            let w = result.space.size() as f64;
-            1.0 - result.failure_weight() as f64 / w
-        }
-        Weighting::Unweighted => {
-            let n = result.experiments_run();
-            if n == 0 {
-                return 1.0;
-            }
-            1.0 - result.failure_raw() as f64 / n as f64
-        }
+    let (failures, population) = match weighting {
+        Weighting::Weighted => (result.failure_weight(), result.space.size()),
+        Weighting::Unweighted => (result.failure_raw(), result.experiments_run()),
+    };
+    if population == 0 {
+        return 1.0;
     }
+    1.0 - failures as f64 / population as f64
 }
 
 /// A sampled coverage estimate with a confidence interval.
@@ -192,6 +190,12 @@ mod tests {
         let r = result_with(vec![], 42);
         assert_eq!(fault_coverage(&r, Weighting::Unweighted), 1.0);
         assert_eq!(fault_coverage(&r, Weighting::Weighted), 1.0);
+        // An empty space — a program that never addresses RAM, 1 cycle x
+        // 0 bits — in both weightings.
+        let mut r = result_with(vec![], 0);
+        r.space = FaultSpace::new(1, 0);
+        assert_eq!(fault_coverage(&r, Weighting::Weighted), 1.0);
+        assert_eq!(fault_coverage(&r, Weighting::Unweighted), 1.0);
     }
 
     #[test]

@@ -170,11 +170,6 @@ impl WarmStore {
         self.index.values().all(HashMap::is_empty)
     }
 
-    /// Distinct contexts with at least one fact.
-    pub fn contexts(&self) -> usize {
-        self.index.values().filter(|f| !f.is_empty()).count()
-    }
-
     /// The store's file path.
     pub fn path(&self) -> &Path {
         &self.path
@@ -225,7 +220,7 @@ mod tests {
         }
         let store = WarmStore::open(&path).unwrap();
         assert_eq!(store.len(), 3);
-        assert_eq!(store.contexts(), 2);
+        assert_eq!(store.index.values().filter(|f| !f.is_empty()).count(), 2);
         assert_eq!(store.lookup(ctx_a), a);
         assert_eq!(store.lookup(ctx_b), b);
         assert!(store.lookup(0x3333).is_empty());

@@ -35,13 +35,6 @@ pub struct SampleBatch {
     pub benign_hits: u64,
 }
 
-impl SampleBatch {
-    /// The number of distinct experiments that must actually be executed.
-    pub fn experiments_to_run(&self) -> usize {
-        self.experiment_hits.len()
-    }
-}
-
 /// Draws `n` coordinates uniformly (with replacement) from the raw fault
 /// space.
 pub fn draw_uniform<R: Rng + ?Sized>(space: FaultSpace, n: u64, rng: &mut R) -> Vec<FaultCoord> {
@@ -170,7 +163,7 @@ mod tests {
         let batch = resolve_draws(&coords, &index);
         let exp_total: u64 = batch.experiment_hits.values().sum();
         assert_eq!(exp_total + batch.benign_hits, batch.draws);
-        assert!(batch.experiments_to_run() <= 16);
+        assert!(batch.experiment_hits.len() <= 16);
     }
 
     #[test]

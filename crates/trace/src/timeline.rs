@@ -114,11 +114,6 @@ impl Timelines {
             .enumerate()
             .map(|(i, v)| (i as u64, v.as_slice()))
     }
-
-    /// Total number of bit-events (trace volume metric).
-    pub fn event_count(&self) -> usize {
-        self.per_bit.iter().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -150,7 +145,7 @@ mod tests {
                 }]
             );
         }
-        assert_eq!(tl.event_count(), 32);
+        assert_eq!(tl.per_bit.iter().map(Vec::len).sum::<usize>(), 32);
     }
 
     #[test]
