@@ -3,7 +3,7 @@
 //! corollaries — re-estimated from sampling with *different* sample sizes
 //! per variant (extrapolation makes them comparable anyway).
 
-use sofi::campaign::{Campaign, FaultDomain, SamplingMode};
+use sofi::campaign::{Campaign, CampaignConfig, FaultDomain, SamplingMode};
 use sofi::metrics::{compare_failures, exact_failures, extrapolated_failures};
 use sofi::report::Table;
 use sofi_bench::save_artifact;
@@ -31,10 +31,16 @@ sofi::report::impl_to_json!(SummaryRow {
 fn main() {
     let mut rows = Vec::new();
     let mut exec_rows = Vec::new();
+    // A fixed thread count, not the host's: the executor counters in the
+    // table below depend on how the plan is split between workers.
+    let config = CampaignConfig {
+        threads: 2,
+        ..CampaignConfig::default()
+    };
     for (name, base, hard) in sofi::workloads::benchmark_pairs() {
         eprintln!("evaluating {name} ...");
-        let cb = Campaign::new(&base).expect("golden run");
-        let ch = Campaign::new(&hard).expect("golden run");
+        let cb = Campaign::with_config(&base, config).expect("golden run");
+        let ch = Campaign::with_config(&hard, config).expect("golden run");
         let (fb, sb_stats) =
             cb.run_plan_stats(FaultDomain::Memory, cb.plan_for(FaultDomain::Memory));
         let (fh, sh_stats) =

@@ -215,8 +215,8 @@ mod tests {
     }
 
     /// The burst oracle: seeded burst draws run through the executor at
-    /// one and two threads give, per coordinate, the outcomes naive replay
-    /// gives them at the same width, in every domain bursts support. Each
+    /// one and two threads give naive replay's result vector at the same
+    /// width, in draw order, in every domain bursts support. Each
     /// program's two campaigns serve every domain and width in turn, so
     /// the memo is warm with other widths' trajectories by the end.
     #[test]
@@ -248,8 +248,7 @@ mod tests {
                     let (_, experiments) = campaigns[0].draw_bursts(domain, DRAWS, width, &mut rng);
                     let naive = campaigns[0].run_experiments_naive_with(fault, &experiments);
                     for campaign in &campaigns {
-                        let (mut results, _) = campaign.run_experiments_with(fault, &experiments);
-                        results.sort_by_key(|r| r.experiment.id);
+                        let (results, _) = campaign.run_experiments_with(fault, &experiments);
                         assert_eq!(
                             results,
                             naive,

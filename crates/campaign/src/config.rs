@@ -48,8 +48,9 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// Single-threaded configuration (deterministic result ordering is
-    /// guaranteed either way; this avoids thread startup for tiny plans).
+    /// Single-threaded configuration. Results, their order and every
+    /// executor counter are the same at any thread count; this avoids
+    /// thread start-up for tiny plans.
     pub fn sequential() -> Self {
         CampaignConfig {
             threads: 1,

@@ -13,7 +13,7 @@ use sofi_trace::{GoldenError, GoldenRun};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Instrumentation from one executor invocation, used by scheduling
@@ -199,8 +199,11 @@ pub struct MemoRecord {
     pub final_cycle: u64,
 }
 
+/// A memo key: a cycle and the architectural-state digest at it.
+type MemoKey = (u64, StateDigest);
+
 /// The per-campaign fault-equivalence memo: `(cycle, state digest) →
-/// outcome`. Shared across worker threads and fault domains — a
+/// outcome`. Shared by every call and fault domain of the campaign — a
 /// register-domain injection and a memory-domain injection that produce
 /// the same machine state are the same experiment dynamically, and
 /// either may pay for the other.
@@ -213,46 +216,70 @@ pub struct MemoRecord {
 /// collision); `tests/memoization_oracle.rs` and the fuzz battery hold
 /// the memoized executor to bit-identical results against naive replay.
 ///
-/// It sits on cache lines of its own: every probe of every worker writes
-/// its lock word, and a line shared with the campaign's read-mostly
-/// fields (such as the checkpoint table every experiment reads) would
-/// make each probe evict them from the other workers' caches.
+/// Each worker of a call probes `settled` as the call found it plus its
+/// own inserts ([`MemoView`]), so what a worker sees — and with it every
+/// counter — does not depend on the thread count or on thread timing.
+/// The workers' maps are kept in run order as `pending` and folded into
+/// `settled` the next time the memo is read as a whole: at the next
+/// call, in [`Campaign::preload_memo`] and in [`Campaign::reset_memo`]
+/// (which drops them). A campaign that makes one call never folds. A
+/// call holds the lock throughout, so concurrent calls on one campaign
+/// run one after the other.
 #[derive(Debug, Default)]
-#[repr(align(128))]
-struct MemoCache {
-    entries: Mutex<HashMap<(u64, StateDigest), MemoEntry>>,
+struct Memo {
+    settled: HashMap<MemoKey, MemoEntry>,
+    /// The last call's per-worker inserts, in run order.
+    pending: Vec<HashMap<MemoKey, MemoEntry>>,
 }
 
-impl MemoCache {
+impl Memo {
+    /// Folds the pending maps into the settled one, in run order, and
+    /// returns it: the first entry of a state wins, and both marks
+    /// (`injection`, `exported`) of every copy are kept.
+    fn fold(&mut self) -> &mut HashMap<MemoKey, MemoEntry> {
+        for map in self.pending.drain(..) {
+            for (key, entry) in map {
+                let settled = self.settled.entry(key).or_insert(entry);
+                settled.injection |= entry.injection;
+                settled.exported |= entry.exported;
+            }
+        }
+        &mut self.settled
+    }
+}
+
+/// One worker's view of the memo: the settled map as its call found it,
+/// read without a lock, plus the worker's own inserts.
+struct MemoView<'a> {
+    settled: &'a HashMap<MemoKey, MemoEntry>,
+    own: HashMap<MemoKey, MemoEntry>,
+}
+
+impl MemoView<'_> {
     /// Looks `key` up, marking a hit as an injection-point fact when the
-    /// probe is an experiment's injection-point probe.
-    fn get(&self, key: &(u64, StateDigest), injection: bool) -> Option<MemoEntry> {
-        let mut map = self.entries.lock().unwrap();
-        let entry = map.get_mut(key)?;
-        entry.injection |= injection;
-        Some(*entry)
+    /// probe is an experiment's injection-point probe. A settled entry
+    /// is marked through a copy in the worker's own map, which the fold
+    /// merges back.
+    fn get(&mut self, key: &MemoKey, injection: bool) -> Option<MemoEntry> {
+        if let Some(entry) = self.own.get_mut(key) {
+            entry.injection |= injection;
+            return Some(*entry);
+        }
+        let entry = *self.settled.get(key)?;
+        if injection && !entry.injection {
+            self.own.entry(*key).or_insert(entry).injection = true;
+        }
+        Some(entry)
     }
 
-    /// Inserts `entry` under every key, keeping existing entries (any
-    /// previously recorded outcome for the same state is equally valid).
+    /// Records `entry` under every key — each a state the view missed.
     /// With `injection` set, the first key is the run's post-injection
-    /// state and is marked as such, whoever recorded it.
-    fn insert_all(&self, keys: &[(u64, StateDigest)], entry: MemoEntry, injection: bool) {
-        if keys.is_empty() {
-            return;
-        }
-        let mut map = self.entries.lock().unwrap();
+    /// state and is marked as such.
+    fn insert_all(&mut self, keys: &[MemoKey], entry: MemoEntry, injection: bool) {
         for (i, &key) in keys.iter().enumerate() {
-            map.entry(key).or_insert(entry).injection |= injection && i == 0;
+            let injection = injection && i == 0;
+            self.own.insert(key, MemoEntry { injection, ..entry });
         }
-    }
-
-    fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
-    }
-
-    fn clear(&self) {
-        self.entries.lock().unwrap().clear();
     }
 }
 
@@ -276,8 +303,8 @@ pub struct Campaign {
     /// cycle 0, and faulted runs compare against the snapshots to
     /// early-terminate once they have converged back onto the golden run.
     checkpoints: OnceLock<Vec<Checkpoint>>,
-    /// Fault-equivalence outcome memo (see [`MemoCache`]).
-    memo: MemoCache,
+    /// Fault-equivalence outcome memo (see [`Memo`]).
+    memo: Mutex<Memo>,
     /// Set via [`Campaign::set_memo_harvest`] when this campaign feeds a
     /// persistent warm store: every experiment then probes the memo at
     /// its injection point.
@@ -351,12 +378,7 @@ impl WorkerTel {
     }
 
     /// A memo-cache lookup, latency-sampled when telemetry is enabled.
-    fn probe(
-        &self,
-        memo: &MemoCache,
-        key: &(u64, StateDigest),
-        injection: bool,
-    ) -> Option<MemoEntry> {
+    fn probe(&self, memo: &mut MemoView, key: &MemoKey, injection: bool) -> Option<MemoEntry> {
         sampled(&self.memo_probe_ns, &self.probe_tick, || {
             memo.get(key, injection)
         })
@@ -406,7 +428,7 @@ impl WorkerTel {
 }
 
 /// The gate's prices, in simulated cycles: one memo probe (a digest of
-/// the fixed-size machine state, a shared-map lookup and, on a miss, a
+/// the fixed-size machine state, a memo lookup and, on a miss, a
 /// waypoint insertion), one RAM page re-hashed by a digest, and the
 /// fixed overhead of one faulted dispatch (fork, injection, checkpoint
 /// bookkeeping). Fitted once by least squares over timed faulted runs
@@ -428,7 +450,7 @@ const GATE_MIN_GOLDEN_CYCLES: u64 = 64;
 const GATE_FULL_REVIEW: u64 = 32;
 
 /// Cost-model gate state for one worker's run of experiments. The gate
-/// decides whether memo probing — one state digest plus a shared-map
+/// decides whether memo probing — one state digest plus a memo
 /// lookup at the injection point and at every checkpoint crossing —
 /// pays for itself on this run, by pricing the probes issued and the RAM
 /// pages they re-hashed in simulated cycles ([`PROBE`], [`PAGE`]) and
@@ -496,10 +518,10 @@ impl MemoGate {
     fn probe(
         &mut self,
         tel: &WorkerTel,
-        memo: &MemoCache,
+        memo: &mut MemoView,
         m: &mut Machine,
         injection: bool,
-        waypoints: &mut Vec<(u64, StateDigest)>,
+        waypoints: &mut Vec<MemoKey>,
         stats: &mut ExecutorStats,
     ) -> Option<MemoEntry> {
         self.probes += 1;
@@ -637,7 +659,7 @@ impl Campaign {
             analyses: [const { OnceLock::new() }; FaultDomain::ALL.len()],
             config,
             checkpoints: OnceLock::new(),
-            memo: MemoCache::default(),
+            memo: Mutex::default(),
             memo_harvest: AtomicBool::new(false),
             telemetry,
         })
@@ -757,18 +779,19 @@ impl Campaign {
         }
     }
 
-    /// Executes a list of experiments (any order) with injections into
-    /// the given domain and returns their outcomes (unordered; callers
-    /// sort as needed) plus executor instrumentation.
+    /// Executes a list of experiments (any order, repeats allowed) with
+    /// injections into the given domain and returns their outcomes in
+    /// the caller's order, plus executor instrumentation.
     ///
-    /// Parallel runs partition the cycle-sorted experiment list into one
+    /// The list is cycle-sorted at every thread count and split into one
     /// contiguous chunk per worker, balanced by cycle span (not by
     /// experiment count): each worker advances its own pristine machine
-    /// over a disjoint cycle range, starting from the nearest
+    /// forward over a disjoint cycle range, starting from the nearest
     /// [checkpoint](ExecutorStats). Total pristine forward simulation
-    /// therefore stays within a small factor of the sequential executor
-    /// instead of growing linearly with the worker count. Each chunk is
-    /// one shard of [`Campaign::run_shards`]'s worker loop.
+    /// therefore stays within a small factor of the one-thread executor
+    /// instead of growing linearly with the worker count, and an
+    /// unsorted list costs no more than a sorted one. Each chunk is one
+    /// shard of [`Campaign::run_shards`]'s worker loop.
     ///
     /// Each faulted run pauses at every pristine checkpoint cycle it
     /// crosses and compares its live architectural state against the
@@ -782,10 +805,13 @@ impl Campaign {
     /// identical outcome on a deterministic machine, so the second one is
     /// free. Lookups and insertions also happen at every checkpoint
     /// crossing, so runs converging *into* an explored trajectory hit
-    /// mid-flight; the per-worker cost gate ([`MemoGate`]) skips probing
-    /// where it cannot pay. Results are `assert_eq!`-identical to
+    /// mid-flight; a per-worker cost gate, counting probes and re-hashed
+    /// pages, skips probing where it cannot pay. Each worker probes the
+    /// memo as the call found it plus its own inserts, so the results
+    /// and every [`ExecutorStats`] field repeat from run to run at any
+    /// thread count. Results are `assert_eq!`-identical, as vectors, to
     /// [`Campaign::run_experiments_naive`] (`tests/convergence_oracle.rs`,
-    /// `tests/memoization_oracle.rs`).
+    /// `tests/memoization_oracle.rs`, `tests/executor_order.rs`).
     pub fn run_experiments_stats(
         &self,
         domain: FaultDomain,
@@ -805,40 +831,45 @@ impl Campaign {
             .config
             .effective_threads()
             .min(experiments.len().max(1));
-        // One worker keeps the caller's order; several cycle-sort so
-        // every chunk is a contiguous injection-cycle range.
-        let mut sorted = Vec::new();
-        let chunks: Vec<(usize, &[Experiment])> = if threads <= 1 {
-            vec![(0, experiments)]
-        } else {
-            sorted.extend_from_slice(experiments);
-            sorted.sort_unstable_by_key(|e| (e.coord.cycle, e.coord.bit, e.id));
+        // The caller's positions in injection-cycle order, so every chunk
+        // is a contiguous cycle range and results scatter back.
+        let mut order: Vec<usize> = (0..experiments.len()).collect();
+        order.sort_unstable_by_key(|&i| {
+            let e = &experiments[i];
+            (e.coord.cycle, e.coord.bit, e.id, i)
+        });
+        let sorted: Vec<Experiment> = order.iter().map(|&i| experiments[i]).collect();
+        // Each chunk is indexed by its offset into `sorted`.
+        let mut offset = 0;
+        let chunks: Vec<(usize, &[Experiment])> =
             chunk_by_cycle_span(&sorted, threads, |e| e.coord.cycle)
                 .into_iter()
-                .enumerate()
-                .collect()
-        };
+                .map(|chunk| {
+                    offset += chunk.len();
+                    (offset - chunk.len(), chunk)
+                })
+                .collect();
         let runs: Vec<&[(usize, &[Experiment])]> =
             chunks.iter().map(std::slice::from_ref).collect();
-        let parts = Mutex::new(Vec::with_capacity(runs.len()));
-        self.stream(fault, &runs, threads, &|chunk, results, stats| {
-            parts
+        let merged = Mutex::new((vec![None; experiments.len()], ExecutorStats::default()));
+        self.stream(fault, &runs, &|offset, results, shard| {
+            let mut merged = merged
                 .lock()
-                .expect("no worker panics while holding the parts lock")
-                .push((chunk, results, stats));
+                .expect("no worker panics while holding the merge lock");
+            merged.1.absorb(&shard);
+            for (result, &i) in results.into_iter().zip(&order[offset..]) {
+                merged.0[i] = Some(result);
+            }
             true
         });
         let merge_span = self.telemetry.span(names::SPAN_MERGE_NS);
-        let mut parts = parts
+        let (slots, stats) = merged
             .into_inner()
-            .expect("no worker panics while holding the parts lock");
-        parts.sort_unstable_by_key(|&(chunk, ..)| chunk);
-        let mut stats = ExecutorStats::default();
-        let mut results = Vec::with_capacity(experiments.len());
-        for (_, part, shard) in parts {
-            stats.absorb(&shard);
-            results.extend(part);
-        }
+            .expect("no worker panics while holding the merge lock");
+        let results = slots
+            .into_iter()
+            .map(|slot| slot.expect("every experiment ran"))
+            .collect();
         merge_span.finish();
         (results, stats)
     }
@@ -854,8 +885,16 @@ impl Campaign {
     /// over the run instead of repeating per shard. `commit` is called
     /// from the worker threads, concurrently; when it returns `false`,
     /// that worker stops at the shard boundary and its remaining shards
-    /// are never run. Outcomes are those of
+    /// are never run. The call holds the campaign's memo throughout, so
+    /// `commit` must not call back into it ([`Campaign::export_memo`],
+    /// [`Campaign::preload_memo`], [`Campaign::reset_memo`] or another
+    /// run of this campaign). Outcomes are those of
     /// [`Campaign::run_experiments_stats`] for the same experiments.
+    ///
+    /// Shards run in the order given. A shard whose injection lies
+    /// behind its worker's pristine machine restarts from the nearest
+    /// checkpoint, so any order is correct; a cycle-sorted one
+    /// simulates least.
     pub fn run_shards(
         &self,
         domain: FaultDomain,
@@ -871,52 +910,51 @@ impl Campaign {
         let runs = chunk_by_cycle_span(&indexed, threads, |(_, shard)| {
             shard.first().map_or(0, |e| e.coord.cycle)
         });
-        self.stream(Fault { domain, width: 1 }, &runs, threads, &commit);
+        self.stream(Fault { domain, width: 1 }, &runs, &commit);
     }
 
-    /// Runs each of `runs` through [`Campaign::run_worker`]: on the
-    /// calling thread for a one-thread call, otherwise on a scoped thread
-    /// per run.
+    /// Runs each of `runs` through [`Campaign::run_worker`] — on the
+    /// calling thread when there is one run, otherwise on a scoped thread
+    /// per run — over the memo as the call found it, and leaves the
+    /// workers' inserts pending in run order.
     fn stream(
         &self,
         fault: Fault,
         runs: &[&[(usize, &[Experiment])]],
-        threads: usize,
         commit: &(dyn Fn(usize, Vec<ExperimentResult>, ExecutorStats) -> bool + Sync),
     ) {
+        // Built (and the memo seeded) before the memo is locked.
         let checkpoints = self.checkpoints();
-        let workers = runs.len();
-        let start = |shards: &[(usize, &[Experiment])]| match shards
-            .iter()
-            .find_map(|(_, shard)| shard.first())
-        {
-            Some(e) => self.machine_at(checkpoints, e.coord.pre_injection_cycle()),
-            None => self.fresh_machine(),
+        let mut memo = self.lock_memo();
+        let settled: &_ = memo.fold();
+        let worker =
+            &|shards| self.run_worker(fault, shards, checkpoints, settled, runs.len(), commit);
+        let pending = match runs {
+            [shards] => vec![worker(shards)],
+            _ => std::thread::scope(|scope| {
+                let handles: Vec<_> = runs
+                    .iter()
+                    .map(|&shards| scope.spawn(move || worker(shards)))
+                    .collect();
+                // Joined explicitly: a scope's implicit join returns
+                // before the threads have exited, and threads still
+                // exiting cannot hand their allocator arenas to the next
+                // call's workers — peak RSS then grows with every call.
+                handles
+                    .into_iter()
+                    .map(|handle| handle.join().expect("campaign worker panicked"))
+                    .collect()
+            }),
         };
-        if threads <= 1 {
-            for &shards in runs {
-                self.run_worker(fault, start(shards), shards, checkpoints, workers, commit);
-            }
-            return;
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = runs
-                .iter()
-                .map(|&shards| {
-                    let pristine = start(shards);
-                    scope.spawn(move || {
-                        self.run_worker(fault, pristine, shards, checkpoints, workers, commit)
-                    })
-                })
-                .collect();
-            // Joined explicitly: a scope's implicit join returns before
-            // the threads have exited, and threads still exiting cannot
-            // hand their allocator arenas to the next call's workers —
-            // peak RSS then grows with every call.
-            for handle in handles {
-                handle.join().expect("campaign worker panicked");
-            }
-        });
+        memo.pending = pending;
+    }
+
+    /// The campaign's memo, locked: once per call, and by the calls that
+    /// read or write it as a whole.
+    fn lock_memo(&self) -> MutexGuard<'_, Memo> {
+        self.memo
+            .lock()
+            .expect("no campaign worker panicked while its call held the memo")
     }
 
     /// A pristine machine at cycle 0.
@@ -974,21 +1012,18 @@ impl Campaign {
     /// detection divergence — the digest covers all of it) replays the
     /// golden tail verbatim and is [`Outcome::NoEffect`] by construction.
     fn seed_memo(&self, checkpoints: &[Checkpoint]) {
-        let keys: Vec<(u64, StateDigest)> = checkpoints
-            .iter()
-            .map(|c| (c.machine.cycle(), c.digest))
-            .collect();
-        self.memo.insert_all(
-            &keys,
-            MemoEntry {
-                outcome: Outcome::NoEffect,
-                final_cycle: self.golden.cycles,
-                origin: MemoOrigin::Seed,
-                injection: false,
-                exported: false,
-            },
-            false,
-        );
+        let mut memo = self.lock_memo();
+        for c in checkpoints {
+            memo.settled
+                .entry((c.machine.cycle(), c.digest))
+                .or_insert(MemoEntry {
+                    outcome: Outcome::NoEffect,
+                    final_cycle: self.golden.cycles,
+                    origin: MemoOrigin::Seed,
+                    injection: false,
+                    exported: false,
+                });
+        }
     }
 
     /// Marks this campaign as feeding a persistent warm store: every
@@ -1005,21 +1040,25 @@ impl Campaign {
     /// Exports the fault-equivalence facts *this campaign's runs*
     /// established at some experiment's injection point and that no
     /// earlier call returned, sorted by `(cycle, digest)` for
-    /// deterministic output. Only [`MemoOrigin::Fresh`] entries qualify:
-    /// pre-seeded checkpoint states are recomputed per campaign, and
-    /// entries preloaded via [`Campaign::preload_memo`] are already
-    /// persisted wherever they came from. Checkpoint-crossing waypoints
-    /// stay in process: a resubmission never probes them before its
-    /// injection-point probe has hit.
+    /// deterministic output. Only facts a run of this campaign simulated
+    /// qualify: pre-seeded checkpoint states are recomputed per
+    /// campaign, and entries preloaded via [`Campaign::preload_memo`]
+    /// are already persisted wherever they came from. Checkpoint-crossing
+    /// waypoints stay in process: a resubmission never probes them
+    /// before its injection-point probe has hit.
     ///
     /// Each fact is returned once, so a remote worker that exports after
     /// every shard uploads only that shard's new facts. If an upload is
     /// rejected, its facts are not sent again: that costs the store
     /// warmth, never an outcome.
     pub fn export_memo(&self) -> Vec<MemoRecord> {
-        let mut map = self.memo.entries.lock().unwrap();
-        let mut out: Vec<MemoRecord> = map
-            .iter_mut()
+        let mut memo = self.lock_memo();
+        let Memo { settled, pending } = &mut *memo;
+        // The last call's maps are read in place, not folded: a state
+        // several of them hold is exported once and marked in each.
+        let mut out: Vec<MemoRecord> = std::iter::once(settled)
+            .chain(pending)
+            .flat_map(|map| map.iter_mut())
             .filter(|(_, e)| e.origin == MemoOrigin::Fresh && e.injection && !e.exported)
             .map(|(&(cycle, digest), e)| {
                 e.exported = true;
@@ -1031,17 +1070,17 @@ impl Campaign {
                 }
             })
             .collect();
-        drop(map);
+        drop(memo);
         out.sort_by_key(|r| (r.cycle, r.digest.to_bits()));
+        out.dedup_by_key(|r| (r.cycle, r.digest));
         out
     }
 
     /// Preloads externally persisted fault-equivalence facts (from the
     /// `sofi-serve` warm store, or a previous campaign's
     /// [`Campaign::export_memo`]) into the memo. Existing entries win;
-    /// preloaded entries are tagged [`MemoOrigin::Store`] so hits on
-    /// them are counted separately ([`ExecutorStats::store_hits`]) and
-    /// they are not re-exported.
+    /// hits on preloaded entries are counted separately
+    /// ([`ExecutorStats::store_hits`]), and they are not re-exported.
     ///
     /// Soundness is the caller's contract: records must come from a
     /// campaign over the same program and event schedule (the daemon
@@ -1050,9 +1089,10 @@ impl Campaign {
         if records.is_empty() {
             return;
         }
-        let mut map = self.memo.entries.lock().unwrap();
+        let mut memo = self.lock_memo();
+        let settled = memo.fold();
         for r in records {
-            map.entry((r.cycle, r.digest)).or_insert(MemoEntry {
+            settled.entry((r.cycle, r.digest)).or_insert(MemoEntry {
                 outcome: r.outcome,
                 final_cycle: r.final_cycle,
                 origin: MemoOrigin::Store,
@@ -1066,7 +1106,7 @@ impl Campaign {
     /// checkpoint states). Outcomes never depend on cache contents; this
     /// exists so benchmarks and oracles can run cold-cache campaigns.
     pub fn reset_memo(&self) {
-        self.memo.clear();
+        *self.lock_memo() = Memo::default();
         if let Some(checkpoints) = self.checkpoints.get() {
             self.seed_memo(checkpoints);
         }
@@ -1170,33 +1210,43 @@ impl Campaign {
     /// experiment, and hands each finished shard's results and counter
     /// delta (`workers` set to the call's worker count) to `commit`,
     /// stopping at the first shard boundary where `commit` returns
-    /// `false`. One cost gate spans the whole run.
+    /// `false`. One cost gate spans the whole run. The worker probes
+    /// `settled` plus its own inserts, and returns those inserts.
     fn run_worker(
         &self,
         fault: Fault,
-        mut pristine: Machine,
         shards: &[(usize, &[Experiment])],
         checkpoints: &[Checkpoint],
+        settled: &HashMap<MemoKey, MemoEntry>,
         workers: usize,
         commit: &(dyn Fn(usize, Vec<ExperimentResult>, ExecutorStats) -> bool + Sync),
-    ) {
+    ) -> HashMap<MemoKey, MemoEntry> {
         let tel = WorkerTel::new(&self.telemetry);
+        let mut memo = MemoView {
+            settled,
+            own: HashMap::new(),
+        };
         // The worker's running totals; the gate reviews these.
         let mut stats = ExecutorStats::default();
         // A cache holding more than the per-checkpoint seeds is warm —
         // preloaded from the daemon's store or populated by an earlier
-        // domain's runs over this shared campaign — and exempt from the
+        // call's runs over this shared campaign — and exempt from the
         // gate's a-priori short-program cut (injection-point hits pay at
         // any program length).
-        let warm_cache = self.memo.len() > checkpoints.len();
+        let warm_cache = memo.settled.len() > checkpoints.len();
         let mut gate = MemoGate::new(
             self.golden.cycles,
             warm_cache,
             self.memo_harvest.load(Ordering::Relaxed),
         );
-        // The worker's start machine always comes from a checkpoint
-        // restore (or a fresh machine), so the first advance is a
-        // restore distance too.
+        // The worker starts from the checkpoint nearest its first
+        // injection (a fresh machine when none qualifies), so the first
+        // advance is a restore distance too.
+        let first = shards
+            .iter()
+            .find_map(|(_, shard)| shard.first())
+            .map_or(0, |e| e.coord.pre_injection_cycle());
+        let mut pristine = self.machine_at(checkpoints, first);
         let mut restored = true;
         for &(index, experiments) in shards {
             let shard_span = tel.registry.span(names::SPAN_SHARD_NS);
@@ -1235,7 +1285,7 @@ impl Campaign {
                 fault.inject(&mut m, e.coord.bit);
                 let base = m.block_stats();
                 let outcome = tel.timed_dispatch(|| {
-                    self.run_faulted(&mut m, checkpoints, &mut stats, &tel, &mut gate)
+                    self.run_faulted(&mut m, checkpoints, &mut memo, &mut stats, &tel, &mut gate)
                 });
                 blocks.absorb(m.block_stats().delta_since(base));
                 stats.experiments += 1;
@@ -1255,9 +1305,10 @@ impl Campaign {
             tel.flush(&delta, &blocks);
             shard_span.finish();
             if !commit(index, out, delta) {
-                return;
+                break;
             }
         }
+        memo.own
     }
 
     /// Runs one faulted machine to its classification.
@@ -1284,8 +1335,8 @@ impl Campaign {
     ///
     /// While the worker's gate keeps probing on (or in harvest mode), the
     /// run first looks up its post-injection `(cycle, state digest)` in
-    /// the campaign memo and returns the cached outcome on a hit; on a
-    /// miss it simulates, repeating the lookup at every checkpoint
+    /// the worker's memo view and returns the cached outcome on a hit; on
+    /// a miss it simulates, repeating the lookup at every checkpoint
     /// crossing while probing is on (before the convergence comparison,
     /// so exact re-entries into explored trajectories — including the
     /// pre-seeded pristine states — resolve as hits), and finally inserts
@@ -1294,6 +1345,7 @@ impl Campaign {
         &self,
         m: &mut Machine,
         checkpoints: &[Checkpoint],
+        memo: &mut MemoView,
         stats: &mut ExecutorStats,
         tel: &WorkerTel,
         gate: &mut MemoGate,
@@ -1309,13 +1361,13 @@ impl Campaign {
         // State digests this run passes through; on completion every one
         // of them maps to the run's outcome, so later injections that
         // converge *into* this trajectory hit at their next checkpoint.
-        let mut waypoints: Vec<(u64, StateDigest)> = Vec::new();
+        let mut waypoints: Vec<MemoKey> = Vec::new();
         let (outcome, final_cycle) = 'run: {
             if at_injection {
                 // Injection-point lookup: an earlier experiment (in either
                 // fault domain) that produced this exact post-injection
                 // state already determined the outcome.
-                if let Some(hit) = gate.probe(tel, &self.memo, m, true, &mut waypoints, stats) {
+                if let Some(hit) = gate.probe(tel, memo, m, true, &mut waypoints, stats) {
                     break 'run (hit.outcome, hit.final_cycle);
                 }
                 stats.memo_misses += 1;
@@ -1335,8 +1387,7 @@ impl Campaign {
                 // pristine state, pre-seeded per checkpoint — resolve
                 // here and also donate their own waypoints.
                 if memoize {
-                    if let Some(hit) = gate.probe(tel, &self.memo, m, false, &mut waypoints, stats)
-                    {
+                    if let Some(hit) = gate.probe(tel, memo, m, false, &mut waypoints, stats) {
                         break 'run (hit.outcome, hit.final_cycle);
                     }
                 }
@@ -1363,7 +1414,7 @@ impl Campaign {
         tel.faulted_run_cycles.record(m.cycle() - start_cycle);
         // After an injection-point miss the first waypoint is the
         // post-injection state.
-        self.memo.insert_all(
+        memo.insert_all(
             &waypoints,
             MemoEntry {
                 outcome,
@@ -1416,11 +1467,14 @@ impl Fault {
 /// first injection cycle) into at most `chunks` contiguous runs with
 /// (approximately) equal injection-cycle spans. Balancing by span rather
 /// than by count bounds each worker's pristine forward-simulation range;
-/// empty spans produce no chunk.
+/// empty spans (and an empty list) produce no chunk.
 fn chunk_by_cycle_span<T>(sorted: &[T], chunks: usize, cycle: impl Fn(&T) -> u64) -> Vec<&[T]> {
-    debug_assert!(!sorted.is_empty() && chunks > 0);
-    let first = cycle(&sorted[0]);
-    let span = cycle(&sorted[sorted.len() - 1]).saturating_sub(first);
+    let (Some(first), Some(last)) = (sorted.first(), sorted.last()) else {
+        return Vec::new();
+    };
+    debug_assert!(chunks > 0);
+    let first = cycle(first);
+    let span = cycle(last).saturating_sub(first);
     let mut out = Vec::with_capacity(chunks);
     let mut begin = 0;
     for k in 1..=chunks as u64 {
@@ -1583,7 +1637,7 @@ mod tests {
         // ~1.2× of the single-worker executor.
         let p = sofi_workloads::fib(sofi_workloads::Variant::Baseline);
         let seq = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
-        let (mut seq_res, seq_stats) = seq.run_experiments_stats(
+        let (seq_res, seq_stats) = seq.run_experiments_stats(
             FaultDomain::Memory,
             &seq.plan_for(FaultDomain::Memory).experiments,
         );
@@ -1598,14 +1652,11 @@ mod tests {
             },
         )
         .unwrap();
-        let (mut par_res, par_stats) = par.run_experiments_stats(
+        let (par_res, par_stats) = par.run_experiments_stats(
             FaultDomain::Memory,
             &par.plan_for(FaultDomain::Memory).experiments,
         );
         assert!(par_stats.workers > 1, "expected a parallel run");
-
-        seq_res.sort_by_key(|r| r.experiment.id);
-        par_res.sort_by_key(|r| r.experiment.id);
         assert_eq!(seq_res, par_res);
 
         let ratio = par_stats.pristine_cycles as f64 / seq_stats.pristine_cycles as f64;
@@ -1652,12 +1703,9 @@ mod tests {
             total.absorb(stats);
         }
         assert_eq!(total.experiments, plan.len() as u64);
-        let mut results: Vec<ExperimentResult> =
+        let results: Vec<ExperimentResult> =
             committed.into_iter().flat_map(|(_, r, _)| r).collect();
-        results.sort_by_key(|r| r.experiment.id);
-        let mut naive = c.run_experiments_naive(FaultDomain::Memory, plan);
-        naive.sort_by_key(|r| r.experiment.id);
-        assert_eq!(results, naive);
+        assert_eq!(results, c.run_experiments_naive(FaultDomain::Memory, plan));
 
         // One worker whose third commit says stop runs no fourth shard.
         let one = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
@@ -1854,9 +1902,7 @@ mod tests {
             FaultDomain::Memory,
             &c.plan_for(FaultDomain::Memory).experiments,
         );
-        let mut naive_sorted = naive;
-        naive_sorted.sort_by_key(|r| r.experiment.id);
-        assert_eq!(result.results, naive_sorted);
+        assert_eq!(result.results, naive);
         assert!(
             result
                 .results
@@ -1900,21 +1946,33 @@ mod tests {
 
     #[test]
     fn out_of_order_experiments_restart_from_checkpoints() {
-        // Feed the sequential worker its plan in *descending* cycle order:
-        // every experiment forces a restart. With the checkpoint-based
-        // restart the pristine rework is bounded by the checkpoint
-        // spacing; the old always-from-zero restart would re-simulate the
-        // full prefix sum of injection cycles.
+        // Feed the sequential worker shards in *descending* cycle order
+        // (`run_shards` runs shards as given; `run_experiments_stats`
+        // sorts first): every experiment forces a restart. With the
+        // checkpoint-based restart the pristine rework is bounded by the
+        // checkpoint spacing; the old always-from-zero restart would
+        // re-simulate the full prefix sum of injection cycles.
         let p = sofi_workloads::fib(sofi_workloads::Variant::Baseline);
         let c = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
         let mut reversed = c.plan_for(FaultDomain::Memory).experiments.clone();
         reversed.sort_unstable_by_key(|e| std::cmp::Reverse((e.coord.cycle, e.coord.bit)));
+        let shards: Vec<Vec<Experiment>> = reversed.chunks(4).map(<[_]>::to_vec).collect();
 
-        let (mut results, stats) = c.run_experiments_stats(FaultDomain::Memory, &reversed);
-        let mut naive = c.run_experiments_naive(FaultDomain::Memory, &reversed);
-        results.sort_by_key(|r| r.experiment.id);
-        naive.sort_by_key(|r| r.experiment.id);
-        assert_eq!(results, naive);
+        let committed = Mutex::new((Vec::new(), ExecutorStats::default()));
+        c.run_shards(FaultDomain::Memory, &shards, |i, results, shard| {
+            let mut committed = committed.lock().unwrap();
+            committed.0.push((i, results));
+            committed.1.absorb(&shard);
+            true
+        });
+        let (mut committed, stats) = committed.into_inner().unwrap();
+        assert_eq!(stats.workers, 1);
+        committed.sort_by_key(|&(i, _)| i);
+        let results: Vec<ExperimentResult> = committed.into_iter().flat_map(|(_, r)| r).collect();
+        assert_eq!(
+            results,
+            c.run_experiments_naive(FaultDomain::Memory, &reversed)
+        );
 
         let from_zero_cost: u64 = reversed.iter().map(|e| e.coord.cycle - 1).sum();
         assert!(
@@ -2095,21 +2153,66 @@ mod tests {
     #[test]
     fn export_memo_returns_each_injection_point_fact_once() {
         let p = sofi_workloads::fib(sofi_workloads::Variant::Baseline);
-        let c = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
-        c.set_memo_harvest();
-        let experiments = &c.plan_for(FaultDomain::Memory).experiments;
-        let (head, tail) = experiments.split_at(experiments.len() / 2);
-        // Distinct coordinates give distinct post-injection states, so
-        // each run adds exactly one fact per experiment, whatever its
-        // checkpoint crossings recorded.
-        c.run_experiments_stats(FaultDomain::Memory, head);
-        let first = c.export_memo();
-        assert_eq!(first.len(), head.len());
-        c.run_experiments_stats(FaultDomain::Memory, tail);
-        let second = c.export_memo();
-        assert_eq!(second.len(), tail.len(), "only the new facts");
-        assert!(second.iter().all(|r| !first.contains(r)));
-        assert!(c.export_memo().is_empty(), "nothing new to export");
+        for threads in [1, 2] {
+            let config = CampaignConfig {
+                threads,
+                ..CampaignConfig::default()
+            };
+            let c = Campaign::with_config(&p, config).unwrap();
+            c.set_memo_harvest();
+            let experiments = &c.plan_for(FaultDomain::Memory).experiments;
+            let (head, tail) = experiments.split_at(experiments.len() / 2);
+            // Distinct coordinates give distinct post-injection states, so
+            // each run adds exactly one fact per experiment, whatever its
+            // checkpoint crossings recorded.
+            c.run_experiments_stats(FaultDomain::Memory, head);
+            let first = c.export_memo();
+            assert_eq!(first.len(), head.len(), "{threads} threads");
+            // The next call folds the head's facts in, exported marks
+            // included.
+            c.run_experiments_stats(FaultDomain::Memory, tail);
+            let second = c.export_memo();
+            assert_eq!(second.len(), tail.len(), "only the new facts");
+            assert!(second.iter().all(|r| !first.contains(r)));
+            assert!(c.export_memo().is_empty(), "nothing new to export");
+            // A rerun hits every fact at its injection point and
+            // exports none of them again.
+            c.run_experiments_stats(FaultDomain::Memory, experiments);
+            assert!(c.export_memo().is_empty(), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_settled_fact_hit_at_injection_is_exported_once_through_its_copy() {
+        let key = (7, Machine::new(&hi_program()).state_digest());
+        let waypoint = MemoEntry {
+            outcome: Outcome::NoEffect,
+            final_cycle: 8,
+            origin: MemoOrigin::Fresh,
+            injection: false,
+            exported: false,
+        };
+        let mut memo = Memo::default();
+        memo.settled.insert(key, waypoint);
+        let mut view = MemoView {
+            settled: &memo.settled,
+            own: HashMap::new(),
+        };
+        assert!(view.get(&key, false).is_some());
+        assert!(view.own.is_empty(), "a crossing hit marks nothing");
+        assert!(view.get(&key, true).is_some());
+        let own = view.own;
+        assert!(own[&key].injection, "the mark lands in the worker's map");
+        // Two workers of one call hit it: one record, both marked.
+        memo.pending = vec![own.clone(), own];
+        let c = Campaign::new(&hi_program()).unwrap();
+        *c.memo.lock().unwrap() = memo;
+        assert_eq!(c.export_memo().len(), 1);
+        assert!(c.export_memo().is_empty());
+        // The fold keeps the settled entry and both marks.
+        let folded = c.memo.lock().unwrap().fold()[&key];
+        assert!(folded.injection && folded.exported);
+        assert!(c.export_memo().is_empty());
     }
 
     #[test]

@@ -9,15 +9,16 @@
 //!
 //! The executor exploits four properties of the setup:
 //!
-//! * plans are sorted by injection cycle, so a single *pristine* machine is
-//!   advanced monotonically and cheaply forked at each injection point
-//!   (machine RAM is copy-on-write, so a fork costs a page-table clone,
-//!   not a memcpy — and no per-experiment replay from cycle 0);
-//! * experiments are independent, so the cycle-sorted list is split into
-//!   one contiguous cycle-span chunk per worker thread, each worker
-//!   starting from a pristine checkpoint near its chunk — total pristine
-//!   forward simulation stays close to the sequential executor's instead
-//!   of growing with the thread count;
+//! * experiments are independent, so the executor sorts every list by
+//!   injection cycle (and hands the results back in the caller's order):
+//!   a single *pristine* machine is advanced monotonically and cheaply
+//!   forked at each injection point (machine RAM is copy-on-write, so a
+//!   fork costs a page-table clone, not a memcpy — and no per-experiment
+//!   replay from cycle 0);
+//! * the sorted list is split into one contiguous cycle-span chunk per
+//!   worker thread, each worker starting from a pristine checkpoint near
+//!   its chunk — total pristine forward simulation stays close to the
+//!   one-thread executor's instead of growing with the thread count;
 //! * the machine is deterministic, so a faulted run whose live
 //!   architectural state matches a pristine checkpoint has provably the
 //!   same remaining behaviour as the golden run — the executor compares
@@ -26,6 +27,9 @@
 //! * for the same reason two injections that reach the same architectural
 //!   state at the same cycle share one outcome, so a per-campaign memo
 //!   keyed on state digests answers repeats without simulating them.
+//!   Each worker probes the memo as its call found it plus its own
+//!   inserts, so the results and every [`ExecutorStats`] counter repeat
+//!   from run to run at any thread count.
 //!
 //! Every faulted run takes this one path: plan scans, samples, the
 //! daemon's shards and burst draws ([`Campaign::run_burst_sampled_in`],

@@ -123,8 +123,7 @@ impl Campaign {
                 _ => panic!("sampled class id {id} is not in the plan"),
             })
             .collect();
-        let (mut results, _) = self.run_experiments_stats(domain, &experiments);
-        results.sort_by_key(|r| r.experiment.id);
+        let (results, _) = self.run_experiments_stats(domain, &experiments);
         let outcomes = results
             .into_iter()
             .map(|r| SampledOutcome {

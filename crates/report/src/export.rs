@@ -625,7 +625,7 @@ impl<'a> Parser<'a> {
 ///
 /// Implemented for primitives, strings, options, slices, [`Json`] trees
 /// and the suite's result types. Flat report structs can derive an
-/// implementation with [`impl_to_json!`].
+/// implementation with [`impl_to_json!`](crate::impl_to_json).
 pub trait ToJson {
     /// Writes the JSON representation of `self` at the writer's current
     /// position.

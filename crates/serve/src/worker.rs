@@ -24,7 +24,8 @@ use crate::client::{Client, ClientError};
 use crate::coordinator::LeaseOffer;
 use sofi_campaign::Campaign;
 use sofi_telemetry::Registry;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -92,8 +93,7 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerReport, ClientError> {
     // The heartbeat thread reads the current worker id from here so a
     // re-registration after reconnect retargets it without a restart.
     let worker_id = Arc::new(AtomicU64::new(0));
-    let stop_heartbeat = Arc::new(AtomicBool::new(false));
-    let mut heartbeat: Option<thread::JoinHandle<()>> = None;
+    let mut heartbeat: Option<(mpsc::Sender<()>, thread::JoinHandle<()>)> = None;
     let mut consecutive_failures: u64 = 0;
 
     let result = 'outer: loop {
@@ -126,7 +126,6 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerReport, ClientError> {
             heartbeat = Some(spawn_heartbeat(
                 config.addr.clone(),
                 Arc::clone(&worker_id),
-                Arc::clone(&stop_heartbeat),
                 Duration::from_millis((lease_ms / 3).max(10)),
             ));
         }
@@ -225,9 +224,11 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerReport, ClientError> {
         }
     };
 
-    stop_heartbeat.store(true, Ordering::Relaxed);
-    if let Some(h) = heartbeat {
-        let _ = h.join();
+    // Dropping the sender stops the heartbeat at once, not at its next
+    // beat.
+    if let Some((stop, thread)) = heartbeat {
+        drop(stop);
+        thread.join().expect("the heartbeat thread panicked");
     }
     result.map(|()| report)
 }
@@ -235,16 +236,18 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerReport, ClientError> {
 /// Heartbeats on a dedicated connection so lease renewal keeps flowing
 /// while the main thread executes a long shard. Connection loss is
 /// retried quietly — worst case the lease expires and the coordinator
-/// re-queues the shard, which the upload path already tolerates.
+/// re-queues the shard, which the upload path already tolerates. Between
+/// beats the thread waits on the returned channel, so a message or a
+/// disconnect ends it without waiting out the cadence.
 fn spawn_heartbeat(
     addr: String,
     worker_id: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
     cadence: Duration,
-) -> thread::JoinHandle<()> {
-    thread::spawn(move || {
+) -> (mpsc::Sender<()>, thread::JoinHandle<()>) {
+    let (stop, stopped) = mpsc::channel();
+    let thread = thread::spawn(move || {
         let mut client: Option<Client> = None;
-        while !stop.load(Ordering::Relaxed) {
+        loop {
             let id = worker_id.load(Ordering::Relaxed);
             if id != 0 {
                 if client.is_none() {
@@ -260,7 +263,38 @@ fn spawn_heartbeat(
                     None => client = None,
                 }
             }
-            thread::sleep(cadence);
+            if stopped.recv_timeout(cadence) != Err(RecvTimeoutError::Timeout) {
+                return;
+            }
         }
-    })
+    });
+    (stop, thread)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    #[test]
+    fn a_stopped_heartbeat_exits_without_waiting_out_its_cadence() {
+        // Worker id 0: the thread never dials, it only waits. The check
+        // holds whenever the stop arrives; the pause only lets the thread
+        // reach its wait first, where a sleeping loop would outlive the
+        // stop by its whole cadence.
+        let (stop, heartbeat) = spawn_heartbeat(
+            "127.0.0.1:1".to_string(),
+            Arc::new(AtomicU64::new(0)),
+            Duration::from_secs(10),
+        );
+        thread::sleep(Duration::from_millis(50));
+        let asked = Instant::now();
+        drop(stop);
+        heartbeat.join().unwrap();
+        let waited = asked.elapsed();
+        assert!(
+            waited < Duration::from_secs(1),
+            "the heartbeat outlived its stop by {waited:?}"
+        );
+    }
 }

@@ -107,11 +107,11 @@ fn random_program(seed: u64) -> Program {
     a.build().unwrap()
 }
 
-/// `n` random raw fault coordinates in a `cycles × bits` space, cycle-
-/// sorted like a real plan (the executor accepts any order; sorting just
-/// keeps the pristine machine moving forward).
+/// `n` random raw fault coordinates in a `cycles × bits` space, in draw
+/// order: the executor sorts them itself and returns the results in this
+/// order.
 fn random_experiments(rng: &mut impl Rng, cycles: u64, bits: u64, n: usize) -> Vec<Experiment> {
-    let mut v: Vec<Experiment> = (0..n)
+    (0..n)
         .map(|i| Experiment {
             id: i as u32,
             coord: FaultCoord {
@@ -120,9 +120,7 @@ fn random_experiments(rng: &mut impl Rng, cycles: u64, bits: u64, n: usize) -> V
             },
             weight: 1,
         })
-        .collect();
-    v.sort_unstable_by_key(|e| (e.coord.cycle, e.coord.bit, e.id));
-    v
+        .collect()
 }
 
 #[test]
